@@ -6,12 +6,18 @@ optional JSON config file over built-in defaults, embeds the resolved
 config (plus tool version and a git-style blob hash of any input family
 file) in the output, and is byte-for-byte reproducible from
 ``(config, seed)`` regardless of ``--jobs``.  Timing goes to stderr, not
-into the output.
+into the output; a failure prints one JSON error line to stderr instead.
+
+``pagree --method`` takes a key of :data:`sqsa.walk.AGREEMENT_METHODS`
+(``spectral``, ``brute``, ``mc``) and reports its label (``spectral``,
+``brute-force``, ``monte-carlo``).  Each ``oracle`` line is a whole
+:class:`sqsa.sq.QueryRecord`, with its ``method`` and ``max_stderr``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -34,9 +40,8 @@ from .automata import (
 )
 from .sq import StatQuery, certify_sq_dimension, make_session, oracle_answer
 from .walk import (
-    agreement_brute_force,
-    agreement_exact,
-    agreement_monte_carlo,
+    AGREEMENT_METHODS,
+    agreement,
     expected_operator,
     expected_spectrum,
     fourier_matrix,
@@ -51,7 +56,7 @@ _DEFAULTS: dict[str, dict] = {
     "pagree": {
         "members": "0,1",
         "t": 10,
-        "method": "exact",
+        "method": "spectral",
         "samples": 100_000,
         "seed": 0,
         "format": "json",
@@ -63,7 +68,6 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 _FORMATS: dict[str, set[str]] = {
-    "family": {"binary"},
     "pagree": {"json"},
     "spectrum": {"csv", "json"},
     "mixing": {"csv", "json"},
@@ -74,6 +78,10 @@ _FORMATS: dict[str, set[str]] = {
 
 def _float17(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _fraction_text(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _git_blob_sha1(data: bytes) -> str:
@@ -95,6 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="JSON config file; flags override its keys")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--jobs", type=int, help="worker threads (never changes results)")
+        if name in _FORMATS:
+            cmd.add_argument("--format", choices=sorted(_FORMATS[name]))
         return cmd
 
     family = add("family", "generate a shuffle family and write the family file")
@@ -108,10 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pagree.add_argument("--family", help="family file")
     pagree.add_argument("--members", help="pair of member indices, e.g. 0,1")
     pagree.add_argument("--t", type=int, help="word length")
-    pagree.add_argument("--method", choices=["exact", "brute", "mc"])
+    pagree.add_argument("--method", choices=list(AGREEMENT_METHODS))
     pagree.add_argument("--samples", type=int, help="Monte Carlo samples")
     pagree.add_argument("--seed", type=int, help="Monte Carlo seed")
-    pagree.add_argument("--format", choices=["json"])
 
     spectrum = add("spectrum", "expected-operator or realized Fourier-matrix spectrum")
     spectrum.add_argument("--method", choices=["expected", "realized"])
@@ -119,19 +128,16 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--p", type=float, help="mask parameter (expected method)")
     spectrum.add_argument("--family", help="family file (realized method)")
     spectrum.add_argument("--members", help="pair of member indices (realized method)")
-    spectrum.add_argument("--format", choices=["csv", "json"])
 
     mixing = add("mixing", "residual decay scan with closed-form envelopes")
     mixing.add_argument("--family", help="family file")
     mixing.add_argument("--members", help="pair of member indices")
     mixing.add_argument("--t-max", dest="t_max", type=int)
-    mixing.add_argument("--format", choices=["csv", "json"])
 
     certify = add("certify", "pairwise-correlation certificate over family members")
     certify.add_argument("--family", help="family file")
     certify.add_argument("--t", type=int, help="word length (default: mixing length for n)")
     certify.add_argument("--d", type=int, help="certificate dimension (default: family size)")
-    certify.add_argument("--format", choices=["json"])
 
     oracle = add("oracle", "scripted adversarial-oracle session transcript")
     oracle.add_argument("--family", help="family file")
@@ -140,31 +146,30 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--seed", type=int, help="session seed for sampled statistics")
     oracle.add_argument("--samples", type=int, help="samples when enumeration is too large")
     oracle.add_argument("--queries", help="JSON file: list of {builtin, params}")
-    oracle.add_argument("--format", choices=["jsonl"])
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags, with light validation."""
+    """Defaults < config file < explicit flags; the file may set the command's
+    own flags except ``--out`` and ``--jobs``, and any other key is rejected."""
+    accepted = set(vars(args)) - {"command", "config", "out", "jobs"}
     resolved = dict(_DEFAULTS[args.command])
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(resolved) - {"family", "queries", "jobs", "out"}
+        unknown = set(loaded) - accepted
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         resolved.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        resolved[key] = value
+    for key in accepted:
+        value = getattr(args, key)
+        if value is not None:
+            resolved[key] = value
     fmt = resolved.get("format")
     if fmt is not None and fmt not in _FORMATS[args.command]:
         raise ValueError(f"format {fmt!r} not supported by {args.command}")
-    resolved.pop("out", None)
-    resolved.pop("jobs", None)
     return resolved
 
 
@@ -198,9 +203,21 @@ def _meta(command: str, config: dict, family_sha1: str | None) -> dict:
     return meta
 
 
+def _jsonable(value):
+    """``json.dumps`` hook: a dataclass becomes a dict, a Fraction ``"p/q"``."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, Fraction):
+        return _fraction_text(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value, indent: int | None = None) -> str:
+    return json.dumps(value, sort_keys=True, indent=indent, default=_jsonable)
+
+
 def _json_payload(meta: dict, result) -> bytes:
-    text = json.dumps({"meta": meta, "result": result}, sort_keys=True, indent=2)
-    return (text + "\n").encode()
+    return (_json_text({"meta": meta, "result": result}, indent=2) + "\n").encode()
 
 
 def _csv_payload(meta: dict, header: list[str], rows: list[list[str]]) -> bytes:
@@ -226,33 +243,13 @@ def _cmd_family(config: dict, jobs: int) -> bytes:
     return serialize_family(family)
 
 
-def _agreement_result(report) -> dict:
-    return {
-        "n_states": report.n_states,
-        "word_length": report.word_length,
-        "p_agree": report.p_agree,
-        "residual": report.residual,
-        "method": report.method,
-        "stderr": report.stderr,
-        "exact": None if report.exact is None else f"{report.exact.numerator}/{report.exact.denominator}",
-    }
-
-
 def _cmd_pagree(config: dict, jobs: int) -> bytes:
     family, sha1 = _load_family(config.get("family"))
     i, j = _parse_members(config["members"], family)
     a, b = family.members[i], family.members[j]
-    t = int(config["t"])
-    method = config["method"]
-    if method == "exact":
-        report = agreement_exact(a, b, t)
-    elif method == "brute":
-        report = agreement_brute_force(a, b, t)
-    elif method == "mc":
-        report = agreement_monte_carlo(a, b, t, int(config["samples"]), int(config["seed"]), jobs)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _json_payload(_meta("pagree", config, sha1), _agreement_result(report))
+    samples, seed = int(config["samples"]), int(config["seed"])
+    report = agreement(config["method"], a, b, int(config["t"]), samples, seed, jobs)
+    return _json_payload(_meta("pagree", config, sha1), report)
 
 
 def _grouped_eigenvalues(matrix: np.ndarray, tol: float = 1e-8) -> list[tuple[float, int]]:
@@ -287,16 +284,12 @@ def _cmd_spectrum(config: dict, jobs: int) -> bytes:
     meta = _meta("spectrum", config, sha1)
     if config["format"] == "json":
         result = [
-            {
-                "eigenvalue": value,
-                "multiplicity": count,
-                "closed_form": None if frac is None else f"{frac.numerator}/{frac.denominator}",
-            }
+            {"eigenvalue": value, "multiplicity": count, "closed_form": frac}
             for (value, count), frac in zip(groups, closed)
         ]
         return _json_payload(meta, result)
     rows = [
-        [_float17(value), str(count), "" if frac is None else f"{frac.numerator}/{frac.denominator}"]
+        [_float17(value), str(count), "" if frac is None else _fraction_text(frac)]
         for (value, count), frac in zip(groups, closed)
     ]
     return _csv_payload(meta, ["eigenvalue", "multiplicity", "closed_form"], rows)
@@ -308,24 +301,10 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
     scan = mixing_scan(family.members[i], family.members[j], int(config["t_max"]))
     meta = _meta("mixing", config, sha1)
     if config["format"] == "json":
-        result = {
-            "spectral_norm": scan.spectral_norm,
-            "min_eigenvalue": scan.min_eigenvalue,
-            "upper_applies": scan.upper_applies,
-            "lower_applies": scan.lower_applies,
-            "upper_violations": list(scan.upper_violations),
-            "lower_violations": list(scan.lower_violations),
-            "points": [
-                {
-                    "T": point.word_length,
-                    "p_agree": point.p_agree,
-                    "residual": point.residual,
-                    "upper_bound": point.upper_bound,
-                    "lower_bound": point.lower_bound,
-                }
-                for point in scan.points
-            ],
-        }
+        result = dataclasses.asdict(scan)
+        del result["n_states"]
+        for point in result["points"]:
+            point["T"] = point.pop("word_length")
         return _json_payload(meta, result)
     rows = [
         [
@@ -334,7 +313,7 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
             _float17(point.residual),
             _float17(point.upper_bound),
             _float17(point.lower_bound),
-            "exact-spectral",
+            "spectral",
         ]
         for point in scan.points
     ]
@@ -353,16 +332,7 @@ def _cmd_certify(config: dict, jobs: int) -> bytes:
         dim = len(family.members)
         config["d"] = dim
     report = certify_sq_dimension(family.members, int(t), int(dim))
-    result = {
-        "dim": report.dim,
-        "word_length": report.word_length,
-        "n_pairs": report.n_pairs,
-        "threshold": report.threshold,
-        "max_abs_correlation": report.max_abs_correlation,
-        "violating_pair": None if report.violating_pair is None else list(report.violating_pair),
-        "passed": report.passed,
-    }
-    return _json_payload(_meta("certify", config, sha1), result)
+    return _json_payload(_meta("certify", config, sha1), report)
 
 
 def _cmd_oracle(config: dict, jobs: int) -> bytes:
@@ -381,24 +351,9 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
         seed=int(config["seed"]),
         mc_samples=int(config["samples"]),
     )
-    lines = [json.dumps(_meta("oracle", config, sha1), sort_keys=True)]
     for entry in scripted:
-        query = StatQuery(entry["builtin"], entry.get("params", {}))
-        oracle_answer(session, query)
-        record = session.ledger[-1]
-        lines.append(
-            json.dumps(
-                {
-                    "query_id": record.query_id,
-                    "builtin": record.builtin,
-                    "params": record.params,
-                    "answer": record.answer,
-                    "eliminated_ids": list(record.eliminated_ids),
-                    "survivor_count": record.survivor_count,
-                },
-                sort_keys=True,
-            )
-        )
+        oracle_answer(session, StatQuery(entry["builtin"], entry.get("params", {})))
+    lines = [_json_text(item) for item in (_meta("oracle", config, sha1), *session.ledger)]
     return ("\n".join(lines) + "\n").encode()
 
 

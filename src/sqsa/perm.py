@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 __all__ = [
     "Permutation",
     "SizeMismatchError",
@@ -24,7 +22,6 @@ __all__ = [
     "compose",
     "fix_count",
     "inverse",
-    "sample_uniform",
 ]
 
 
@@ -135,8 +132,3 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All n! permutations, in lexicographic order of their image tuples."""
     for images in itertools.permutations(range(n)):
         yield Permutation(images)
-
-
-def sample_uniform(n: int, rng: np.random.Generator) -> Permutation:
-    """Uniform draw from the full permutation group via a Fisher-Yates shuffle."""
-    return Permutation(tuple(int(image) for image in rng.permutation(n)))

@@ -1,9 +1,10 @@
 """Correlation measurements and an adversarial statistical-query oracle.
 
-Concepts are (word, start) -> final-state maps realized by semiautomata;
+Concepts are semiautomata, read as (word, start) -> final-state maps;
 the input distribution is uniform over all words of a fixed length and
 all start states.  The correlation of two concepts is their agreement
-probability minus the always-guess baseline ``1/labels``.
+probability minus the always-guess baseline ``1/labels``, computed by any
+route of :data:`sqsa.walk.AGREEMENT_METHODS`.
 
 The oracle answers a bounded statistic ``h(x, y)`` with the
 concept-independent value ``E_x[(1/labels) * sum_y h(x, y)]`` — the
@@ -11,37 +12,33 @@ projection of the query onto the label-average direction.  A learner can
 then eliminate exactly the candidates whose centered statistic exceeds
 the tolerance in magnitude, and with pairwise-uncorrelated candidate
 families that number is provably small per query.  Sessions keep a
-ledger of every answer and elimination.
+ledger of every answer and elimination.  An entry's ``method`` is ``exact``
+when every input was enumerated, else ``monte-carlo``, with ``max_stderr``
+the largest standard error over the survivors (None if exact or none left).
 
-Queries are named built-ins with parameters, not arbitrary code, so
-transcripts are reproducible:
+Queries are named built-ins with declared integer parameters (``value``
+may be any number), not arbitrary code, so transcripts are reproducible:
 
-- ``label-indicator``     h(x, y) = 1 if y equals a fixed label
-- ``state-agreement``     h(x, y) = 1 if y equals a reference member's output
+- ``label-indicator``     h(x, y) = 1 if y equals ``label``
+- ``state-agreement``     h(x, y) = 1 if y equals the output of reference ``member``
 - ``final-state-parity``  h(x, y) = +1 for even y, -1 for odd y
-- ``constant``            h(x, y) = a fixed value in [-1, 1]
+- ``constant``            h(x, y) = ``value`` in [-1, 1]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .automata import Semiautomaton, ShuffleFamily, iter_word_blocks, run_words
-from .walk import (
-    MAX_SPECTRAL_STATES,
-    agreement_brute_force,
-    agreement_exact,
-    agreement_monte_carlo,
-    brute_force_limit,
-)
+from .walk import WordDistribution, agreement, brute_force_limit
 
 __all__ = [
+    "BUILTIN_PARAMS",
     "BUILTIN_QUERIES",
     "CertificateReport",
-    "ConceptHandle",
     "CorrelationEstimate",
     "OracleSession",
     "QueryRecord",
@@ -56,38 +53,11 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_LIMIT = 10**7
-ORACLE_STRATA = 64
-
-
-@dataclass(frozen=True)
-class ConceptHandle:
-    """A concept realized by a semiautomaton; labels are its final states."""
-
-    automaton: Semiautomaton
-
-    @property
-    def label_count(self) -> int:
-        return self.automaton.n_states
-
-    def evaluate(self, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        return run_words(self.automaton, words, starts)
-
-
-@dataclass(frozen=True)
-class WordDistribution:
-    """Uniform distribution over (word of fixed length, start state) inputs."""
-
-    n_states: int
-    n_symbols: int
-    word_length: int
-
-    def n_inputs(self) -> int:
-        return self.n_symbols**self.word_length * self.n_states
 
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """Agreement probability minus ``1/labels``, with how it was obtained."""
+    """Agreement probability minus ``1/labels``; ``method`` is the report label."""
 
     value: float
     method: str
@@ -109,27 +79,20 @@ def pairwise_correlation(
     a: Semiautomaton,
     b: Semiautomaton,
     word_length: int,
-    method: str = "auto",
+    method: str = "spectral",
     samples: int = 100_000,
     seed: int = 0,
 ) -> CorrelationEstimate:
     """Correlation of the two concepts under the shared word distribution.
 
-    ``spectral`` evaluates the agreement residual through the Fourier
-    matrix, ``exact`` enumerates every word (guard permitting), and
-    ``monte-carlo`` samples.  ``auto`` picks spectral at desk scale.
+    ``method`` is a key of :data:`sqsa.walk.AGREEMENT_METHODS`: ``spectral``
+    evaluates the agreement residual through the Fourier matrix, ``brute``
+    enumerates every word (guard permitting), and ``mc`` samples
+    ``samples`` inputs from ``seed``.  The estimate's ``method`` is the
+    report label: ``spectral``, ``brute-force`` or ``monte-carlo``.
     """
-    if method == "auto":
-        method = "spectral" if a.n_states <= MAX_SPECTRAL_STATES else "monte-carlo"
-    if method == "spectral":
-        report = agreement_exact(a, b, word_length)
-    elif method == "exact":
-        report = agreement_brute_force(a, b, word_length)
-    elif method == "monte-carlo":
-        report = agreement_monte_carlo(a, b, word_length, samples, seed)
-    else:
-        raise ValueError(f"unknown correlation method {method!r}")
-    return CorrelationEstimate(report.residual, method, a.n_states, stderr=report.stderr)
+    report = agreement(method, a, b, word_length, samples, seed)
+    return CorrelationEstimate(report.residual, report.method, a.n_states, stderr=report.stderr)
 
 
 @dataclass(frozen=True)
@@ -220,7 +183,7 @@ class QueryRecord:
 class OracleSession:
     """Mutable session state: candidate concepts, distribution, tolerance, ledger."""
 
-    concepts: tuple[ConceptHandle, ...]
+    concepts: tuple[Semiautomaton, ...]
     distribution: WordDistribution
     tolerance: float
     seed: int = 0
@@ -247,7 +210,7 @@ def make_session(
     mc_samples: int = 100_000,
 ) -> OracleSession:
     """Session over all family members as candidate concepts."""
-    concepts = tuple(ConceptHandle(member) for member in family.members)
+    concepts = tuple(family.members)
     distribution = WordDistribution(
         family.config.n_states, family.config.alphabet_size, word_length
     )
@@ -259,10 +222,27 @@ def make_session(
 
 
 Evaluator = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+Factory = Callable[[Mapping[str, int], OracleSession], Evaluator]
+
+BUILTIN_QUERIES: dict[str, Factory] = {}
+BUILTIN_PARAMS: dict[str, dict[str, str]] = {}  # builtin -> {param: kind}
+_PARAM_TYPES = {"integer": int, "number": (int, float)}  # bools are neither
 
 
+def _builtin(name: str, **params: str) -> Callable[[Factory], Factory]:
+    """Register a built-in query under ``name`` with its declared params."""
+
+    def register(factory: Factory) -> Factory:
+        BUILTIN_QUERIES[name] = factory
+        BUILTIN_PARAMS[name] = params
+        return factory
+
+    return register
+
+
+@_builtin("label-indicator", label="integer")
 def _builtin_label_indicator(params: Mapping[str, int], session: OracleSession) -> Evaluator:
-    label = int(params["label"])
+    label = params["label"]
     if not 0 <= label < session.distribution.n_states:
         raise ValueError(f"label {label} out of range")
 
@@ -272,11 +252,12 @@ def _builtin_label_indicator(params: Mapping[str, int], session: OracleSession) 
     return evaluate
 
 
+@_builtin("state-agreement", member="integer")
 def _builtin_state_agreement(params: Mapping[str, int], session: OracleSession) -> Evaluator:
-    member = int(params["member"])
+    member = params["member"]
     if not 0 <= member < len(session.concepts):
         raise ValueError(f"member {member} out of range")
-    reference = session.concepts[member].automaton
+    reference = session.concepts[member]
 
     def evaluate(words, starts, labels):
         return (labels == run_words(reference, words, starts)).astype(float)
@@ -284,6 +265,7 @@ def _builtin_state_agreement(params: Mapping[str, int], session: OracleSession) 
     return evaluate
 
 
+@_builtin("final-state-parity")
 def _builtin_final_state_parity(params: Mapping[str, int], session: OracleSession) -> Evaluator:
     def evaluate(words, starts, labels):
         return np.where(labels % 2 == 0, 1.0, -1.0)
@@ -291,6 +273,7 @@ def _builtin_final_state_parity(params: Mapping[str, int], session: OracleSessio
     return evaluate
 
 
+@_builtin("constant", value="number")
 def _builtin_constant(params: Mapping[str, float], session: OracleSession) -> Evaluator:
     value = float(params["value"])
     if not -1.0 <= value <= 1.0:
@@ -302,12 +285,20 @@ def _builtin_constant(params: Mapping[str, float], session: OracleSession) -> Ev
     return evaluate
 
 
-BUILTIN_QUERIES: dict[str, Callable[[Mapping[str, int], OracleSession], Evaluator]] = {
-    "label-indicator": _builtin_label_indicator,
-    "state-agreement": _builtin_state_agreement,
-    "final-state-parity": _builtin_final_state_parity,
-    "constant": _builtin_constant,
-}
+def _check_params(query: StatQuery) -> None:
+    """Reject missing, unknown and mistyped params of a built-in, naming each."""
+    params = query.params
+    if not isinstance(params, Mapping):
+        raise ValueError(f"{query.builtin} params must be an object, got {params!r}")
+    declared = BUILTIN_PARAMS.get(query.builtin, {})
+    problems = [f"missing {name!r}" for name in declared if name not in params]
+    problems += [f"unknown {name!r}" for name in params if name not in declared]
+    for name, kind in declared.items():
+        value = params.get(name, 0)  # a missing param is reported above
+        if isinstance(value, bool) or not isinstance(value, _PARAM_TYPES[kind]):
+            problems.append(f"non-{kind} {name!r}: {value!r}")
+    if problems:
+        raise ValueError(f"bad params for {query.builtin}: {'; '.join(problems)}")
 
 
 def _check_range(values: np.ndarray) -> None:
@@ -315,59 +306,18 @@ def _check_range(values: np.ndarray) -> None:
         raise ValueError("query statistic left the range [-1, 1]")
 
 
-def _exact_statistics(
-    session: OracleSession, evaluate: Evaluator
-) -> tuple[float, np.ndarray, None]:
-    """Answer and centered per-survivor statistics by full enumeration."""
-    dist = session.distribution
-    n = dist.n_states
-    survivors = session.survivors
-    centered_sums = np.zeros(len(survivors))
-    answer_sum = 0.0
-    total = 0
-    start_cycle = np.arange(n, dtype=np.int64)
-    for words in iter_word_blocks(dist.n_symbols, dist.word_length):
-        block_words = np.repeat(words, n, axis=0)
-        starts = np.tile(start_cycle, words.shape[0])
-        label_average = np.zeros(block_words.shape[0])
-        for label in range(n):
-            values = evaluate(block_words, starts, np.full(block_words.shape[0], label))
-            _check_range(values)
-            label_average += values
-        label_average /= n
-        answer_sum += float(label_average.sum())
-        for k, concept_index in enumerate(survivors):
-            labels = session.concepts[concept_index].evaluate(block_words, starts)
-            values = evaluate(block_words, starts, labels)
-            _check_range(values)
-            centered_sums[k] += float((values - label_average).sum())
-        total += block_words.shape[0]
-    return answer_sum / total, centered_sums / total, None
-
-
-def _sampled_statistics(
-    session: OracleSession, evaluate: Evaluator
+def _statistics(
+    session: OracleSession, evaluate: Evaluator, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Stratified sampling fallback; also returns per-survivor standard errors."""
-    dist = session.distribution
-    n = dist.n_states
+    """Answer, centered per-survivor means and their standard errors over input blocks."""
+    n = session.distribution.n_states
     survivors = session.survivors
-    query_index = len(session.ledger)
-    base, extra = divmod(session.mc_samples, ORACLE_STRATA)
     sums = np.zeros(len(survivors))
     sums_sq = np.zeros(len(survivors))
     answer_sum = 0.0
     total = 0
-    for stratum in range(ORACLE_STRATA):
-        count = base + (1 if stratum < extra else 0)
-        if count == 0:
-            continue
-        sequence = np.random.SeedSequence(
-            entropy=session.seed, spawn_key=(query_index, stratum)
-        )
-        rng = np.random.Generator(np.random.Philox(sequence))
-        words = rng.integers(0, dist.n_symbols, size=(count, dist.word_length))
-        starts = rng.integers(0, n, size=count)
+    for words, starts in blocks:
+        count = words.shape[0]
         label_average = np.zeros(count)
         for label in range(n):
             values = evaluate(words, starts, np.full(count, label))
@@ -376,7 +326,7 @@ def _sampled_statistics(
         label_average /= n
         answer_sum += float(label_average.sum())
         for k, concept_index in enumerate(survivors):
-            labels = session.concepts[concept_index].evaluate(words, starts)
+            labels = run_words(session.concepts[concept_index], words, starts)
             values = evaluate(words, starts, labels)
             _check_range(values)
             centered = values - label_average
@@ -394,25 +344,33 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
 
     The answer is the label-average projection of the statistic, which is
     within tolerance of every survivor's true statistic.  Exact
-    enumeration is used when the input space fits the session's limit;
-    otherwise elimination is decided conservatively at
-    ``tolerance + 4 * stderr`` from stratified samples.  Ties at the
-    tolerance are kept, never eliminated.
+    enumeration (ledger method ``exact``) is used when the input space
+    fits the session's limit; otherwise (``monte-carlo``) elimination is
+    decided conservatively at ``tolerance + 4 * stderr`` from stratified
+    samples.  Ties at the tolerance are kept, never eliminated.  Params
+    that are missing, unknown or of the wrong type raise ``ValueError``.
     """
     if query.builtin not in BUILTIN_QUERIES:
         raise ValueError(f"unknown built-in query {query.builtin!r}")
+    _check_params(query)
     evaluate = BUILTIN_QUERIES[query.builtin](query.params, session)
-    if session.distribution.n_inputs() <= session.enumeration_limit:
-        method = "exact"
-        answer, centered, stderr = _exact_statistics(session, evaluate)
+    dist = session.distribution
+    exact = dist.n_inputs() <= session.enumeration_limit
+    if exact:
+        start_cycle = np.arange(dist.n_states, dtype=np.int64)
+        blocks = (
+            (np.repeat(words, dist.n_states, axis=0), np.tile(start_cycle, words.shape[0]))
+            for words in iter_word_blocks(dist.n_symbols, dist.word_length)
+        )
     else:
-        method = "monte-carlo"
-        answer, centered, stderr = _sampled_statistics(session, evaluate)
-    eliminated = []
-    for k, concept_index in enumerate(session.survivors):
-        cut = session.tolerance if stderr is None else session.tolerance + 4.0 * stderr[k]
-        if abs(float(centered[k])) > cut:
-            eliminated.append(concept_index)
+        draws = dist.strata(session.mc_samples, session.seed, (len(session.ledger),))
+        blocks = (draw() for draw in draws)
+    answer, centered, stderr = _statistics(session, evaluate, blocks)
+    eliminated = [
+        concept_index
+        for k, concept_index in enumerate(session.survivors)
+        if abs(float(centered[k])) > session.tolerance + (0.0 if exact else 4.0 * stderr[k])
+    ]
     session.survivors = [i for i in session.survivors if i not in set(eliminated)]
     record = QueryRecord(
         query_id=len(session.ledger),
@@ -421,8 +379,8 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
         answer=float(answer),
         eliminated_ids=tuple(eliminated),
         survivor_count=len(session.survivors),
-        method=method,
-        max_stderr=None if stderr is None else float(np.max(stderr)),
+        method="exact" if exact else "monte-carlo",
+        max_stderr=None if exact or not stderr.size else float(np.max(stderr)),
     )
     session.ledger.append(record)
     return float(answer)

@@ -22,10 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -34,8 +33,6 @@ from .perm import Permutation, all_transpositions, inverse
 __all__ = [
     "Partition",
     "char_ratio",
-    "class_fourier_scalar",
-    "conjugacy_class_size",
     "irrep_dim",
     "partitions",
     "perm_matrix",
@@ -72,16 +69,6 @@ class Partition:
         if n < 2:
             raise ValueError("the standard irrep needs n >= 2")
         return Partition((n - 1, 1))
-
-    @staticmethod
-    def identity_class(n: int) -> Partition:
-        return Partition((1,) * n)
-
-    @staticmethod
-    def transposition_class(n: int) -> Partition:
-        if n < 2:
-            raise ValueError("the transposition class needs n >= 2")
-        return Partition((2,) + (1,) * (n - 2))
 
 
 def partitions(n: int) -> Iterator[Partition]:
@@ -132,58 +119,6 @@ def char_ratio(label: Partition) -> Fraction:
         for j, part in enumerate(label.parts, start=1)
     )
     return Fraction(total, n * (n - 1))
-
-
-def conjugacy_class_size(cycle_type: Partition) -> int:
-    """Number of permutations with the given cycle type."""
-    denominator = 1
-    for length, multiplicity in Counter(cycle_type.parts).items():
-        denominator *= length**multiplicity * math.factorial(multiplicity)
-    return math.factorial(cycle_type.n) // denominator
-
-
-def _character_on_class(label: Partition, cycle_type: Partition) -> Fraction:
-    """Exact character value of irrep ``label`` on a conjugacy class.
-
-    Closed forms exist for every class when the irrep is trivial or
-    standard, and for every irrep on the identity and transposition
-    classes; anything else is out of scope here.
-    """
-    n = label.n
-    if cycle_type.n != n:
-        raise ValueError(f"cycle type {cycle_type.parts!r} is not a class of n={n}")
-    if label == Partition.trivial(n):
-        return Fraction(1)
-    if label == Partition.standard(n):
-        fixed = sum(1 for part in cycle_type.parts if part == 1)
-        return Fraction(fixed - 1)
-    if cycle_type == Partition.identity_class(n):
-        return Fraction(irrep_dim(label))
-    if cycle_type == Partition.transposition_class(n):
-        return char_ratio(label) * irrep_dim(label)
-    raise ValueError(
-        f"unsupported class {cycle_type.parts!r} for irrep {label.parts!r}: only the "
-        "identity and transposition classes have closed-form characters here"
-    )
-
-
-def class_fourier_scalar(
-    values: Mapping[Partition | tuple[int, ...], Fraction | int | float],
-    label: Partition,
-) -> Fraction | float:
-    """Scalar ``C`` with ``rho(f) = C * I`` for a class function ``f``.
-
-    ``values`` maps cycle types (as :class:`Partition` or raw tuples) to the
-    constant value of ``f`` on that class; classes not listed contribute 0.
-    ``C = (1/d) * sum_c f(c) * |c| * chi(c)`` over the listed classes.
-    """
-    dim = irrep_dim(label)
-    total: Fraction | float = Fraction(0)
-    for key, value in values.items():
-        cycle_type = key if isinstance(key, Partition) else Partition(tuple(key))
-        chi = _character_on_class(label, cycle_type)
-        total += value * conjugacy_class_size(cycle_type) * chi
-    return total / dim
 
 
 def perm_matrix(g: Permutation) -> np.ndarray:

@@ -10,11 +10,19 @@ shared uniform start, is
 where ``M`` is the single-step distribution pushed through the tensor
 square of the standard representation and ``v`` is the vectorized
 identity (the diagonal direction).  This module builds ``M`` from a pair
-of automata, evaluates the agreement probability exactly (spectrally and
-by literal word enumeration), estimates it by Monte Carlo, and provides
-the expected-operator spectrum, a direct-summation check of the
-fixed-point Fourier identity behind the formula, and per-length mixing
-scans against closed-form decay envelopes.
+of automata and evaluates the agreement probability three ways.
+:data:`AGREEMENT_METHODS` lists them under the keys that the CLI's
+``pagree --method`` and :func:`sqsa.sq.pairwise_correlation` accept; each
+report names its route with a label:
+
+- ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
+- ``brute`` (label ``brute-force``): literal enumeration of every word and
+  start, giving an exact rational;
+- ``mc`` (label ``monte-carlo``): stratified sampling, with a standard error.
+
+It also provides the expected-operator spectrum, a direct-summation check
+of the fixed-point Fourier identity behind the formula, and per-length
+mixing scans against closed-form decay envelopes.
 
 ``M^T`` is never materialized: the residual ``v' M^T v`` is computed by
 ``T`` matrix-vector products, which keeps full relative accuracy even
@@ -23,26 +31,31 @@ when the residual is far below the rounding of ``p_agree`` itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .automata import Semiautomaton, iter_word_blocks, run_words
 from .perm import Permutation, SizeMismatchError, all_transpositions
-from .symrep import std_matrix, transposition_std_matrices
+from .symrep import Partition, char_ratio, irrep_dim, std_matrix, transposition_std_matrices
 
 __all__ = [
+    "AGREEMENT_METHODS",
     "AgreementReport",
     "BruteForceGuardError",
     "FixedPointFourierReport",
     "MixingPoint",
     "MixingScan",
     "StepDistribution",
+    "WordDistribution",
+    "agreement",
     "agreement_brute_force",
     "agreement_exact",
     "agreement_monte_carlo",
@@ -61,7 +74,7 @@ MAX_SPECTRAL_STATES = 40  # (n-1)^2 <= 1521 keeps dense eigensolves and matvecs 
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 EXACT_MASS_MAX_ALPHABET = 1 << 16  # rational masses while denominators stay small
 DEFAULT_BRUTE_LIMIT = 10**8
-MONTE_CARLO_STRATA = 64  # fixed stratification => results independent of worker count
+SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
 
 
 class BruteForceGuardError(ValueError):
@@ -80,6 +93,40 @@ def brute_force_limit(default: int = DEFAULT_BRUTE_LIMIT) -> int:
     """Enumeration budget; the SQSA_MAX_BRUTE environment variable overrides it."""
     raw = os.environ.get("SQSA_MAX_BRUTE")
     return int(raw) if raw else default
+
+
+@dataclass(frozen=True)
+class WordDistribution:
+    """Uniform distribution over (word of fixed length, start state) inputs."""
+
+    n_states: int
+    n_symbols: int
+    word_length: int
+
+    def n_inputs(self) -> int:
+        return self.n_symbols**self.word_length * self.n_states
+
+    def strata(
+        self, samples: int, seed: int, key: tuple[int, ...] = ()
+    ) -> list[Callable[[], tuple[np.ndarray, np.ndarray]]]:
+        """One ``(words, starts)`` draw per non-empty stratum of ``samples`` inputs.
+
+        Stratum ``s`` draws from its own Philox substream, spawn key
+        ``key + (s,)``, so no draw depends on which worker makes it.
+        """
+        if samples < 1:
+            raise ValueError("need at least one sample")
+        base, extra = divmod(samples, SAMPLE_STRATA)
+
+        def draw(stratum: int) -> tuple[np.ndarray, np.ndarray]:
+            count = base + (1 if stratum < extra else 0)
+            sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
+            rng = np.random.Generator(np.random.Philox(sequence))
+            words = rng.integers(0, self.n_symbols, size=(count, self.word_length))
+            return words, rng.integers(0, self.n_states, size=count)
+
+        # strata past the first ``samples`` would draw nothing
+        return [functools.partial(draw, s) for s in range(min(samples, SAMPLE_STRATA))]
 
 
 @dataclass(frozen=True)
@@ -179,16 +226,28 @@ def diagonal_vector(n_states: int) -> np.ndarray:
     return np.eye(n_states - 1).reshape(-1)
 
 
+def _residuals(matrix: np.ndarray, n_states: int) -> Iterator[float]:
+    """``v' M^t v / n`` for ``t = 0, 1, 2, ...``, one matvec per step."""
+    vector = diagonal_vector(n_states)
+    power = vector
+    while True:
+        yield float(vector @ power) / n_states
+        power = matrix @ power
+
+
 @dataclass(frozen=True)
 class AgreementReport:
     """Agreement probability of two automata on a shared random word and start.
 
+    ``method`` is the label of the route that produced the report:
+    ``spectral``, ``brute-force`` or ``monte-carlo`` (see
+    :data:`AGREEMENT_METHODS` for the keys that select them).
     ``residual`` is the deviation ``p_agree - 1/n``.  For the spectral
     method the residual is the primary quantity (computed as
     ``v' M^T v / n``) and ``p_agree = 1/n + residual``, so the residual
     stays accurate even once it drops below the rounding of ``p_agree``.
-    ``exact`` carries the rational probability when enumeration produced
-    one.
+    ``stderr`` is set by Monte Carlo only, and ``exact`` carries the
+    rational probability that brute-force enumeration produces.
     """
 
     n_states: int
@@ -209,12 +268,8 @@ def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> Agr
     if n > MAX_SPECTRAL_STATES:
         raise ValueError(f"spectral path limited to n <= {MAX_SPECTRAL_STATES}")
     matrix = fourier_matrix(step_distribution(a, b))
-    vector = diagonal_vector(n)
-    power = vector.copy()
-    for _ in range(word_length):
-        power = matrix @ power
-    residual = float(vector @ power) / n
-    return AgreementReport(n, word_length, 1.0 / n + residual, residual, "exact-spectral")
+    residual = next(itertools.islice(_residuals(matrix, n), word_length, None))
+    return AgreementReport(n, word_length, 1.0 / n + residual, residual, "spectral")
 
 
 def agreement_brute_force(
@@ -231,7 +286,7 @@ def agreement_brute_force(
         raise ValueError("word length must be >= 0")
     n = a.n_states
     size = a.alphabet_size
-    cost = size**word_length * n
+    cost = WordDistribution(n, size, word_length).n_inputs()
     budget = brute_force_limit() if limit is None else limit
     if cost > budget:
         raise BruteForceGuardError(cost, budget)
@@ -245,7 +300,7 @@ def agreement_brute_force(
             states_a = a.images[symbol_column, states_a]
             states_b = b.images[symbol_column, states_b]
         agreements += int((states_a == states_b).sum())
-    exact = Fraction(agreements, size**word_length * n)
+    exact = Fraction(agreements, cost)
     p_agree = float(exact)
     return AgreementReport(
         n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact
@@ -267,30 +322,20 @@ def agreement_monte_carlo(
     depends on ``(seed, samples)`` but not on ``jobs``.
     """
     _check_compatible(a, b)
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     n = a.n_states
-    size = a.alphabet_size
-    base, extra = divmod(samples, MONTE_CARLO_STRATA)
-    sizes = [base + (1 if i < extra else 0) for i in range(MONTE_CARLO_STRATA)]
+    draws = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
 
-    def run_stratum(stratum: int) -> int:
-        count = sizes[stratum]
-        if count == 0:
-            return 0
-        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(stratum,))
-        rng = np.random.Generator(np.random.Philox(sequence))
-        words = rng.integers(0, size, size=(count, word_length))
-        starts = rng.integers(0, n, size=count)
+    def run_stratum(draw) -> int:
+        words, starts = draw()
         return int((run_words(a, words, starts) == run_words(b, words, starts)).sum())
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(run_stratum, range(MONTE_CARLO_STRATA)))
+            counts = list(pool.map(run_stratum, draws))
     else:
-        counts = [run_stratum(i) for i in range(MONTE_CARLO_STRATA)]
+        counts = [run_stratum(draw) for draw in draws]
     p_agree = sum(counts) / samples
     stderr = math.sqrt(p_agree * (1.0 - p_agree) / samples)
     return AgreementReport(
@@ -298,8 +343,37 @@ def agreement_monte_carlo(
     )
 
 
-def spectral_norm(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, with a residual check."""
+# key -> route, called as (a, b, word_length, samples, seed, jobs); the lambdas
+# look each function up at call time, so a wrapped module attribute is seen.
+AGREEMENT_METHODS: dict[str, Callable[..., AgreementReport]] = {
+    "spectral": lambda a, b, t, samples, seed, jobs: agreement_exact(a, b, t),
+    "brute": lambda a, b, t, samples, seed, jobs: agreement_brute_force(a, b, t),
+    "mc": lambda a, b, t, samples, seed, jobs: agreement_monte_carlo(a, b, t, samples, seed, jobs),
+}
+
+
+def agreement(
+    method: str,
+    a: Semiautomaton,
+    b: Semiautomaton,
+    word_length: int,
+    samples: int = 100_000,
+    seed: int = 0,
+    jobs: int = 1,
+) -> AgreementReport:
+    """Agreement by the route that :data:`AGREEMENT_METHODS` lists under ``method``.
+
+    ``samples``, ``seed`` and ``jobs`` are read by ``mc`` only.
+    """
+    if method not in AGREEMENT_METHODS:
+        raise ValueError(
+            f"unknown agreement method {method!r}; choose from {', '.join(AGREEMENT_METHODS)}"
+        )
+    return AGREEMENT_METHODS[method](a, b, word_length, samples, seed, jobs)
+
+
+def _checked_eigenvalues(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix, with a residual check on the largest."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
@@ -311,7 +385,12 @@ def spectral_norm(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> float:
     top, vector = eigenvalues[index], eigenvectors[:, index]
     if np.linalg.norm(symmetric @ vector - top * vector) > 1e-8:
         raise ArithmeticError("eigenpair residual check failed")
-    return float(abs(top))
+    return eigenvalues
+
+
+def spectral_norm(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, with a residual check."""
+    return float(np.max(np.abs(_checked_eigenvalues(matrix, symmetry_tol))))
 
 
 def expected_operator(n_states: int, p: float = 0.5) -> np.ndarray:
@@ -339,17 +418,18 @@ def expected_spectrum(n_states: int) -> list[tuple[Fraction, int]]:
 
     Valid for ``n >= 4``, where the Kronecker square of the standard
     representation splits into four distinct irreducible blocks; smaller
-    ``n`` must be measured numerically instead.
+    ``n`` must be measured numerically instead.  With ``S = (n-1, 1)`` and
+    ``r`` the transposition character ratio, the irrep ``lam`` of
+    ``S (x) S`` carries ``(1 + 2 r(S) + r(lam)) / 4`` with multiplicity
+    ``dim(lam)``: averaging ``(S + I) (x) (S + I) / 4`` over transpositions
+    turns each term into its character ratio.
     """
     if n_states < 4:
         raise ValueError("closed-form spectrum needs n >= 4")
     n = n_states
-    return [
-        (Fraction(n - 2, n - 1), 1),
-        (Fraction(2 * n - 5, 2 * (n - 1)), n - 1),
-        (Fraction(n * n - 3 * n + 1, n * (n - 1)), n * (n - 3) // 2),
-        (Fraction(n - 3, n - 1), (n - 1) * (n - 2) // 2),
-    ]
+    standard = char_ratio(Partition.standard(n))
+    labels = [Partition(parts) for parts in ((n,), (n - 1, 1), (n - 2, 2), (n - 2, 1, 1))]
+    return [((1 + 2 * standard + char_ratio(label)) / 4, irrep_dim(label)) for label in labels]
 
 
 @dataclass(frozen=True)
@@ -440,17 +520,13 @@ def mixing_scan(a: Semiautomaton, b: Semiautomaton, t_max: int) -> MixingScan:
     _check_compatible(a, b)
     n = a.n_states
     matrix = fourier_matrix(step_distribution(a, b))
-    norm = spectral_norm(matrix)
-    min_eig = float(np.linalg.eigvalsh((matrix + matrix.T) / 2.0)[0])
+    eigenvalues = _checked_eigenvalues(matrix)
+    norm = float(np.max(np.abs(eigenvalues)))
+    min_eig = float(eigenvalues[0])
     upper_applies = norm <= 1.0 - 1.0 / (2 * n)
     lower_applies = min_eig > 0.0 and min_eig >= (n - 3) / (n - 1) - 1.0 / (2 * n)
-    vector = diagonal_vector(n)
-    power = vector.copy()
     points = []
-    for t in range(t_max + 1):
-        if t > 0:
-            power = matrix @ power
-        residual = float(vector @ power) / n
+    for t, residual in zip(range(t_max + 1), _residuals(matrix, n)):
         upper = (1.0 - 1.0 / (2 * n)) ** t
         lower = 0.5 * (1.0 - 3.0 / n) ** t
         points.append(MixingPoint(t, 1.0 / n + residual, residual, upper, lower))

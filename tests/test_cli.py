@@ -49,7 +49,7 @@ def test_pagree_word_length_zero(family_file, capsys):
 
 
 def test_pagree_methods_agree(family_file, capsys):
-    assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "exact"]) == 0
+    assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "spectral"]) == 0
     exact = json.loads(capsys.readouterr().out)["result"]
     assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "brute"]) == 0
     brute = json.loads(capsys.readouterr().out)["result"]
@@ -79,7 +79,7 @@ def test_mixing_csv_deterministic_with_header(tmp_path, family_file):
     rows = [line.split(",") for line in lines[header_index + 1 :]]
     assert len(rows) == 13
     assert float(rows[0][1]) == 1.0  # p_agree at T=0
-    assert rows[0][5] == "exact-spectral"
+    assert rows[0][5] == "spectral"
     # probabilities carry 17 significant digits
     assert any(len(row[1].replace("-", "").replace(".", "").lstrip("0")) >= 16 for row in rows[1:])
 
@@ -152,7 +152,10 @@ def test_oracle_transcript(tmp_path, family_file, capsys):
     records = [json.loads(line) for line in lines[1:]]
     assert len(records) == 3
     for record in records:
-        assert set(record) == {"query_id", "builtin", "params", "answer", "eliminated_ids", "survivor_count"}
+        assert set(record) == {
+            "query_id", "builtin", "params", "answer", "eliminated_ids", "survivor_count",
+            "method", "max_stderr",
+        }
     assert records[0]["answer"] == 0.5
     assert records[0]["eliminated_ids"] == []
     assert records[1]["eliminated_ids"] == [0]  # self-agreement kills member 0 at tau=0.4
@@ -206,3 +209,51 @@ def test_input_family_never_mutated(tmp_path, family_file):
     ):
         assert run_cli(command + ["--out", tmp_path / "scratch.out"]) == 0
     assert family_file.read_bytes() == before
+
+
+def error_message(capsys):
+    return json.loads(capsys.readouterr().err.splitlines()[0])["error"]["message"]
+
+
+def test_zero_samples_fail_alike_in_pagree_and_oracle(tmp_path, capsys):
+    family = tmp_path / "f5.sqsa"
+    assert run_cli(["family", "--n", 5, "--m", 2, "--out", family]) == 0
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"builtin": "constant", "params": {"value": 0.5}}]))
+    capsys.readouterr()
+    # T=8 over the threshold alphabet is far beyond enumeration: the sampled path
+    assert run_cli(["oracle", "--family", family, "--t", 8, "--queries", queries, "--samples", 0]) == 1
+    oracle = error_message(capsys)
+    assert run_cli(["pagree", "--family", family, "--t", 8, "--method", "mc", "--samples", 0]) == 1
+    assert error_message(capsys) == oracle == "need at least one sample"
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("pagree", "out"), ("pagree", "jobs"), ("spectrum", "queries"), ("family", "family")],
+)
+def test_config_keys_the_command_would_ignore_are_rejected(tmp_path, family_file, capsys, command, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: str(tmp_path / "x")}))
+    argv = [command, "--config", config, "--out", tmp_path / "out"]
+    if command == "pagree":
+        argv += ["--family", family_file]
+    assert run_cli(argv) == 1
+    assert f"unknown config keys for {command}: ['{key}']" in error_message(capsys)
+
+
+@pytest.mark.parametrize(
+    "builtin, params, problem",
+    [
+        ("label-indicator", {"label": 1, "bogus": 9}, "unknown 'bogus'"),
+        ("state-agreement", {"member": 1.9}, "non-integer 'member': 1.9"),
+        ("state-agreement", {"member": True}, "non-integer 'member': True"),
+        ("label-indicator", {}, "missing 'label'"),
+        ("constant", {"value": "half"}, "non-number 'value': 'half'"),
+    ],
+)
+def test_oracle_rejects_bad_query_params(tmp_path, family_file, capsys, builtin, params, problem):
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"builtin": builtin, "params": params}]))
+    assert run_cli(["oracle", "--family", family_file, "--t", 2, "--queries", queries]) == 1
+    assert error_message(capsys) == f"bad params for {builtin}: {problem}"

@@ -1,6 +1,5 @@
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from sqsa.perm import (
     compose,
     fix_count,
     inverse,
-    sample_uniform,
 )
 
 
@@ -111,24 +109,3 @@ def test_text_round_trip():
     assert g.to_text() == "2 0 1"
     assert Permutation.from_text("2 0 1") == g
 
-
-def test_sample_uniform_deterministic_per_seed():
-    draws = [sample_uniform(8, np.random.default_rng(123)) for _ in range(2)]
-    assert draws[0] == draws[1]
-
-
-def test_sample_uniform_singleton():
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        assert sample_uniform(1, rng) == Permutation.identity(1)
-
-
-def test_sample_uniform_mean_fixed_points():
-    # oracle: the exact mean of fix_count over the whole group is 1 (checked at n=4)
-    exact_mean = sum(fix_count(g) for g in all_permutations(4)) / 24
-    assert exact_mean == 1.0
-    rng = np.random.default_rng(2024)
-    draws = 100_000
-    total = sum(fix_count(sample_uniform(6, rng)) for _ in range(draws))
-    # Var(fix_count) = 1, so 3 sigma of the sample mean is 3/sqrt(draws)
-    assert abs(total / draws - 1.0) < 3.0 / draws**0.5

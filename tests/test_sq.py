@@ -58,13 +58,13 @@ def test_spectral_matches_enumeration():
     a, b = family.members
     for t in range(4):
         spectral = pairwise_correlation(a, b, t, "spectral")
-        exact = pairwise_correlation(a, b, t, "exact")
+        exact = pairwise_correlation(a, b, t, "brute")
         assert spectral.value == pytest.approx(exact.value, abs=1e-12)
 
 
 def test_monte_carlo_correlation_has_stderr():
     family = family_pair(4, 2, 4)
-    estimate = pairwise_correlation(family.members[0], family.members[1], 5, "monte-carlo", samples=2000, seed=9)
+    estimate = pairwise_correlation(family.members[0], family.members[1], 5, "mc", samples=2000, seed=9)
     assert estimate.stderr is not None and estimate.stderr >= 0
     assert estimate.method == "monte-carlo"
 
@@ -305,3 +305,15 @@ def test_session_validation():
     family = family_pair(3, 1, 18)
     with pytest.raises(ValueError):
         make_session(family, 1, tolerance=0.0)
+
+
+def test_sampled_query_with_no_survivors_left():
+    family = build_family(FamilyConfig(5, 30, 2, 0.5, 0))
+    session = make_session(family, 8, tolerance=0.05, seed=1, mc_samples=2000)
+    for member in range(2):
+        oracle_answer(session, StatQuery("state-agreement", {"member": member}))
+    assert session.survivors == []
+    assert oracle_answer(session, StatQuery("constant", {"value": 0.5})) == 0.5
+    record = session.ledger[-1]
+    assert record.method == "monte-carlo"
+    assert record.survivor_count == 0 and record.max_stderr is None

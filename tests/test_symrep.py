@@ -8,8 +8,6 @@ from sqsa.perm import Permutation, all_permutations, all_transpositions, compose
 from sqsa.symrep import (
     Partition,
     char_ratio,
-    class_fourier_scalar,
-    conjugacy_class_size,
     irrep_dim,
     partitions,
     perm_matrix,
@@ -135,37 +133,3 @@ def test_transposition_std_matrices_align_with_enumeration():
     for matrix, t in zip(stack, all_transpositions(4)):
         assert np.allclose(matrix, std_matrix(t.as_permutation(4)))
 
-
-def test_conjugacy_class_sizes_n5():
-    assert conjugacy_class_size(Partition.identity_class(5)) == 1
-    assert conjugacy_class_size(Partition.transposition_class(5)) == 10
-    total = sum(conjugacy_class_size(p) for p in partitions(5))
-    assert total == 120
-
-
-def test_class_fourier_scalar_identity_indicator():
-    f = {Partition.identity_class(5): Fraction(1)}
-    for label in partitions(5):
-        assert class_fourier_scalar(f, label) == 1
-
-
-def test_class_fourier_scalar_uniform_vanishes_off_trivial():
-    n = 5
-    uniform = {p: Fraction(1, math.factorial(n)) for p in partitions(n)}
-    assert class_fourier_scalar(uniform, Partition.trivial(n)) == 1
-    assert class_fourier_scalar(uniform, Partition.standard(n)) == 0
-
-
-def test_class_fourier_scalar_uniform_transpositions_matches_ratio():
-    n = 5
-    f = {Partition.transposition_class(n): Fraction(1, conjugacy_class_size(Partition.transposition_class(n)))}
-    assert class_fourier_scalar(f, Partition.standard(n)) == char_ratio(Partition.standard(n))
-    assert class_fourier_scalar(f, Partition((3, 2))) == char_ratio(Partition((3, 2)))
-
-
-def test_class_fourier_scalar_rejects_unsupported_class():
-    three_cycle = Partition((3, 1, 1))
-    with pytest.raises(ValueError):
-        class_fourier_scalar({three_cycle: Fraction(1)}, Partition((3, 2)))
-    # but the same class is fine for the standard irrep (closed-form character)
-    assert class_fourier_scalar({three_cycle: Fraction(1)}, Partition.standard(5)) == Fraction(20, 4)

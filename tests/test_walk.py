@@ -252,6 +252,17 @@ def test_expected_spectrum_n4_values():
     ]
 
 
+def test_expected_spectrum_matches_closed_form_fractions():
+    # the character-ratio derivation against the four fractions it replaced
+    for n in range(4, 30):
+        assert expected_spectrum(n) == [
+            (Fraction(n - 2, n - 1), 1),
+            (Fraction(2 * n - 5, 2 * (n - 1)), n - 1),
+            (Fraction(n * n - 3 * n + 1, n * (n - 1)), n * (n - 3) // 2),
+            (Fraction(n - 3, n - 1), (n - 1) * (n - 2) // 2),
+        ]
+
+
 def test_expected_spectrum_minimum_eigenvalue_n5():
     assert expected_spectrum(5)[-1][0] == Fraction(1, 2)
 
