@@ -351,7 +351,9 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
         seed=int(config["seed"]),
         mc_samples=int(config["samples"]),
     )
-    for entry in scripted:
+    for index, entry in enumerate(scripted):
+        if not isinstance(entry, dict) or "builtin" not in entry:
+            raise ValueError(f"query {index} must be an object with a 'builtin' key, got {entry!r}")
         oracle_answer(session, StatQuery(entry["builtin"], entry.get("params", {})))
     lines = [_json_text(item) for item in (_meta("oracle", config, sha1), *session.ledger)]
     return ("\n".join(lines) + "\n").encode()

@@ -3,8 +3,7 @@
 Permutations use one-line notation: ``images[i]`` is the image of point
 ``i``.  Composition is right-to-left — ``compose(g, h)`` applies ``h``
 first — matching how words of transition functions act on states
-elsewhere in this package.  The text form of a permutation is its
-space-separated image list, e.g. ``"2 0 1"``.
+elsewhere in this package.
 """
 
 from __future__ import annotations
@@ -55,24 +54,9 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def is_identity(self) -> bool:
-        return all(image == point for point, image in enumerate(self.images))
-
     @staticmethod
     def identity(n: int) -> Permutation:
         return Permutation(tuple(range(n)))
-
-    @staticmethod
-    def from_text(text: str) -> Permutation:
-        """Parse a space-separated image list.
-
-        >>> Permutation.from_text("2 0 1").images
-        (2, 0, 1)
-        """
-        return Permutation(tuple(int(token) for token in text.split()))
-
-    def to_text(self) -> str:
-        return " ".join(str(image) for image in self.images)
 
 
 @dataclass(frozen=True)

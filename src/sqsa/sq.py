@@ -33,13 +33,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .automata import Semiautomaton, ShuffleFamily, iter_word_blocks, run_words
-from .walk import WordDistribution, agreement, brute_force_limit
+from .walk import WordDistribution, agreement
 
 __all__ = [
     "BUILTIN_PARAMS",
     "BUILTIN_QUERIES",
     "CertificateReport",
     "CorrelationEstimate",
+    "ENUMERATION_LIMIT",
     "OracleSession",
     "QueryRecord",
     "StatQuery",
@@ -52,7 +53,7 @@ __all__ = [
     "query_lower_bound",
 ]
 
-DEFAULT_ENUMERATION_LIMIT = 10**7
+ENUMERATION_LIMIT = 10**7  # oracle inputs enumerated exactly; larger spaces are sampled
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,6 @@ class OracleSession:
     distribution: WordDistribution
     tolerance: float
     seed: int = 0
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
     mc_samples: int = 100_000
     survivors: list[int] = field(default_factory=list)
     ledger: list[QueryRecord] = field(default_factory=list)
@@ -197,6 +197,8 @@ class OracleSession:
             raise ValueError("tolerance must be positive")
         if not self.concepts:
             raise ValueError("need at least one concept")
+        if self.mc_samples < 1:
+            raise ValueError("need at least one sample")
         if not self.survivors:
             self.survivors = list(range(len(self.concepts)))
 
@@ -206,7 +208,6 @@ def make_session(
     word_length: int,
     tolerance: float,
     seed: int = 0,
-    enumeration_limit: int | None = None,
     mc_samples: int = 100_000,
 ) -> OracleSession:
     """Session over all family members as candidate concepts."""
@@ -214,11 +215,7 @@ def make_session(
     distribution = WordDistribution(
         family.config.n_states, family.config.alphabet_size, word_length
     )
-    if enumeration_limit is None:
-        enumeration_limit = brute_force_limit(DEFAULT_ENUMERATION_LIMIT)
-    return OracleSession(
-        concepts, distribution, tolerance, seed, enumeration_limit, mc_samples
-    )
+    return OracleSession(concepts, distribution, tolerance, seed, mc_samples)
 
 
 Evaluator = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -345,7 +342,7 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     The answer is the label-average projection of the statistic, which is
     within tolerance of every survivor's true statistic.  Exact
     enumeration (ledger method ``exact``) is used when the input space
-    fits the session's limit; otherwise (``monte-carlo``) elimination is
+    fits :data:`ENUMERATION_LIMIT`; otherwise (``monte-carlo``) elimination is
     decided conservatively at ``tolerance + 4 * stderr`` from stratified
     samples.  Ties at the tolerance are kept, never eliminated.  Params
     that are missing, unknown or of the wrong type raise ``ValueError``.
@@ -355,7 +352,7 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     _check_params(query)
     evaluate = BUILTIN_QUERIES[query.builtin](query.params, session)
     dist = session.distribution
-    exact = dist.n_inputs() <= session.enumeration_limit
+    exact = dist.n_inputs() <= ENUMERATION_LIMIT
     if exact:
         start_cycle = np.arange(dist.n_states, dtype=np.int64)
         blocks = (

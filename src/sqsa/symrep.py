@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm import Permutation, all_transpositions, inverse
+from .perm import Permutation, inverse
 
 __all__ = [
     "Partition",
@@ -38,7 +38,6 @@ __all__ = [
     "perm_matrix",
     "std_basis",
     "std_matrix",
-    "transposition_std_matrices",
 ]
 
 
@@ -152,16 +151,3 @@ def std_matrix(g: Permutation) -> np.ndarray:
     basis = std_basis(g.n)
     permuted = basis[list(inverse(g).images), :]  # row j of perm_matrix(g) @ basis
     return basis.T @ permuted
-
-
-@functools.lru_cache(maxsize=None)
-def transposition_std_matrices(n: int) -> np.ndarray:
-    """Standard-representation matrices of ``all_transpositions(n)``, stacked.
-
-    Shape ``(C(n,2), n-1, n-1)``, in the same order as the alphabet's
-    transposition enumeration; cached because every walk construction
-    reuses them.
-    """
-    stack = np.stack([std_matrix(t.as_permutation(n)) for t in all_transpositions(n)])
-    stack.setflags(write=False)
-    return stack

@@ -9,8 +9,12 @@ shared uniform start, is
 
 where ``M`` is the single-step distribution pushed through the tensor
 square of the standard representation and ``v`` is the vectorized
-identity (the diagonal direction).  This module builds ``M`` from a pair
-of automata and evaluates the agreement probability three ways.
+identity (the diagonal direction).  The step law is kept in integer
+symbol counts over the alphabet size, and ``M`` (like the mask-averaged
+operator) is one weighted sum of Kronecker products over the stack of
+``std(identity)`` and the ``C(n,2)`` transposition matrices, built in one
+matrix product.  This module evaluates the agreement probability three
+ways.
 :data:`AGREEMENT_METHODS` lists them under the keys that the CLI's
 ``pagree --method`` and :func:`sqsa.sq.pairwise_correlation` accept; each
 report names its route with a label:
@@ -34,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +47,12 @@ import numpy as np
 
 from .automata import Semiautomaton, iter_word_blocks, run_words
 from .perm import Permutation, SizeMismatchError, all_transpositions
-from .symrep import Partition, char_ratio, irrep_dim, std_matrix, transposition_std_matrices
+from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
 __all__ = [
     "AGREEMENT_METHODS",
     "AgreementReport",
+    "BRUTE_FORCE_LIMIT",
     "BruteForceGuardError",
     "FixedPointFourierReport",
     "MixingPoint",
@@ -59,7 +63,6 @@ __all__ = [
     "agreement_brute_force",
     "agreement_exact",
     "agreement_monte_carlo",
-    "brute_force_limit",
     "diagonal_vector",
     "expected_operator",
     "expected_spectrum",
@@ -72,8 +75,7 @@ __all__ = [
 
 MAX_SPECTRAL_STATES = 40  # (n-1)^2 <= 1521 keeps dense eigensolves and matvecs cheap
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
-EXACT_MASS_MAX_ALPHABET = 1 << 16  # rational masses while denominators stay small
-DEFAULT_BRUTE_LIMIT = 10**8
+BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
 
 
@@ -85,14 +87,8 @@ class BruteForceGuardError(ValueError):
         self.limit = limit
         super().__init__(
             f"brute force would touch ~{estimated_cost:.3g} word/state combinations "
-            f"(limit {limit:.3g}; raise via SQSA_MAX_BRUTE)"
+            f"(limit {limit:.3g})"
         )
-
-
-def brute_force_limit(default: int = DEFAULT_BRUTE_LIMIT) -> int:
-    """Enumeration budget; the SQSA_MAX_BRUTE environment variable overrides it."""
-    raw = os.environ.get("SQSA_MAX_BRUTE")
-    return int(raw) if raw else default
 
 
 @dataclass(frozen=True)
@@ -131,32 +127,29 @@ class WordDistribution:
 
 @dataclass(frozen=True)
 class StepDistribution:
-    """Aggregated distribution of one joint step, as (left, right, mass) triples.
+    """One joint step as integer ``(left, right, count)`` triples over the alphabet.
 
-    Every support element is a pair of identity-or-transposition
-    permutations; masses are exact rationals for small alphabets and
-    floats beyond that.
+    An action indexes the factor stack: 0 is the identity and ``1 + i`` the
+    transposition ``all_transpositions(n_states)[i]``.  The pair of actions
+    ``(left, right)`` is taken by ``count`` of the ``alphabet_size`` symbols,
+    so its probability is ``count / alphabet_size``; the counts are positive
+    and sum exactly to ``alphabet_size``.
     """
 
     n_states: int
-    entries: tuple[tuple[Permutation, Permutation, Fraction | float], ...]
+    alphabet_size: int
+    entries: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        total = sum(mass for _, _, mass in self.entries)
-        if isinstance(total, Fraction):
-            if total != 1:
-                raise ValueError(f"masses sum to {total}, expected exactly 1")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"masses sum to {total!r}, expected 1 within 1e-12")
-        for left, right, mass in self.entries:
-            if mass <= 0:
-                raise ValueError("masses must be positive")
-            for perm in (left, right):
-                if perm.n != self.n_states:
-                    raise ValueError("support permutation on the wrong ground set")
-                moved = sum(1 for point, image in enumerate(perm.images) if image != point)
-                if moved not in (0, 2):
-                    raise ValueError(f"support must be identity or a transposition: {perm!r}")
+        total = sum(count for _, _, count in self.entries)
+        if total != self.alphabet_size:
+            raise ValueError(f"counts sum to {total}, expected exactly {self.alphabet_size}")
+        n_actions = 1 + self.n_states * (self.n_states - 1) // 2
+        for left, right, count in self.entries:
+            if count <= 0:
+                raise ValueError("counts must be positive")
+            if not (0 <= left < n_actions and 0 <= right < n_actions):
+                raise ValueError(f"actions ({left}, {right}) outside 0..{n_actions - 1}")
 
 
 def _check_compatible(a: Semiautomaton, b: Semiautomaton) -> None:
@@ -167,58 +160,63 @@ def _check_compatible(a: Semiautomaton, b: Semiautomaton) -> None:
 
 
 def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
-    """Mass of each distinct pair of one-symbol actions under a uniform symbol.
+    """Symbol count of each distinct pair of one-symbol actions.
 
     Both automata read the same symbol, so the support consists of
     ``(identity, identity)`` plus per-transposition combinations of
-    ``(tau, tau)``, ``(tau, identity)`` and ``(identity, tau)``.
+    ``(tau, tau)``, ``(tau, identity)`` and ``(identity, tau)``, counted
+    straight from the two masks.
     """
     _check_compatible(a, b)
-    n = a.n_states
     n_trans = a.n_transpositions
-    size = a.alphabet_size
     mask_a = a.mask.reshape(a.n_copies, n_trans)
     mask_b = b.mask.reshape(b.n_copies, n_trans)
     both = (mask_a & mask_b).sum(axis=0)
     only_a = (mask_a & ~mask_b).sum(axis=0)
     only_b = (~mask_a & mask_b).sum(axis=0)
     neither = int((~mask_a & ~mask_b).sum())
+    entries = [(0, 0, neither)] if neither else []
+    for index in range(n_trans):
+        swap = 1 + index
+        for left, right, count in (
+            (swap, swap, both[index]),
+            (swap, 0, only_a[index]),
+            (0, swap, only_b[index]),
+        ):
+            if count:
+                entries.append((left, right, int(count)))
+    return StepDistribution(a.n_states, a.alphabet_size, tuple(entries))
 
-    def as_mass(count: int) -> Fraction | float:
-        if size <= EXACT_MASS_MAX_ALPHABET:
-            return Fraction(count, size)
-        return count / size
 
-    identity = Permutation.identity(n)
-    entries: list[tuple[Permutation, Permutation, Fraction | float]] = []
-    if neither:
-        entries.append((identity, identity, as_mass(neither)))
-    for index, transposition in enumerate(all_transpositions(n)):
-        swap = transposition.as_permutation(n)
-        if both[index]:
-            entries.append((swap, swap, as_mass(int(both[index]))))
-        if only_a[index]:
-            entries.append((swap, identity, as_mass(int(only_a[index]))))
-        if only_b[index]:
-            entries.append((identity, swap, as_mass(int(only_b[index]))))
-    return StepDistribution(n, tuple(entries))
+def _factor_stack(n_states: int) -> np.ndarray:
+    """``std(identity)`` then ``std(tau)`` for each of ``all_transpositions(n)``."""
+    matrices = [std_matrix(t.as_permutation(n_states)) for t in all_transpositions(n_states)]
+    return np.stack([np.eye(n_states - 1), *matrices])
+
+
+def _kron_sum(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_uv weights[u, v] * kron(factors[u], factors[v])`` in one matrix product."""
+    count, d, _ = factors.shape
+    flat = factors.reshape(count, d * d)
+    # entry ((i, j), (k, l)) is sum_uv F_u[i, j] W[u, v] F_v[k, l] = kron(...)[(i, k), (j, l)]
+    blocks = (flat.T @ (weights @ flat)).reshape(d, d, d, d)
+    return blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def fourier_matrix(dist: StepDistribution) -> np.ndarray:
-    """Mass-weighted sum of Kronecker squares of standard-representation matrices.
+    """Probability-weighted sum of Kronecker products of standard-representation matrices.
 
-    Symmetric (all support actions are involutions and the representation
-    is orthogonal) with spectral norm at most 1 (convex combination of
-    orthogonal matrices).
+    Pair ``(left, right, count)`` contributes ``count / alphabet_size``
+    times ``std(left) (x) std(right)``; all pairs go through one product
+    (:func:`_kron_sum`).  Symmetric (all support actions are involutions
+    and the representation is orthogonal) with spectral norm at most 1
+    (convex combination of orthogonal matrices).
     """
-    cache: dict[Permutation, np.ndarray] = {}
-    dim = (dist.n_states - 1) ** 2
-    matrix = np.zeros((dim, dim))
-    for left, right, mass in dist.entries:
-        left_m = cache.setdefault(left, std_matrix(left))
-        right_m = cache.setdefault(right, std_matrix(right))
-        matrix += float(mass) * np.kron(left_m, right_m)
-    return matrix
+    factors = _factor_stack(dist.n_states)
+    weights = np.zeros((factors.shape[0], factors.shape[0]))
+    for left, right, count in dist.entries:
+        weights[left, right] = count / dist.alphabet_size
+    return _kron_sum(factors, weights)
 
 
 def diagonal_vector(n_states: int) -> np.ndarray:
@@ -272,14 +270,12 @@ def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> Agr
     return AgreementReport(n, word_length, 1.0 / n + residual, residual, "spectral")
 
 
-def agreement_brute_force(
-    a: Semiautomaton, b: Semiautomaton, word_length: int, limit: int | None = None
-) -> AgreementReport:
+def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
     """Literal enumeration of every word and start; the independent oracle.
 
     Exact by construction: agreement is counted as an integer and the
     probability is a rational number.  Refuses when
-    ``alphabet**word_length * n`` exceeds the guard.
+    ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
     """
     _check_compatible(a, b)
     if word_length < 0:
@@ -287,9 +283,8 @@ def agreement_brute_force(
     n = a.n_states
     size = a.alphabet_size
     cost = WordDistribution(n, size, word_length).n_inputs()
-    budget = brute_force_limit() if limit is None else limit
-    if cost > budget:
-        raise BruteForceGuardError(cost, budget)
+    if cost > BRUTE_FORCE_LIMIT:
+        raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
     starts = np.arange(n, dtype=np.int64)
     agreements = 0
     for words in iter_word_blocks(size, word_length):
@@ -372,12 +367,12 @@ def agreement(
     return AGREEMENT_METHODS[method](a, b, word_length, samples, seed, jobs)
 
 
-def _checked_eigenvalues(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> np.ndarray:
+def _checked_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix, with a residual check on the largest."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if np.max(np.abs(matrix - matrix.T)) > symmetry_tol:
+    if np.max(np.abs(matrix - matrix.T)) > 1e-10:
         raise ValueError("matrix is not symmetric within tolerance")
     symmetric = (matrix + matrix.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
@@ -388,29 +383,29 @@ def _checked_eigenvalues(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> np.
     return eigenvalues
 
 
-def spectral_norm(matrix: np.ndarray, symmetry_tol: float = 1e-10) -> float:
+def spectral_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix, with a residual check."""
-    return float(np.max(np.abs(_checked_eigenvalues(matrix, symmetry_tol))))
+    return float(np.max(np.abs(_checked_eigenvalues(matrix))))
 
 
 def expected_operator(n_states: int, p: float = 0.5) -> np.ndarray:
     """Mask-average of the Fourier matrix for an independently masked pair.
 
-    Averages ``(p*S + (1-p)*I) (x) (p*S + (1-p)*I)`` over all
-    transposition matrices ``S``.
+    Averages ``(p*S + (1-p)*I) (x) (p*S + (1-p)*I)`` over all ``C``
+    transposition matrices ``S``: the weights are ``(1-p)^2`` on
+    ``I (x) I``, ``p(1-p)/C`` on each ``S (x) I`` and ``I (x) S``, and
+    ``p^2/C`` on each ``S (x) S``, summed in one product (:func:`_kron_sum`).
     """
     if n_states < 2:
         raise ValueError("need at least 2 states")
     if not 0.0 < p < 1.0:
         raise ValueError(f"mask parameter must be in (0, 1), got {p}")
-    stack = transposition_std_matrices(n_states)
-    eye = np.eye(n_states - 1)
-    dim = (n_states - 1) ** 2
-    total = np.zeros((dim, dim))
-    for swap in stack:
-        blend = p * swap + (1.0 - p) * eye
-        total += np.kron(blend, blend)
-    return total / stack.shape[0]
+    factors = _factor_stack(n_states)
+    n_swaps = factors.shape[0] - 1
+    weights = np.diag(np.full(n_swaps + 1, p * p / n_swaps))
+    weights[0, 1:] = weights[1:, 0] = p * (1.0 - p) / n_swaps
+    weights[0, 0] = (1.0 - p) ** 2
+    return _kron_sum(factors, weights)
 
 
 def expected_spectrum(n_states: int) -> list[tuple[Fraction, int]]:

@@ -190,12 +190,11 @@ def test_missing_family_is_machine_readable(capsys):
     assert error["error"]["type"] == "ValueError"
 
 
-def test_brute_guard_error_via_cli(tmp_path, family_file, capsys, monkeypatch):
-    monkeypatch.setenv("SQSA_MAX_BRUTE", "10")
-    assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "brute"]) == 1
+def test_brute_guard_error_via_cli(tmp_path, family_file, capsys):
+    # 18 symbols: 18**7 * 4 ~ 2.4e9 inputs at T=7 is over the guard, 18**3 * 4 is not
+    assert run_cli(["pagree", "--family", family_file, "--t", 7, "--method", "brute"]) == 1
     error = json.loads(capsys.readouterr().err.splitlines()[0])
     assert error["error"]["type"] == "BruteForceGuardError"
-    monkeypatch.delenv("SQSA_MAX_BRUTE")
     assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "brute"]) == 0
 
 
@@ -226,6 +225,14 @@ def test_zero_samples_fail_alike_in_pagree_and_oracle(tmp_path, capsys):
     oracle = error_message(capsys)
     assert run_cli(["pagree", "--family", family, "--t", 8, "--method", "mc", "--samples", 0]) == 1
     assert error_message(capsys) == oracle == "need at least one sample"
+    # n=4, k=1, T=2 is enumerated (the exact path), which draws no sample yet still refuses
+    small = tmp_path / "f4.sqsa"
+    assert run_cli(["family", "--n", 4, "--k", 1, "--m", 2, "--out", small]) == 0
+    capsys.readouterr()
+    for samples in (0, -5):
+        argv = ["oracle", "--family", small, "--t", 2, "--queries", queries, "--samples", samples]
+        assert run_cli(argv) == 1
+        assert error_message(capsys) == "need at least one sample"
 
 
 @pytest.mark.parametrize(
@@ -257,3 +264,16 @@ def test_oracle_rejects_bad_query_params(tmp_path, family_file, capsys, builtin,
     queries.write_text(json.dumps([{"builtin": builtin, "params": params}]))
     assert run_cli(["oracle", "--family", family_file, "--t", 2, "--queries", queries]) == 1
     assert error_message(capsys) == f"bad params for {builtin}: {problem}"
+
+
+@pytest.mark.parametrize(
+    "script, index",
+    [([1], 0), ([{"params": {}}], 0), ([{"builtin": "final-state-parity"}, "parity"], 1)],
+)
+def test_oracle_rejects_query_entries_without_builtin(tmp_path, family_file, capsys, script, index):
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps(script))
+    assert run_cli(["oracle", "--family", family_file, "--t", 2, "--queries", queries]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[0])["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"query {index} must be an object with a 'builtin' key")

@@ -102,10 +102,3 @@ def test_permutation_validation():
         Permutation((0, 0, 2))
     with pytest.raises(ValueError):
         Permutation(())
-
-
-def test_text_round_trip():
-    g = Permutation((2, 0, 1))
-    assert g.to_text() == "2 0 1"
-    assert Permutation.from_text("2 0 1") == g
-

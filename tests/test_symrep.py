@@ -13,7 +13,6 @@ from sqsa.symrep import (
     perm_matrix,
     std_basis,
     std_matrix,
-    transposition_std_matrices,
 )
 
 
@@ -126,10 +125,3 @@ def test_great_orthogonality_spot_check_n4():
     table = np.einsum("gij,gkl->ijkl", stack, stack)
     expected = (24 / 3) * np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
     assert np.abs(table - expected).max() < 1e-9
-
-
-def test_transposition_std_matrices_align_with_enumeration():
-    stack = transposition_std_matrices(4)
-    for matrix, t in zip(stack, all_transpositions(4)):
-        assert np.allclose(matrix, std_matrix(t.as_permutation(4)))
-

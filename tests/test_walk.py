@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies
-from sqsa.perm import Permutation, SizeMismatchError
+from sqsa.perm import Permutation, SizeMismatchError, all_transpositions
+from sqsa.symrep import std_matrix
 from sqsa.walk import (
     BruteForceGuardError,
     StepDistribution,
@@ -42,30 +45,25 @@ def random_pair(n, k, seed):
 def test_step_distribution_identical_all_ones():
     a = automaton(3, 1, [1, 1, 1])
     dist = step_distribution(a, a)
-    assert len(dist.entries) == 3
-    for left, right, mass in dist.entries:
-        assert left == right
-        assert not left.is_identity()
-        assert mass == Fraction(1, 3)
+    assert dist.alphabet_size == 3
+    # action 1 + i is transposition i, taken by both machines on one symbol each
+    assert dist.entries == ((1, 1, 1), (2, 2, 1), (3, 3, 1))
 
 
 def test_step_distribution_ones_vs_zeros():
     a = automaton(3, 1, [1, 1, 1])
     b = automaton(3, 1, [0, 0, 0])
     dist = step_distribution(a, b)
-    assert len(dist.entries) == 3
-    for left, right, mass in dist.entries:
-        assert right.is_identity()
-        assert not left.is_identity()
-        assert mass == Fraction(1, 3)
+    assert dist.alphabet_size == 3
+    assert dist.entries == ((1, 0, 1), (2, 0, 1), (3, 0, 1))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_step_distribution_masses_sum_to_one(seed):
     a, b = random_pair(4, 3, seed)
     dist = step_distribution(a, b)
-    assert sum(mass for _, _, mass in dist.entries) == 1
-    assert all(mass > 0 for _, _, mass in dist.entries)
+    assert sum(count for _, _, count in dist.entries) == dist.alphabet_size == 18
+    assert all(type(count) is int and count > 0 for _, _, count in dist.entries)
 
 
 def test_step_distribution_mismatch_rejected():
@@ -74,15 +72,34 @@ def test_step_distribution_mismatch_rejected():
 
 
 def test_step_distribution_rejects_bad_masses():
-    identity = Permutation.identity(3)
-    with pytest.raises(ValueError):
-        StepDistribution(3, ((identity, identity, Fraction(1, 2)),))
+    with pytest.raises(ValueError, match="sum to 2, expected exactly 3"):
+        StepDistribution(3, 3, ((0, 0, 2),))
+    with pytest.raises(ValueError, match="positive"):
+        StepDistribution(3, 3, ((0, 0, 3), (1, 1, 0)))
+    with pytest.raises(ValueError, match="outside 0..3"):
+        StepDistribution(3, 3, ((0, 4, 3),))
 
 
 def test_fourier_matrix_identity_distribution():
-    identity = Permutation.identity(4)
-    dist = StepDistribution(4, ((identity, identity, Fraction(1)),))
+    dist = StepDistribution(4, 5, ((0, 0, 5),))
     assert np.abs(fourier_matrix(dist) - np.eye(9)).max() < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fourier_matrix_equals_literal_kron_sum(data):
+    n = data.draw(st.integers(3, 6), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    size = k * n * (n - 1) // 2
+    masks = [data.draw(st.lists(st.booleans(), min_size=size, max_size=size)) for _ in range(2)]
+    dist = step_distribution(automaton(n, k, masks[0]), automaton(n, k, masks[1]))
+    assert sum(count for _, _, count in dist.entries) == dist.alphabet_size == size
+    actions = [Permutation.identity(n)] + [t.as_permutation(n) for t in all_transpositions(n)]
+    reference = sum(
+        count / size * np.kron(std_matrix(actions[left]), std_matrix(actions[right]))
+        for left, right, count in dist.entries
+    )
+    assert np.abs(fourier_matrix(dist) - reference).max() <= 1e-12
 
 
 def test_fourier_matrix_hand_computation_n3():
@@ -195,15 +212,6 @@ def test_brute_force_guard_refuses_with_estimate():
     assert info.value.estimated_cost == 500**5 * 5
 
 
-def test_brute_force_guard_env_override(monkeypatch):
-    a, b = random_pair(3, 1, 14)
-    monkeypatch.setenv("SQSA_MAX_BRUTE", "1")
-    with pytest.raises(BruteForceGuardError):
-        agreement_brute_force(a, b, 1)
-    monkeypatch.setenv("SQSA_MAX_BRUTE", str(10**9))
-    assert agreement_brute_force(a, b, 1).p_agree >= 0
-
-
 def test_spectral_norm_identity():
     assert spectral_norm(np.eye(7)) == pytest.approx(1.0)
 
@@ -226,6 +234,15 @@ def test_spectral_norm_matches_power_iteration():
         x = y / np.linalg.norm(y)
     power_norm = math.sqrt(float(x @ (squared @ x)))
     assert power_norm == pytest.approx(spectral_norm(matrix), abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_expected_operator_equals_transposition_average(n, p):
+    eye = np.eye(n - 1)
+    blends = [p * std_matrix(t.as_permutation(n)) + (1.0 - p) * eye for t in all_transpositions(n)]
+    reference = sum(np.kron(blend, blend) for blend in blends) / len(blends)
+    assert np.abs(expected_operator(n, p) - reference).max() <= 1e-12
 
 
 def test_expected_operator_norm_n4():
