@@ -29,7 +29,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "ShuffleFamily",
     "build_family",
     "deserialize_family",
-    "iter_word_blocks",
     "mask_stream",
     "min_alphabet_copies",
     "min_word_length",
@@ -171,29 +170,14 @@ def run_word(automaton: Semiautomaton, word: Sequence[int], start: int) -> int:
 
 
 def run_words(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`run_word` over a batch: ``words`` is (B, T), ``starts`` is (B,)."""
+    """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from every
+    start in row ``i`` of ``starts`` (B,) or (B, k); the result is shaped like ``starts``."""
     images = automaton.images
     states = np.asarray(starts, dtype=np.int64)
+    column_shape = (-1,) + (1,) * (states.ndim - 1)
     for t in range(words.shape[1]):
-        states = images[words[:, t], states]
+        states = images[words[:, t].reshape(column_shape), states]
     return states
-
-
-def iter_word_blocks(
-    n_symbols: int, word_length: int, block_size: int = 1 << 15
-) -> Iterator[np.ndarray]:
-    """All words of a given length, as (B, T) symbol-index blocks in counting order."""
-    if word_length == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    total = n_symbols**word_length
-    for low in range(0, total, block_size):
-        index = np.arange(low, min(low + block_size, total), dtype=np.int64)
-        words = np.empty((index.shape[0], word_length), dtype=np.int64)
-        for t in range(word_length - 1, -1, -1):
-            words[:, t] = index % n_symbols
-            index //= n_symbols
-        yield words
 
 
 def mask_stream(seed: int, member_index: int) -> np.random.Generator:

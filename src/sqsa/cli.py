@@ -352,7 +352,7 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
         mc_samples=int(config["samples"]),
     )
     for index, entry in enumerate(scripted):
-        if not isinstance(entry, dict) or "builtin" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("builtin"), str):
             raise ValueError(f"query {index} must be an object with a 'builtin' key, got {entry!r}")
         oracle_answer(session, StatQuery(entry["builtin"], entry.get("params", {})))
     lines = [_json_text(item) for item in (_meta("oracle", config, sha1), *session.ledger)]
@@ -374,7 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         config = _resolve_config(args)
-        jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        jobs = args.jobs or os.cpu_count() or 1
         payload = _COMMANDS[args.command](config, jobs)
         if args.out:
             Path(args.out).write_bytes(payload)

@@ -17,7 +17,10 @@ when every input was enumerated, else ``monte-carlo``, with ``max_stderr``
 the largest standard error over the survivors (None if exact or none left).
 
 Queries are named built-ins with declared integer parameters (``value``
-may be any number), not arbitrary code, so transcripts are reproducible:
+may be any number), not arbitrary code, so transcripts are reproducible.
+Each returns ``h(x, .)`` over every label ``y`` at once, as a table with
+one row per input of a :class:`WordDistribution` draw (exhaustive
+``blocks()`` or sampled ``strata()``) or, if it ignores ``x``, one row:
 
 - ``label-indicator``     h(x, y) = 1 if y equals ``label``
 - ``state-agreement``     h(x, y) = 1 if y equals the output of reference ``member``
@@ -28,11 +31,11 @@ may be any number), not arbitrary code, so transcripts are reproducible:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, ShuffleFamily, iter_word_blocks, run_words
+from .automata import Semiautomaton, ShuffleFamily, run_words
 from .walk import WordDistribution, agreement
 
 __all__ = [
@@ -193,7 +196,7 @@ class OracleSession:
     ledger: list[QueryRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN included
             raise ValueError("tolerance must be positive")
         if not self.concepts:
             raise ValueError("need at least one concept")
@@ -218,7 +221,8 @@ def make_session(
     return OracleSession(concepts, distribution, tolerance, seed, mc_samples)
 
 
-Evaluator = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# (words, starts) -> h over every label, broadcastable to starts.shape + (labels,)
+Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Factory = Callable[[Mapping[str, int], OracleSession], Evaluator]
 
 BUILTIN_QUERIES: dict[str, Factory] = {}
@@ -242,11 +246,8 @@ def _builtin_label_indicator(params: Mapping[str, int], session: OracleSession) 
     label = params["label"]
     if not 0 <= label < session.distribution.n_states:
         raise ValueError(f"label {label} out of range")
-
-    def evaluate(words, starts, labels):
-        return (labels == label).astype(float)
-
-    return evaluate
+    row = (np.arange(session.distribution.n_states) == label).astype(float)
+    return lambda words, starts: row
 
 
 @_builtin("state-agreement", member="integer")
@@ -255,19 +256,18 @@ def _builtin_state_agreement(params: Mapping[str, int], session: OracleSession) 
     if not 0 <= member < len(session.concepts):
         raise ValueError(f"member {member} out of range")
     reference = session.concepts[member]
+    labels = np.arange(session.distribution.n_states)
 
-    def evaluate(words, starts, labels):
-        return (labels == run_words(reference, words, starts)).astype(float)
+    def evaluate(words, starts):
+        return (run_words(reference, words, starts)[..., None] == labels).astype(float)
 
     return evaluate
 
 
 @_builtin("final-state-parity")
 def _builtin_final_state_parity(params: Mapping[str, int], session: OracleSession) -> Evaluator:
-    def evaluate(words, starts, labels):
-        return np.where(labels % 2 == 0, 1.0, -1.0)
-
-    return evaluate
+    row = np.where(np.arange(session.distribution.n_states) % 2 == 0, 1.0, -1.0)
+    return lambda words, starts: row
 
 
 @_builtin("constant", value="number")
@@ -275,11 +275,7 @@ def _builtin_constant(params: Mapping[str, float], session: OracleSession) -> Ev
     value = float(params["value"])
     if not -1.0 <= value <= 1.0:
         raise ValueError(f"constant value {value} outside [-1, 1]")
-
-    def evaluate(words, starts, labels):
-        return np.full(labels.shape[0], value)
-
-    return evaluate
+    return lambda words, starts: np.full(session.distribution.n_states, value)
 
 
 def _check_params(query: StatQuery) -> None:
@@ -298,38 +294,30 @@ def _check_params(query: StatQuery) -> None:
         raise ValueError(f"bad params for {query.builtin}: {'; '.join(problems)}")
 
 
-def _check_range(values: np.ndarray) -> None:
-    if values.size and float(np.max(np.abs(values))) > 1.0 + 1e-12:
-        raise ValueError("query statistic left the range [-1, 1]")
-
-
 def _statistics(
-    session: OracleSession, evaluate: Evaluator, blocks: Iterable[tuple[np.ndarray, np.ndarray]]
+    session: OracleSession, evaluate: Evaluator, draws: Sequence[Callable]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Answer, centered per-survivor means and their standard errors over input blocks."""
+    """Answer, centered per-survivor means and their standard errors over input draws."""
     n = session.distribution.n_states
     survivors = session.survivors
     sums = np.zeros(len(survivors))
     sums_sq = np.zeros(len(survivors))
     answer_sum = 0.0
     total = 0
-    for words, starts in blocks:
-        count = words.shape[0]
-        label_average = np.zeros(count)
-        for label in range(n):
-            values = evaluate(words, starts, np.full(count, label))
-            _check_range(values)
-            label_average += values
-        label_average /= n
+    for draw in draws:
+        words, starts = draw()
+        table = np.broadcast_to(evaluate(words, starts), starts.shape + (n,))
+        if float(np.max(np.abs(table))) > 1.0 + 1e-12:
+            raise ValueError("query statistic left the range [-1, 1]")
+        label_average = table.mean(axis=-1)
         answer_sum += float(label_average.sum())
         for k, concept_index in enumerate(survivors):
             labels = run_words(session.concepts[concept_index], words, starts)
-            values = evaluate(words, starts, labels)
-            _check_range(values)
+            values = np.take_along_axis(table, labels[..., None], axis=-1)[..., 0]
             centered = values - label_average
             sums[k] += float(centered.sum())
             sums_sq[k] += float((centered * centered).sum())
-        total += count
+        total += starts.size
     means = sums / total
     variances = np.maximum(sums_sq / total - means**2, 0.0)
     stderr = np.sqrt(variances / total)
@@ -354,15 +342,10 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     dist = session.distribution
     exact = dist.n_inputs() <= ENUMERATION_LIMIT
     if exact:
-        start_cycle = np.arange(dist.n_states, dtype=np.int64)
-        blocks = (
-            (np.repeat(words, dist.n_states, axis=0), np.tile(start_cycle, words.shape[0]))
-            for words in iter_word_blocks(dist.n_symbols, dist.word_length)
-        )
+        draws = dist.blocks()
     else:
         draws = dist.strata(session.mc_samples, session.seed, (len(session.ledger),))
-        blocks = (draw() for draw in draws)
-    answer, centered, stderr = _statistics(session, evaluate, blocks)
+    answer, centered, stderr = _statistics(session, evaluate, draws)
     eliminated = [
         concept_index
         for k, concept_index in enumerate(session.survivors)

@@ -20,9 +20,12 @@ ways.
 report names its route with a label:
 
 - ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
-- ``brute`` (label ``brute-force``): literal enumeration of every word and
-  start, giving an exact rational;
-- ``mc`` (label ``monte-carlo``): stratified sampling, with a standard error.
+- ``brute`` (label ``brute-force``): every (word, start) input, from
+  :meth:`WordDistribution.blocks`, giving an exact rational;
+- ``mc`` (label ``monte-carlo``): the stratified samples of
+  :meth:`WordDistribution.strata`, with a standard error.
+
+Both input routes count agreements as integers over ``run_words``.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -45,7 +48,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .automata import Semiautomaton, iter_word_blocks, run_words
+from .automata import Semiautomaton, run_words
 from .perm import Permutation, SizeMismatchError, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
@@ -77,6 +80,7 @@ MAX_SPECTRAL_STATES = 40  # (n-1)^2 <= 1521 keeps dense eigensolves and matvecs 
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
+BLOCK_INPUTS = 1 << 15  # (word, start) inputs per exhaustive block
 
 
 class BruteForceGuardError(ValueError):
@@ -99,8 +103,31 @@ class WordDistribution:
     n_symbols: int
     word_length: int
 
+    def __post_init__(self) -> None:
+        if self.word_length < 0:
+            raise ValueError("word length must be >= 0")
+
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
+
+    def blocks(self) -> list[Callable[[], tuple[np.ndarray, np.ndarray]]]:
+        """Every input once, in draws of at most :data:`BLOCK_INPUTS` inputs.
+
+        A draw's words ``(B, T)`` are in counting order (column-major, the
+        layout ``run_words`` reads); its starts ``(B, n)`` are every start.
+        """
+        n, length, base = self.n_states, self.word_length, self.n_symbols
+        total, size = base**length, max(1, BLOCK_INPUTS // n)
+
+        def draw(low: int) -> tuple[np.ndarray, np.ndarray]:
+            index = np.arange(low, min(low + size, total), dtype=np.int64)
+            words = np.empty((length, index.shape[0]), dtype=np.int64).T
+            for t in range(length - 1, -1, -1):
+                words[:, t] = index % base
+                index //= base
+            return words, np.broadcast_to(np.arange(n, dtype=np.int64), (words.shape[0], n))
+
+        return [functools.partial(draw, low) for low in range(0, total, size)]
 
     def strata(
         self, samples: int, seed: int, key: tuple[int, ...] = ()
@@ -270,7 +297,22 @@ def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> Agr
     return AgreementReport(n, word_length, 1.0 / n + residual, residual, "spectral")
 
 
-def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
+def _count_agreements(a: Semiautomaton, b: Semiautomaton, draws: list[Callable], jobs: int) -> int:
+    """Inputs of ``draws`` on which ``a`` and ``b`` agree, run on ``jobs`` threads."""
+
+    def count(draw) -> int:
+        words, starts = draw()
+        return int((run_words(a, words, starts) == run_words(b, words, starts)).sum())
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return sum(pool.map(count, draws))
+    return sum(map(count, draws))
+
+
+def agreement_brute_force(
+    a: Semiautomaton, b: Semiautomaton, word_length: int, jobs: int = 1
+) -> AgreementReport:
     """Literal enumeration of every word and start; the independent oracle.
 
     Exact by construction: agreement is counted as an integer and the
@@ -278,28 +320,14 @@ def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) 
     ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
     """
     _check_compatible(a, b)
-    if word_length < 0:
-        raise ValueError("word length must be >= 0")
     n = a.n_states
-    size = a.alphabet_size
-    cost = WordDistribution(n, size, word_length).n_inputs()
+    dist = WordDistribution(n, a.alphabet_size, word_length)
+    cost = dist.n_inputs()
     if cost > BRUTE_FORCE_LIMIT:
         raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
-    starts = np.arange(n, dtype=np.int64)
-    agreements = 0
-    for words in iter_word_blocks(size, word_length):
-        states_a = np.tile(starts, (words.shape[0], 1))
-        states_b = states_a.copy()
-        for t in range(word_length):
-            symbol_column = words[:, t][:, None]
-            states_a = a.images[symbol_column, states_a]
-            states_b = b.images[symbol_column, states_b]
-        agreements += int((states_a == states_b).sum())
-    exact = Fraction(agreements, cost)
+    exact = Fraction(_count_agreements(a, b, dist.blocks(), jobs), cost)
     p_agree = float(exact)
-    return AgreementReport(
-        n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact
-    )
+    return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact)
 
 
 def agreement_monte_carlo(
@@ -313,25 +341,13 @@ def agreement_monte_carlo(
     """Unbiased sampled estimate with stderr ``sqrt(p(1-p)/samples)``.
 
     Samples are split over a fixed number of strata with independent
-    counter-based substreams and reduced in stratum order, so the result
-    depends on ``(seed, samples)`` but not on ``jobs``.
+    counter-based substreams, so the result depends on ``(seed, samples)``
+    but not on ``jobs``.
     """
     _check_compatible(a, b)
-    if word_length < 0:
-        raise ValueError("word length must be >= 0")
     n = a.n_states
     draws = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
-
-    def run_stratum(draw) -> int:
-        words, starts = draw()
-        return int((run_words(a, words, starts) == run_words(b, words, starts)).sum())
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(run_stratum, draws))
-    else:
-        counts = [run_stratum(draw) for draw in draws]
-    p_agree = sum(counts) / samples
+    p_agree = _count_agreements(a, b, draws, jobs) / samples
     stderr = math.sqrt(p_agree * (1.0 - p_agree) / samples)
     return AgreementReport(
         n, word_length, p_agree, p_agree - 1.0 / n, "monte-carlo", stderr=stderr
@@ -342,7 +358,7 @@ def agreement_monte_carlo(
 # look each function up at call time, so a wrapped module attribute is seen.
 AGREEMENT_METHODS: dict[str, Callable[..., AgreementReport]] = {
     "spectral": lambda a, b, t, samples, seed, jobs: agreement_exact(a, b, t),
-    "brute": lambda a, b, t, samples, seed, jobs: agreement_brute_force(a, b, t),
+    "brute": lambda a, b, t, samples, seed, jobs: agreement_brute_force(a, b, t, jobs),
     "mc": lambda a, b, t, samples, seed, jobs: agreement_monte_carlo(a, b, t, samples, seed, jobs),
 }
 
@@ -358,7 +374,7 @@ def agreement(
 ) -> AgreementReport:
     """Agreement by the route that :data:`AGREEMENT_METHODS` lists under ``method``.
 
-    ``samples``, ``seed`` and ``jobs`` are read by ``mc`` only.
+    ``samples`` and ``seed`` are read by ``mc`` only, ``jobs`` by ``brute`` and ``mc``.
     """
     if method not in AGREEMENT_METHODS:
         raise ValueError(

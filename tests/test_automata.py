@@ -13,7 +13,6 @@ from sqsa.automata import (
     Semiautomaton,
     build_family,
     deserialize_family,
-    iter_word_blocks,
     min_alphabet_copies,
     min_word_length,
     run_word,
@@ -105,6 +104,12 @@ def test_run_words_matches_run_word():
     batch = run_words(automaton, words, starts)
     for row in range(50):
         assert batch[row] == run_word(automaton, list(words[row]), int(starts[row]))
+    # (B, k) starts: each word runs from every start in its row
+    many = rng.integers(0, 4, size=(50, 3))
+    table = run_words(automaton, words, many)
+    assert table.shape == (50, 3)
+    for row, column in itertools.product(range(50), range(3)):
+        assert table[row, column] == run_word(automaton, list(words[row]), int(many[row, column]))
 
 
 @settings(max_examples=30)
@@ -242,12 +247,3 @@ def test_nonzero_padding_rejected():
 def test_round_trip_property(n, k, m, seed):
     family = build_family(FamilyConfig(n, k, m, 0.5, seed))
     assert deserialize_family(serialize_family(family)) == family
-
-
-def test_iter_word_blocks_covers_all_words():
-    blocks = list(iter_word_blocks(3, 4, block_size=7))
-    words = np.concatenate(blocks, axis=0)
-    assert words.shape == (81, 4)
-    as_tuples = {tuple(row) for row in words.tolist()}
-    assert len(as_tuples) == 81
-    assert list(iter_word_blocks(5, 0))[0].shape == (1, 0)

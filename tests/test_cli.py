@@ -268,7 +268,12 @@ def test_oracle_rejects_bad_query_params(tmp_path, family_file, capsys, builtin,
 
 @pytest.mark.parametrize(
     "script, index",
-    [([1], 0), ([{"params": {}}], 0), ([{"builtin": "final-state-parity"}, "parity"], 1)],
+    [
+        ([1], 0),
+        ([{"params": {}}], 0),
+        ([{"builtin": "final-state-parity"}, "parity"], 1),
+        ([{"builtin": [1]}], 0),
+    ],
 )
 def test_oracle_rejects_query_entries_without_builtin(tmp_path, family_file, capsys, script, index):
     queries = tmp_path / "q.json"
@@ -277,3 +282,22 @@ def test_oracle_rejects_query_entries_without_builtin(tmp_path, family_file, cap
     error = json.loads(capsys.readouterr().err.splitlines()[0])["error"]
     assert error["type"] == "ValueError"
     assert error["message"].startswith(f"query {index} must be an object with a 'builtin' key")
+
+
+def test_oracle_negative_word_length_fails_as_json(tmp_path, family_file, capsys):
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"builtin": "final-state-parity"}]))
+    # k=3 would be enumerated, the threshold k=309 sampled; both refuse before choosing
+    threshold = tmp_path / "threshold.sqsa"
+    assert run_cli(["family", "--n", 4, "--m", 2, "--out", threshold]) == 0
+    capsys.readouterr()
+    for family in (family_file, threshold):
+        assert run_cli(["oracle", "--family", family, "--t", -1, "--queries", queries]) == 1
+        assert error_message(capsys) == "word length must be >= 0"
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_rejected(family_file, capsys, jobs):
+    argv = ["pagree", "--family", family_file, "--t", 2, "--method", "brute", "--jobs", jobs]
+    assert run_cli(argv) == 1
+    assert error_message(capsys) == f"--jobs must be >= 1, got {jobs}"

@@ -289,8 +289,8 @@ def test_builtin_parameter_validation():
 
 def test_out_of_range_statistic_rejected(monkeypatch):
     def bad_factory(params, session):
-        def evaluate(words, starts, labels):
-            return np.full(labels.shape[0], 2.0)
+        def evaluate(words, starts):
+            return np.full(starts.shape + (session.distribution.n_states,), 2.0)
 
         return evaluate
 
@@ -305,6 +305,8 @@ def test_session_validation():
     family = family_pair(3, 1, 18)
     with pytest.raises(ValueError):
         make_session(family, 1, tolerance=0.0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        make_session(family, 1, tolerance=float("nan"))
 
 
 def test_sampled_query_with_no_survivors_left():

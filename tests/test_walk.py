@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies
 from sqsa.perm import Permutation, SizeMismatchError, all_transpositions
+from sqsa import walk
 from sqsa.symrep import std_matrix
 from sqsa.walk import (
     BruteForceGuardError,
     StepDistribution,
+    WordDistribution,
     agreement_brute_force,
     agreement_exact,
     agreement_monte_carlo,
@@ -165,14 +168,31 @@ def test_agreement_brute_single_symbol_alphabet():
     assert agreement_brute_force(a, b, 0).exact == 1
 
 
-@pytest.mark.parametrize("n,k,seed", [(3, 1, 2), (3, 2, 3), (4, 1, 4), (4, 2, 5), (5, 1, 6), (5, 2, 7)])
-def test_agreement_exact_equals_brute_force(n, k, seed):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 2), st.integers(0, 4), st.integers(0, 2**32))
+def test_agreement_exact_equals_brute_force(n, k, t, seed):
     a, b = random_pair(n, k, seed)
-    for t in range(5):
-        exact = agreement_exact(a, b, t)
-        brute = agreement_brute_force(a, b, t)
-        assert abs(exact.p_agree - brute.p_agree) < 1e-10
-        assert exact.residual == pytest.approx(brute.residual, abs=1e-10)
+    exact = agreement_exact(a, b, t)
+    brute = agreement_brute_force(a, b, t)
+    assert abs(exact.p_agree - brute.p_agree) < 1e-10
+    assert exact.residual == pytest.approx(brute.residual, abs=1e-10)
+    assert agreement_brute_force(a, b, t, jobs=2).exact == brute.exact
+    sampled = agreement_monte_carlo(a, b, t, samples=4000, seed=seed)
+    assert abs(sampled.p_agree - exact.p_agree) <= 5 * sampled.stderr + 1e-12
+
+
+def test_blocks_enumerate_every_input_once(monkeypatch):
+    monkeypatch.setattr(walk, "BLOCK_INPUTS", 7)  # two words of three starts per block
+    draws = WordDistribution(3, 3, 4).blocks()
+    assert len(draws) == 41  # 81 words, two per block
+    words, starts = zip(*(draw() for draw in draws))
+    assert all(block.shape[0] * 3 <= 7 for block in words)
+    assert np.concatenate(words).tolist() == [list(w) for w in itertools.product(range(3), repeat=4)]
+    assert all(np.array_equal(block, np.tile([0, 1, 2], (block.shape[0], 1))) for block in starts)
+    # T=0: the one empty word, run from every start
+    (draw,) = WordDistribution(5, 4, 0).blocks()
+    words, starts = draw()
+    assert words.shape == (1, 0) and starts.tolist() == [[0, 1, 2, 3, 4]]
 
 
 def test_agreement_monte_carlo_identical_pair():
