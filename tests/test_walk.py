@@ -168,9 +168,19 @@ def test_agreement_brute_single_symbol_alphabet():
     assert agreement_brute_force(a, b, 0).exact == 1
 
 
+@pytest.mark.parametrize("n,k,seed", [(3, 1, 2), (3, 2, 3), (4, 1, 4), (4, 2, 5), (5, 1, 6), (5, 2, 7)])
+def test_agreement_exact_equals_brute_force(n, k, seed):
+    a, b = random_pair(n, k, seed)
+    for t in range(5):
+        exact = agreement_exact(a, b, t)
+        brute = agreement_brute_force(a, b, t)
+        assert abs(exact.p_agree - brute.p_agree) < 1e-10
+        assert exact.residual == pytest.approx(brute.residual, abs=1e-10)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(1, 2), st.integers(0, 4), st.integers(0, 2**32))
-def test_agreement_exact_equals_brute_force(n, k, t, seed):
+def test_agreement_routes_agree_on_random_pairs(n, k, t, seed):
     a, b = random_pair(n, k, seed)
     exact = agreement_exact(a, b, t)
     brute = agreement_brute_force(a, b, t)
