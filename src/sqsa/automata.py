@@ -9,6 +9,12 @@ independent Bernoulli(p) coin from a counter-based stream derived from
 ``(seed, member index)``, so regenerating with the same config is
 bit-identical and members are independent regardless of build order.
 
+A semiautomaton runs from one flat, read-only step table of ``n * A``
+coded states, ``A`` the alphabet size: a state ``s`` is coded as ``s * A``,
+and entry ``s * A + symbol`` holds the code of the state that ``symbol``
+leads to.  One step of a batch is then one add and one ``take``, and the
+final codes are decoded once, by ``// A``.
+
 Family file format (little-endian), version 1:
 
     magic    4 bytes   b"SQSA"
@@ -117,16 +123,19 @@ class Semiautomaton:
         return self.n_states * (self.n_states - 1) // 2
 
     @cached_property
-    def images(self) -> np.ndarray:
-        """One-line images of every symbol's state map, shape (alphabet, n_states)."""
-        images = np.tile(np.arange(self.n_states, dtype=np.int64), (self.alphabet_size, 1))
+    def step_table(self) -> np.ndarray:
+        """Coded transitions, shape (n_states * alphabet,): entry ``s * A + symbol``
+        holds ``next_state * A`` (``A`` the alphabet size)."""
+        size = self.alphabet_size
+        codes = np.arange(self.n_states, dtype=np.int64) * size
+        table = np.repeat(codes, size)  # every symbol fixes every state
         pairs = np.array([(t.a, t.b) for t in all_transpositions(self.n_states)])
         active = np.flatnonzero(self.mask)
-        which = pairs[active % self.n_transpositions]
-        images[active, which[:, 0]] = which[:, 1]
-        images[active, which[:, 1]] = which[:, 0]
-        images.setflags(write=False)
-        return images
+        low, high = pairs[active % self.n_transpositions].T
+        table[codes[low] + active] = codes[high]
+        table[codes[high] + active] = codes[low]
+        table.setflags(write=False)
+        return table
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semiautomaton):
@@ -160,23 +169,47 @@ def run_word(automaton: Semiautomaton, word: Sequence[int], start: int) -> int:
     """Final state after processing ``word`` from ``start`` (first symbol first)."""
     if not 0 <= start < automaton.n_states:
         raise ValueError(f"start state {start} out of range for {automaton.n_states} states")
-    images = automaton.images
-    state = start
+    size, table = automaton.alphabet_size, automaton.step_table
+    code = start * size
     for symbol in word:
-        if not 0 <= symbol < automaton.alphabet_size:
-            raise ValueError(f"symbol {symbol} out of range for alphabet {automaton.alphabet_size}")
-        state = int(images[symbol, state])
-    return state
+        if not 0 <= symbol < size:
+            raise ValueError(f"symbol {symbol} out of range for alphabet {size}")
+        code = int(table[code + symbol])
+    return code // size
+
+
+def _check_range(values: np.ndarray, bound: int, message: str) -> None:
+    """Raise ``message`` formatted with the minimum of ``values`` if it is below 0,
+    else with their maximum if it is ``>= bound``."""
+    # one pass: read as unsigned, a negative value exceeds every bound
+    if values.size and values.astype(np.int64, copy=False).view(np.uint64).max() >= bound:
+        low = int(values.min())
+        raise ValueError(message.format(low if low < 0 else int(values.max())))
 
 
 def run_words(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from every
-    start in row ``i`` of ``starts`` (B,) or (B, k); the result is shaped like ``starts``."""
-    images = automaton.images
-    states = np.asarray(starts, dtype=np.int64)
-    column_shape = (-1,) + (1,) * (states.ndim - 1)
+    start in row ``i`` of ``starts`` (B,) or (B, k); the result is shaped like ``starts``.
+
+    Symbols and starts are range-checked first, with :func:`run_word`'s
+    messages.  The starts are then coded once, start-major so that each
+    symbol column meets contiguous codes; each symbol position costs one
+    add and one ``take`` from :attr:`Semiautomaton.step_table`, and the
+    final codes are decoded once.
+    """
+    size = automaton.alphabet_size
+    words, starts = np.asarray(words), np.asarray(starts)
+    codes = np.array(starts.T, dtype=np.int64)  # (k, B) or (B,): a contiguous copy
+    n = automaton.n_states
+    _check_range(codes, n, f"start state {{}} out of range for {n} states")
+    _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
+    table = automaton.step_table
+    codes *= size
     for t in range(words.shape[1]):
-        states = images[words[:, t].reshape(column_shape), states]
+        np.add(codes, words[:, t], out=codes)
+        codes = table.take(codes)
+    states = np.empty(starts.shape, dtype=np.int64)
+    np.floor_divide(codes.T, size, out=states)
     return states
 
 

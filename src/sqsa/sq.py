@@ -16,11 +16,17 @@ ledger of every answer and elimination.  An entry's ``method`` is ``exact``
 when every input was enumerated, else ``monte-carlo``, with ``max_stderr``
 the largest standard error over the survivors (None if exact or none left).
 
+Inputs come as :class:`WordDistribution` draws (exhaustive ``blocks()``
+or sampled ``strata()``), run merged by :func:`sqsa.walk.merge_draws`: the
+64 small strata of a sampled query become a few runs, so each concept
+reads their words in a few batched passes.  Every float sum is still
+taken per draw and added in draw order, so the ledger does not depend
+on how draws are merged.
+
 Queries are named built-ins with declared integer parameters (``value``
 may be any number), not arbitrary code, so transcripts are reproducible.
 Each returns ``h(x, .)`` over every label ``y`` at once, as a table with
-one row per input of a :class:`WordDistribution` draw (exhaustive
-``blocks()`` or sampled ``strata()``) or, if it ignores ``x``, one row:
+one row per input of a run or, if it ignores ``x``, one row:
 
 - ``label-indicator``     h(x, y) = 1 if y equals ``label``
 - ``state-agreement``     h(x, y) = 1 if y equals the output of reference ``member``
@@ -36,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .automata import Semiautomaton, ShuffleFamily, run_words
-from .walk import WordDistribution, agreement
+from .walk import Draw, WordDistribution, agreement, merge_draws
 
 __all__ = [
     "BUILTIN_PARAMS",
@@ -295,28 +301,35 @@ def _check_params(query: StatQuery) -> None:
 
 
 def _statistics(
-    session: OracleSession, evaluate: Evaluator, draws: Sequence[Callable]
+    session: OracleSession, evaluate: Evaluator, draws: Sequence[Draw]
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Answer, centered per-survivor means and their standard errors over input draws."""
+    """Answer, centered per-survivor means and their standard errors over input draws.
+
+    Draws are run merged (:func:`sqsa.walk.merge_draws`), but every float
+    sum is still taken per draw and added in draw order.
+    """
     n = session.distribution.n_states
     survivors = session.survivors
     sums = np.zeros(len(survivors))
     sums_sq = np.zeros(len(survivors))
     answer_sum = 0.0
     total = 0
-    for draw in draws:
-        words, starts = draw()
+    for run in merge_draws(draws):
+        words, starts, slices = run()
         table = np.broadcast_to(evaluate(words, starts), starts.shape + (n,))
         if float(np.max(np.abs(table))) > 1.0 + 1e-12:
             raise ValueError("query statistic left the range [-1, 1]")
         label_average = table.mean(axis=-1)
-        answer_sum += float(label_average.sum())
+        for rows in slices:
+            answer_sum += float(label_average[rows].sum())
         for k, concept_index in enumerate(survivors):
             labels = run_words(session.concepts[concept_index], words, starts)
             values = np.take_along_axis(table, labels[..., None], axis=-1)[..., 0]
             centered = values - label_average
-            sums[k] += float(centered.sum())
-            sums_sq[k] += float((centered * centered).sum())
+            for rows in slices:
+                part = centered[rows]
+                sums[k] += float(part.sum())
+                sums_sq[k] += float((part * part).sum())
         total += starts.size
     means = sums / total
     variances = np.maximum(sums_sq / total - means**2, 0.0)

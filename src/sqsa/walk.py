@@ -25,7 +25,8 @@ report names its route with a label:
 - ``mc`` (label ``monte-carlo``): the stratified samples of
   :meth:`WordDistribution.strata`, with a standard error.
 
-Both input routes count agreements as integers over ``run_words``.
+Both input routes count agreements as integers over ``run_words``, on
+draws joined by :func:`merge_draws` into runs of bounded size.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -44,7 +45,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "AgreementReport",
     "BRUTE_FORCE_LIMIT",
     "BruteForceGuardError",
+    "Draw",
     "FixedPointFourierReport",
     "MixingPoint",
     "MixingScan",
@@ -71,6 +73,7 @@ __all__ = [
     "expected_spectrum",
     "fixed_point_fourier_check",
     "fourier_matrix",
+    "merge_draws",
     "mixing_scan",
     "spectral_norm",
     "step_distribution",
@@ -80,7 +83,8 @@ MAX_SPECTRAL_STATES = 40  # (n-1)^2 <= 1521 keeps dense eigensolves and matvecs 
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-BLOCK_INPUTS = 1 << 15  # (word, start) inputs per exhaustive block
+BLOCK_INPUTS = 1 << 15  # (word, start) inputs per exhaustive block or merged run
+RUN_POSITIONS = 1 << 16  # symbol positions (rows x T) per merged run
 
 
 class BruteForceGuardError(ValueError):
@@ -93,6 +97,56 @@ class BruteForceGuardError(ValueError):
             f"brute force would touch ~{estimated_cost:.3g} word/state combinations "
             f"(limit {limit:.3g})"
         )
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One lazily made ``(words, starts)`` batch of a :class:`WordDistribution`.
+
+    ``inputs`` counts its (word, start) pairs and ``positions`` its symbol
+    positions (rows x T), both known before ``make`` runs.
+    """
+
+    inputs: int
+    positions: int
+    make: Callable[[], tuple[np.ndarray, np.ndarray]]
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.make()
+
+
+Run = Callable[[], tuple[np.ndarray, np.ndarray, list[slice]]]
+
+
+def merge_draws(draws: Sequence[Draw]) -> list[Run]:
+    """Consecutive draws joined into runs of at most :data:`BLOCK_INPUTS` inputs
+    and :data:`RUN_POSITIONS` symbol positions; a draw over either runs alone.
+
+    Grouping reads only the draws' sizes, so each run makes its draws when
+    called, on whichever worker calls it.  A run returns its words, its
+    starts and one row slice per draw, in draw order, so a caller can still
+    reduce per draw.  A run of one draw returns the draw's arrays as made.
+    """
+    groups: list[list[Draw]] = []
+    inputs = positions = 0
+    for draw in draws:
+        inputs += draw.inputs
+        positions += draw.positions
+        if not groups or inputs > BLOCK_INPUTS or positions > RUN_POSITIONS:
+            groups.append([])
+            inputs, positions = draw.inputs, draw.positions
+        groups[-1].append(draw)
+    return [functools.partial(_run, group) for group in groups]
+
+
+def _run(group: list[Draw]) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    parts = [draw() for draw in group]
+    ends = list(itertools.accumulate(words.shape[0] for words, _ in parts))
+    slices = [slice(low, high) for low, high in zip([0, *ends], ends)]
+    if len(parts) == 1:
+        return (*parts[0], slices)
+    words, starts = (np.concatenate(arrays) for arrays in zip(*parts))
+    return words, starts, slices
 
 
 @dataclass(frozen=True)
@@ -110,7 +164,7 @@ class WordDistribution:
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
 
-    def blocks(self) -> list[Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    def blocks(self) -> list[Draw]:
         """Every input once, in draws of at most :data:`BLOCK_INPUTS` inputs.
 
         A draw's words ``(B, T)`` are in counting order (column-major, the
@@ -119,19 +173,25 @@ class WordDistribution:
         n, length, base = self.n_states, self.word_length, self.n_symbols
         total, size = base**length, max(1, BLOCK_INPUTS // n)
 
+        def rows(low: int) -> int:
+            return min(size, total - low)
+
         def draw(low: int) -> tuple[np.ndarray, np.ndarray]:
-            index = np.arange(low, min(low + size, total), dtype=np.int64)
+            index = np.arange(low, low + rows(low), dtype=np.int64)
             words = np.empty((length, index.shape[0]), dtype=np.int64).T
             for t in range(length - 1, -1, -1):
                 words[:, t] = index % base
                 index //= base
             return words, np.broadcast_to(np.arange(n, dtype=np.int64), (words.shape[0], n))
 
-        return [functools.partial(draw, low) for low in range(0, total, size)]
+        return [
+            Draw(rows(low) * n, rows(low) * length, functools.partial(draw, low))
+            for low in range(0, total, size)
+        ]
 
     def strata(
         self, samples: int, seed: int, key: tuple[int, ...] = ()
-    ) -> list[Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    ) -> list[Draw]:
         """One ``(words, starts)`` draw per non-empty stratum of ``samples`` inputs.
 
         Stratum ``s`` draws from its own Philox substream, spawn key
@@ -141,15 +201,20 @@ class WordDistribution:
             raise ValueError("need at least one sample")
         base, extra = divmod(samples, SAMPLE_STRATA)
 
+        def count(stratum: int) -> int:
+            return base + (1 if stratum < extra else 0)
+
         def draw(stratum: int) -> tuple[np.ndarray, np.ndarray]:
-            count = base + (1 if stratum < extra else 0)
             sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
             rng = np.random.Generator(np.random.Philox(sequence))
-            words = rng.integers(0, self.n_symbols, size=(count, self.word_length))
-            return words, rng.integers(0, self.n_states, size=count)
+            words = rng.integers(0, self.n_symbols, size=(count(stratum), self.word_length))
+            return words, rng.integers(0, self.n_states, size=count(stratum))
 
         # strata past the first ``samples`` would draw nothing
-        return [functools.partial(draw, s) for s in range(min(samples, SAMPLE_STRATA))]
+        return [
+            Draw(count(s), count(s) * self.word_length, functools.partial(draw, s))
+            for s in range(min(samples, SAMPLE_STRATA))
+        ]
 
 
 @dataclass(frozen=True)
@@ -297,17 +362,18 @@ def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> Agr
     return AgreementReport(n, word_length, 1.0 / n + residual, residual, "spectral")
 
 
-def _count_agreements(a: Semiautomaton, b: Semiautomaton, draws: list[Callable], jobs: int) -> int:
-    """Inputs of ``draws`` on which ``a`` and ``b`` agree, run on ``jobs`` threads."""
+def _count_agreements(a: Semiautomaton, b: Semiautomaton, draws: list[Draw], jobs: int) -> int:
+    """Inputs of ``draws`` on which ``a`` and ``b`` agree, run merged on ``jobs`` threads."""
 
-    def count(draw) -> int:
-        words, starts = draw()
+    def count(run: Run) -> int:
+        words, starts, _ = run()
         return int((run_words(a, words, starts) == run_words(b, words, starts)).sum())
 
+    runs = merge_draws(draws)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return sum(pool.map(count, draws))
-    return sum(map(count, draws))
+            return sum(pool.map(count, runs))
+    return sum(map(count, runs))
 
 
 def agreement_brute_force(

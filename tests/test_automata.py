@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqsa.automata import (
@@ -96,20 +96,44 @@ def test_run_word_matches_permutation_composition_exhaustive():
                 assert run_word(automaton, word, start) == product(start)
 
 
-def test_run_words_matches_run_word():
-    rng = np.random.default_rng(11)
-    automaton = Semiautomaton(4, 2, rng.random(12) < 0.5)
-    words = rng.integers(0, 12, size=(50, 6))
-    starts = rng.integers(0, 4, size=50)
-    batch = run_words(automaton, words, starts)
-    for row in range(50):
-        assert batch[row] == run_word(automaton, list(words[row]), int(starts[row]))
-    # (B, k) starts: each word runs from every start in its row
-    many = rng.integers(0, 4, size=(50, 3))
-    table = run_words(automaton, words, many)
-    assert table.shape == (50, 3)
-    for row, column in itertools.product(range(50), range(3)):
-        assert table[row, column] == run_word(automaton, list(words[row]), int(many[row, column]))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.integers(0, 12),
+    st.none() | st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=2, length=4, rows=0, width=None, seed=0)
+@example(n=3, k=2, length=4, rows=0, width=3, seed=0)
+def test_run_words_matches_run_word(n, k, length, rows, width, seed):
+    rng = np.random.default_rng(seed)
+    automaton = Semiautomaton(n, k, rng.random(k * n * (n - 1) // 2) < 0.5)
+    words = rng.integers(0, automaton.alphabet_size, size=(rows, length))
+    # (B,) starts, or (B, k): each word runs from every start in its row
+    shape = (rows,) if width is None else (rows, width)
+    starts = rng.integers(0, n, size=shape)
+    states = run_words(automaton, words, starts)
+    assert states.shape == shape
+    for index in np.ndindex(*shape):
+        assert states[index] == run_word(automaton, list(words[index[0]]), int(starts[index]))
+
+
+@pytest.mark.parametrize(
+    "symbol, start",
+    [(-1, 0), (12, 0), (0, -1), (0, 4)],
+    ids=["symbol-minus-1", "symbol-A", "start-minus-1", "start-n"],
+)
+def test_run_words_range_checked_like_run_word(symbol, start):
+    automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]  # A = 12
+    with pytest.raises(ValueError) as expected:
+        run_word(automaton, [1, symbol], start)
+    words = np.array([[0, 1], [1, symbol], [2, 3]])
+    for starts in (np.array([0, start, 1]), np.array([[0, 1], [start, 2], [3, 0]])):
+        with pytest.raises(ValueError) as raised:
+            run_words(automaton, words, starts)
+        assert str(raised.value) == str(expected.value)
 
 
 @settings(max_examples=30)
@@ -247,3 +271,35 @@ def test_nonzero_padding_rejected():
 def test_round_trip_property(n, k, m, seed):
     family = build_family(FamilyConfig(n, k, m, 0.5, seed))
     assert deserialize_family(serialize_family(family)) == family
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 2**64 - 1),
+    st.lists(_MUTATIONS, min_size=1, max_size=4),
+)
+def test_mutated_bytes_fail_only_as_format_errors(n, k, m, seed, mutations):
+    data = bytearray(serialize_family(build_family(FamilyConfig(n, k, m, 0.5, seed))))
+    for kind, *args in mutations:
+        if kind == "flip" and data:
+            data[args[0] % len(data)] ^= args[1]
+        elif kind == "truncate":
+            del data[args[0] % (len(data) + 1) :]
+        elif kind == "extend":
+            data += args[0]
+    try:
+        family = deserialize_family(bytes(data))
+    except FamilyFormatError:
+        return
+    # whatever is accepted is a well-formed family in canonical form
+    assert serialize_family(family) == bytes(data)

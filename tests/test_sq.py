@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sqsa.automata import FamilyConfig, Semiautomaton, build_family, run_word
+from sqsa import walk
+from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies, run_word
 from sqsa.sq import (
     BUILTIN_QUERIES,
     CorrelationEstimate,
+    ENUMERATION_LIMIT,
     StatQuery,
     certify_sq_dimension,
     elimination_bound,
@@ -319,3 +321,31 @@ def test_sampled_query_with_no_survivors_left():
     record = session.ledger[-1]
     assert record.method == "monte-carlo"
     assert record.survivor_count == 0 and record.max_stderr is None
+
+
+@pytest.mark.parametrize(
+    "n_copies, word_length, tolerance, n_draws, n_runs",
+    [(min_alphabet_copies(5), 48, 0.2, 64, 8), (1, 5, 0.3, 16, 16)],
+    ids=["sampled", "exact-multi-block"],
+)
+def test_merged_draws_change_no_session(
+    monkeypatch, n_copies, word_length, tolerance, n_draws, n_runs
+):
+    family = build_family(FamilyConfig(5, n_copies, 8, 0.5, 31))
+    script = [StatQuery("state-agreement", {"member": member}) for member in (3, 1, 6)]
+    script += [StatQuery("label-indicator", {"label": 2}), StatQuery("final-state-parity")]
+
+    def outcome():
+        session = make_session(family, word_length, tolerance, seed=5, mc_samples=10_000)
+        for query in script:
+            oracle_answer(session, query)
+        return session.ledger, session.survivors
+
+    dist = make_session(family, word_length, tolerance).distribution
+    draws = dist.strata(10_000, 5) if dist.n_inputs() > ENUMERATION_LIMIT else dist.blocks()
+    assert (len(draws), len(walk.merge_draws(draws))) == (n_draws, n_runs)
+    merged = outcome()
+    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every draw runs alone
+    # records (answers and max_stderr included) equal as floats, not approximately
+    assert outcome() == merged
+    assert any(record.eliminated_ids for record in merged[0]) and merged[1]

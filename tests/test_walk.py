@@ -205,6 +205,43 @@ def test_blocks_enumerate_every_input_once(monkeypatch):
     assert words.shape == (1, 0) and starts.tolist() == [[0, 1, 2, 3, 4]]
 
 
+def test_merge_draws_keeps_draw_order_within_budgets(monkeypatch):
+    monkeypatch.setattr(walk, "RUN_POSITIONS", 20)  # five words of T=4 per run
+    draws = WordDistribution(3, 5, 4).strata(100, 7)  # 64 strata of one or two words
+    runs = [run() for run in walk.merge_draws(draws)]
+    assert 1 < len(runs) < len(draws)
+    pieces = []
+    for words, starts, slices in runs:
+        assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1]
+        assert slices[0].start == 0 and slices[-1].stop == words.shape[0]
+        assert all(left.stop == right.start for left, right in zip(slices, slices[1:]))
+        pieces += [(words[rows], starts[rows]) for rows in slices]
+    assert len(pieces) == len(draws)
+    for (words, starts), draw in zip(pieces, draws):
+        drawn_words, drawn_starts = draw()
+        assert np.array_equal(words, drawn_words) and np.array_equal(starts, drawn_starts)
+
+
+def test_merged_draws_change_no_count(monkeypatch):
+    a, b = random_pair(4, 2, 5)
+    strata = WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)
+    assert len(walk.merge_draws(strata)) == 1  # 64 small strata, one run
+
+    def counts():
+        return [
+            (
+                agreement_monte_carlo(a, b, 6, samples=4000, seed=9, jobs=jobs).p_agree,
+                agreement_brute_force(a, b, 4, jobs=jobs).exact,
+            )
+            for jobs in (1, 2)
+        ]
+
+    merged = counts()
+    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every draw runs alone
+    assert counts() == merged
+    assert merged[0] == merged[1]
+
+
 def test_agreement_monte_carlo_identical_pair():
     a, _ = random_pair(4, 2, 8)
     report = agreement_monte_carlo(a, a, 10, samples=500, seed=0)
