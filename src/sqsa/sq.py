@@ -36,13 +36,14 @@ one row per input of a run or, if it ignores ``x``, one row:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .automata import Semiautomaton, ShuffleFamily, run_words
-from .walk import Draw, WordDistribution, agreement, merge_draws
+from .walk import Draw, WordDistribution, _gauss_residuals, agreement, merge_draws
 
 __all__ = [
     "BUILTIN_PARAMS",
@@ -96,8 +97,9 @@ def pairwise_correlation(
     """Correlation of the two concepts under the shared word distribution.
 
     ``method`` is a key of :data:`sqsa.walk.AGREEMENT_METHODS`: ``spectral``
-    evaluates the agreement residual through the Fourier matrix, ``brute``
-    enumerates every word (guard permitting), and ``mc`` samples
+    takes the agreement residual from the Lanczos-Gauss rule on the
+    matrix-free pair-chain step, ``brute`` enumerates every word (guard
+    permitting), and ``mc`` samples
     ``samples`` inputs from ``seed``.  The estimate's ``method`` is the
     report label: ``spectral``, ``brute-force`` or ``monte-carlo``.
     """
@@ -121,27 +123,31 @@ class CertificateReport:
 def certify_sq_dimension(
     members: Sequence[Semiautomaton], word_length: int, dim: int
 ) -> CertificateReport:
-    """Verify ``|correlation| <= 1/dim`` for all distinct pairs among the first ``dim``."""
+    """Verify ``|correlation| <= 1/dim`` for all distinct pairs among the first ``dim``.
+
+    The spectral correlations of all ``dim(dim-1)/2`` pairs come from one
+    batched Lanczos-Gauss run; ``violating_pair`` is the first pair, in
+    ``(i, j)`` order, of largest ``|correlation|``.
+    """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    if word_length < 0:
+        raise ValueError("word length must be >= 0")
     if len(members) < dim:
         raise ValueError(f"need at least {dim} members, got {len(members)}")
     threshold = 1.0 / dim
-    worst = 0.0
-    worst_pair: tuple[int, int] | None = None
-    n_pairs = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            n_pairs += 1
-            estimate = pairwise_correlation(members[i], members[j], word_length, "spectral")
-            if abs(estimate.value) > worst:
-                worst = abs(estimate.value)
-                worst_pair = (i, j)
+    pairs = list(itertools.combinations(range(dim), 2))
+    worst, worst_pair = 0.0, None
+    if pairs:
+        batch = [(members[i], members[j]) for i, j in pairs]
+        correlations = np.abs(_gauss_residuals(batch, word_length))
+        first = int(np.argmax(correlations))
+        worst, worst_pair = float(correlations[first]), pairs[first]
     passed = worst <= threshold
     return CertificateReport(
         dim,
         word_length,
-        n_pairs,
+        len(pairs),
         threshold,
         worst,
         None if passed else worst_pair,

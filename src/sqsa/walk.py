@@ -10,11 +10,8 @@ shared uniform start, is
 where ``M`` is the single-step distribution pushed through the tensor
 square of the standard representation and ``v`` is the vectorized
 identity (the diagonal direction).  The step law is kept in integer
-symbol counts over the alphabet size, and ``M`` (like the mask-averaged
-operator) is one weighted sum of Kronecker products over the stack of
-``std(identity)`` and the ``C(n,2)`` transposition matrices, built in one
-matrix product.  This module evaluates the agreement probability three
-ways.
+symbol counts over the alphabet size.  This module evaluates the
+agreement probability three ways.
 :data:`AGREEMENT_METHODS` lists them under the keys that the CLI's
 ``pagree --method`` and :func:`sqsa.sq.pairwise_correlation` accept; each
 report names its route with a label:
@@ -32,9 +29,27 @@ It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
 mixing scans against closed-form decay envelopes.
 
-``M^T`` is never materialized: the residual ``v' M^T v`` is computed by
-``T`` matrix-vector products, which keeps full relative accuracy even
-when the residual is far below the rounding of ``p_agree`` itself.
+The spectral residual never builds ``M``.  On centred ``n x n`` matrices
+``Y`` (zero row and column sums: the space std (x) std) ``M`` is the
+averaged step of the joint law of both machines' states,
+
+    Y -> Y - L_a Y - Y L_b + Lap(w_both * spread(Y)),
+
+with ``L_a``, ``L_b`` the Laplacians of the symbol weights acting on each
+machine, ``w_both`` the weights acting on both and ``spread(Y)`` the
+second difference ``Y_ii + Y_jj - Y_ij - Y_ji`` of each transposition
+``(i j)``.  One application costs O(n^3), against O(n^4) for a dense
+matvec.  The step is self-adjoint in the Frobenius product, so ``k``
+Lanczos steps from ``Y_0 = I - J/n`` give a Gauss rule for
+``v' M^T v = <Y_0, M^T Y_0>``, exact once ``2k - 1 >= T``
+(Golub & Meurant, "Matrices, moments and quadrature", 1994).  Pairs are
+run as one stack, so ``certify`` pays one Lanczos run for all its pairs.
+The residual is the primary quantity and ``p_agree = 1/n + residual``,
+so it keeps its relative accuracy far below the rounding of ``p_agree``.
+
+The dense ``M`` (:func:`fourier_matrix`) is kept where every eigenvalue
+is needed: the realized spectrum and :func:`mixing_scan`, whose residual
+series is one matvec per word length.
 """
 
 from __future__ import annotations
@@ -79,12 +94,14 @@ __all__ = [
     "step_distribution",
 ]
 
-MAX_SPECTRAL_STATES = 40  # (n-1)^2 <= 1521 keeps dense eigensolves and matvecs cheap
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
 BLOCK_INPUTS = 1 << 15  # (word, start) inputs per exhaustive block or merged run
 RUN_POSITIONS = 1 << 16  # symbol positions (rows x T) per merged run
+KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
+_BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
+_AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
 
 
 class BruteForceGuardError(ValueError):
@@ -251,6 +268,19 @@ def _check_compatible(a: Semiautomaton, b: Semiautomaton) -> None:
         )
 
 
+def _mask_counts(a: Semiautomaton, b: Semiautomaton) -> np.ndarray:
+    """Symbols per transposition acting on both machines, on ``a`` only and on ``b`` only.
+
+    Shape ``(3, C(n,2))``, transpositions in ``all_transpositions`` order;
+    the remaining symbols act on neither machine.
+    """
+    _check_compatible(a, b)
+    n_trans = a.n_transpositions
+    mask_a = a.mask.reshape(a.n_copies, n_trans)
+    mask_b = b.mask.reshape(b.n_copies, n_trans)
+    return np.stack([mask_a & mask_b, mask_a & ~mask_b, ~mask_a & mask_b]).sum(axis=1)
+
+
 def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
     """Symbol count of each distinct pair of one-symbol actions.
 
@@ -259,22 +289,11 @@ def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
     ``(tau, tau)``, ``(tau, identity)`` and ``(identity, tau)``, counted
     straight from the two masks.
     """
-    _check_compatible(a, b)
-    n_trans = a.n_transpositions
-    mask_a = a.mask.reshape(a.n_copies, n_trans)
-    mask_b = b.mask.reshape(b.n_copies, n_trans)
-    both = (mask_a & mask_b).sum(axis=0)
-    only_a = (mask_a & ~mask_b).sum(axis=0)
-    only_b = (~mask_a & mask_b).sum(axis=0)
-    neither = int((~mask_a & ~mask_b).sum())
+    counts = _mask_counts(a, b)
+    neither = a.alphabet_size - int(counts.sum())
     entries = [(0, 0, neither)] if neither else []
-    for index in range(n_trans):
-        swap = 1 + index
-        for left, right, count in (
-            (swap, swap, both[index]),
-            (swap, 0, only_a[index]),
-            (0, swap, only_b[index]),
-        ):
+    for swap, (both, only_a, only_b) in enumerate(counts.T, start=1):
+        for left, right, count in ((swap, swap, both), (swap, 0, only_a), (0, swap, only_b)):
             if count:
                 entries.append((left, right, int(count)))
     return StepDistribution(a.n_states, a.alphabet_size, tuple(entries))
@@ -302,7 +321,8 @@ def fourier_matrix(dist: StepDistribution) -> np.ndarray:
     times ``std(left) (x) std(right)``; all pairs go through one product
     (:func:`_kron_sum`).  Symmetric (all support actions are involutions
     and the representation is orthogonal) with spectral norm at most 1
-    (convex combination of orthogonal matrices).
+    (convex combination of orthogonal matrices).  Built only where every
+    eigenvalue is needed: the realized spectrum and :func:`mixing_scan`.
     """
     factors = _factor_stack(dist.n_states)
     weights = np.zeros((factors.shape[0], factors.shape[0]))
@@ -350,16 +370,142 @@ class AgreementReport:
 
 
 def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
-    """Spectral evaluation of the agreement probability after ``word_length`` symbols."""
+    """Spectral agreement probability after ``word_length`` symbols.
+
+    The residual ``v' M^T v / n`` comes from the Lanczos-Gauss rule on the
+    matrix-free pair-chain step (:func:`_gauss_residuals`); ``M`` is never
+    built, so any ``n`` and any ``T`` are accepted.  ``T = 0`` gives
+    ``p_agree`` exactly 1.
+    """
     _check_compatible(a, b)
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     n = a.n_states
-    if n > MAX_SPECTRAL_STATES:
-        raise ValueError(f"spectral path limited to n <= {MAX_SPECTRAL_STATES}")
-    matrix = fourier_matrix(step_distribution(a, b))
-    residual = next(itertools.islice(_residuals(matrix, n), word_length, None))
+    residual = float(_gauss_residuals([(a, b)], word_length)[0])
     return AgreementReport(n, word_length, 1.0 / n + residual, residual, "spectral")
+
+
+def _laplacians(weights: np.ndarray, n: int) -> np.ndarray:
+    """``sum_(i j) w_(i j) r r'`` with ``r = e_i - e_j``, for a stack of transposition weights."""
+    low, high = np.triu_indices(n, 1)  # all_transpositions order
+    laplacian = np.zeros(weights.shape[:-1] + (n, n))
+    laplacian[..., low, high] = laplacian[..., high, low] = -weights
+    laplacian[..., range(n), range(n)] = -laplacian.sum(axis=-1)
+    return laplacian
+
+
+def _centred(y: np.ndarray) -> np.ndarray:
+    """A stack of ``n x n`` matrices with every row and column mean removed."""
+    y = y - y.mean(axis=-2, keepdims=True)
+    return y - y.mean(axis=-1, keepdims=True)
+
+
+def _pair_chain(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> Callable:
+    """``I - M`` of each pair on a ``(P, n, n)`` stack of centred ``Y``, re-centred.
+
+    Leaving out ``M``'s leading ``Y`` turns its slow modes (eigenvalues
+    near 1) into small eigenvalues, which keep their relative accuracy.
+    """
+    n = pairs[0][0].n_states
+    both, only_a, only_b = np.stack(
+        [_mask_counts(a, b) / a.alphabet_size for a, b in pairs], axis=1
+    )
+    lap_a, lap_b = _laplacians(both + only_a, n), _laplacians(both + only_b, n)
+    low, high = np.triu_indices(n, 1)
+
+    def step(y: np.ndarray) -> np.ndarray:
+        spread = y[:, low, low] + y[:, high, high] - y[:, low, high] - y[:, high, low]
+        return _centred(lap_a @ y + y @ lap_b - _laplacians(both * spread, n))
+
+    return step
+
+
+def _gauss_rule(alpha: np.ndarray, beta: np.ndarray, word_length: int) -> np.ndarray:
+    """``sum_i S_0i^2 (1 - mu_i)^T`` of each Lanczos tridiagonal ``S diag(mu) S'`` of ``I - M``.
+
+    ``(1 - mu)^T`` is taken as ``exp(T log1p(-mu))`` where ``mu < 1``:
+    rounding ``1 - mu`` first would cost up to ``T`` ulps of relative error.
+    Ritz values lie in the spectrum's range, and ``||M|| <= 1`` puts that
+    in ``[0, 2]``, so ``mu`` is clipped there before ``T`` amplifies rounding.
+    """
+    count, k = alpha.shape
+    tridiagonal = np.zeros((count, k, k))
+    index = np.arange(k)
+    tridiagonal[:, index, index] = alpha
+    tridiagonal[:, index[1:], index[:-1]] = tridiagonal[:, index[:-1], index[1:]] = beta
+    mu, vectors = np.linalg.eigh(tridiagonal)
+    mu = np.clip(mu, 0.0, 2.0)
+    power, slow = np.empty_like(mu), mu < 1.0
+    power[slow] = np.exp(word_length * np.log1p(-mu[slow]))
+    power[~slow] = (1.0 - mu[~slow]) ** word_length
+    return np.einsum("pi,pi->p", vectors[:, 0] ** 2, power)
+
+
+def _gauss_residuals(
+    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_length: int
+) -> np.ndarray:
+    """``p_agree - 1/n`` of each pair, in chunks whose Lanczos basis holds
+    at most :data:`KRYLOV_ELEMENTS` entries at the largest step they may need."""
+    n = pairs[0][0].n_states
+    if word_length == 0:
+        return np.full(len(pairs), (n - 1) / n)
+    # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
+    steps = min((n - 1) ** 2, word_length // 2 + 1)
+    chunk = max(1, KRYLOV_ELEMENTS // (steps * n * n))
+    return np.concatenate(
+        [
+            _gauss_chunk(pairs[low : low + chunk], word_length, steps)
+            for low in range(0, len(pairs), chunk)
+        ]
+    )
+
+
+def _gauss_chunk(
+    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_length: int, steps: int
+) -> np.ndarray:
+    """Lanczos on ``I - M`` from ``Y_0 = I - J/n`` for every pair at once.
+
+    The residual is ``||Y_0||^2 / n`` times the Gauss rule.  A pair stops
+    at the first ``k`` where the rule is exact (``2k - 1 >= T``, or the
+    Krylov space closed) or agrees with the one at ``k - 1``.  Each vector
+    is fully reorthogonalised, then re-centred: rounding that leaves the
+    centred space grows each step and shows up as spurious Ritz values.
+    """
+    n, count = pairs[0][0].n_states, len(pairs)
+    step = _pair_chain(pairs)
+    basis = np.empty((count, min(steps, 16), n * n))
+    basis[:, 0] = ((np.eye(n) - 1.0 / n) / math.sqrt(n - 1)).reshape(-1)
+    alpha, beta = np.zeros((count, steps)), np.zeros((count, steps))
+    residuals, active = np.zeros(count), np.ones(count, dtype=bool)
+    previous = np.full(count, np.nan)
+    for k in range(1, steps + 1):
+        vector = basis[:, k - 1]
+        product = step(vector.reshape(count, n, n)).reshape(count, n * n)
+        alpha[:, k - 1] = np.einsum("pi,pi->p", vector, product)
+        for _ in range(2):  # classical Gram-Schmidt twice against the whole basis
+            weights = np.einsum("pji,pi->pj", basis[:, :k], product)
+            product -= np.einsum("pji,pj->pi", basis[:, :k], weights)
+        product = _centred(product.reshape(count, n, n)).reshape(count, n * n)
+        beta[:, k - 1] = np.linalg.norm(product, axis=1)
+        estimate = _gauss_rule(alpha[:, :k], beta[:, : k - 1], word_length)
+        closed = beta[:, k - 1] <= _BREAKDOWN
+        done = closed | (np.abs(estimate - previous) <= _AGREE_RTOL * np.abs(estimate))
+        done |= 2 * k - 1 >= word_length
+        residuals[active & done] = estimate[active & done]
+        active &= ~done
+        if not active.any():
+            return residuals * (n - 1) / n
+        if k == steps:
+            break
+        previous = estimate
+        if k == basis.shape[1]:
+            grown = np.empty((count, min(k, steps - k), n * n))
+            basis = np.concatenate([basis, grown], axis=1)
+        # a closed space goes on with zero vectors, which leave its rule as it is
+        basis[:, k] = product / np.where(closed, np.inf, beta[:, k - 1])[:, None]
+    raise ArithmeticError(
+        f"Lanczos-Gauss residual did not converge in {steps} steps (n={n}, T={word_length})"
+    )
 
 
 def _count_agreements(a: Semiautomaton, b: Semiautomaton, draws: list[Draw], jobs: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,37 @@ def test_brute_guard_error_via_cli(tmp_path, family_file, capsys):
     error = json.loads(capsys.readouterr().err.splitlines()[0])
     assert error["error"]["type"] == "BruteForceGuardError"
     assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "brute"]) == 0
+
+
+def test_certify_rejects_negative_word_length_without_pairs(family_file, capsys):
+    assert run_cli(["certify", "--family", family_file, "--t", -1, "--d", 1]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert error["error"] == {"type": "ValueError", "message": "word length must be >= 0"}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pagree_past_forty_states_matches_monte_carlo(tmp_path, capsys, k):
+    path = tmp_path / "f50.sqsa"
+    assert run_cli(["family", "--n", 50, "--k", k, "--m", 2, "--seed", 5, "--out", path]) == 0
+    results = {}
+    for method in ("spectral", "mc"):
+        argv = ["pagree", "--family", path, "--t", 50, "--method", method, "--samples", 20000]
+        assert run_cli([*argv, "--jobs", 1]) == 0
+        results[method] = json.loads(capsys.readouterr().out)["result"]
+    spectral, sampled = results["spectral"], results["mc"]
+    assert spectral["n_states"] == 50 and spectral["method"] == "spectral"
+    assert abs(spectral["p_agree"] - sampled["p_agree"]) <= 5 * sampled["stderr"]
+
+
+def test_pagree_cost_does_not_grow_with_word_length(tmp_path, capsys):
+    path = tmp_path / "f5.sqsa"
+    assert run_cli(["family", "--n", 5, "--k", 1, "--m", 2, "--seed", 3, "--out", path]) == 0
+    started = time.perf_counter()
+    assert run_cli(["pagree", "--family", path, "--t", 100_000_000]) == 0
+    assert time.perf_counter() - started < 1.0  # T dense matvecs took minutes
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["word_length"] == 100_000_000
+    assert result["p_agree"] == pytest.approx(1 / 5, abs=1e-12)
 
 
 def test_input_family_never_mutated(tmp_path, family_file):

@@ -19,7 +19,7 @@ from sqsa.sq import (
     pairwise_correlation,
     query_lower_bound,
 )
-from sqsa.walk import agreement_brute_force
+from sqsa.walk import agreement_brute_force, agreement_exact
 
 
 def family_pair(n, k, seed, m=2):
@@ -109,6 +109,31 @@ def test_certificate_fails_on_identical_masks():
     assert not report.passed
     assert report.violating_pair == (0, 1)
     assert report.max_abs_correlation == pytest.approx(1 - 1 / 4, abs=1e-10)
+
+
+def test_batched_certificate_matches_per_pair_agreement():
+    family = family_pair(5, 2, 31, m=6)
+    members = [*family.members, family.members[2]]  # member 6 is a twin of member 2
+    for t, dim in ((0, 7), (1, 7), (12, 7), (40, 6)):
+        report = certify_sq_dimension(members, t, dim)
+        values = {
+            (i, j): abs(agreement_exact(members[i], members[j], t).residual)
+            for i, j in itertools.combinations(range(dim), 2)
+        }
+        worst = max(values.values())
+        first = next(pair for pair, value in values.items() if value == worst)
+        assert report.n_pairs == len(values)
+        assert report.max_abs_correlation == pytest.approx(worst, rel=1e-12)
+        assert report.passed == (worst <= 1 / dim)
+        assert report.violating_pair == (None if report.passed else first)
+    assert certify_sq_dimension(members, 0, 7).violating_pair == (0, 1)  # all tie at T=0
+    assert certify_sq_dimension(members, 12, 7).violating_pair == (2, 6)
+
+
+def test_certificate_rejects_negative_word_length_without_pairs():
+    family = family_pair(4, 1, 7)
+    with pytest.raises(ValueError, match="word length must be >= 0"):
+        certify_sq_dimension(family.members, -1, 1)
 
 
 def test_certificate_needs_enough_members():

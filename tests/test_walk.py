@@ -191,6 +191,72 @@ def test_agreement_routes_agree_on_random_pairs(n, k, t, seed):
     assert abs(sampled.p_agree - exact.p_agree) <= 5 * sampled.stderr + 1e-12
 
 
+def dense_residual(a, b, t):
+    """``v' M^T v / n`` by ``t`` products with the dense Fourier matrix."""
+    matrix = fourier_matrix(step_distribution(a, b))
+    vector = power = diagonal_vector(a.n_states)
+    for _ in range(t):
+        power = matrix @ power
+    return float(vector @ power) / a.n_states
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 400), st.integers(0, 2**32))
+def test_gauss_residual_equals_dense_powers_on_random_pairs(n, k, t, seed):
+    a, b = random_pair(n, k, seed)
+    residual = agreement_exact(a, b, t).residual
+    expected = dense_residual(a, b, t)
+    assert abs(residual - expected) <= max(1e-10 * abs(expected), 1e-13)
+    assert abs(residual) <= 1 - 1 / n
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12])
+def test_identical_members_close_the_krylov_space_at_one_step(n, monkeypatch):
+    a, _ = random_pair(n, 2, n)
+    steps = []
+    rule = walk._gauss_rule
+
+    def counted(alpha, beta, t):
+        steps.append(alpha.shape[1])
+        return rule(alpha, beta, t)
+
+    monkeypatch.setattr(walk, "_gauss_rule", counted)
+    for t in (1, 2, 399, 10**6):
+        assert agreement_exact(a, a, t).residual == pytest.approx((n - 1) / n, rel=1e-9)
+    assert steps == [1, 1, 1, 1]
+
+
+def test_gauss_residuals_do_not_depend_on_chunking(monkeypatch):
+    a, b = random_pair(6, 2, 17)
+    c, _ = random_pair(6, 2, 18)
+    pairs = [(a, b), (b, c), (a, a), (c, a)]
+    chunks = []
+    run_chunk = walk._gauss_chunk
+
+    def counted(chunk, t, steps):
+        chunks.append(len(chunk))
+        return run_chunk(chunk, t, steps)
+
+    monkeypatch.setattr(walk, "_gauss_chunk", counted)
+    together = walk._gauss_residuals(pairs, 90)
+    monkeypatch.setattr(walk, "KRYLOV_ELEMENTS", 1)  # one pair per chunk
+    alone = walk._gauss_residuals(pairs, 90)
+    assert chunks == [4, 1, 1, 1, 1]
+    assert alone == pytest.approx(together, rel=1e-12, abs=1e-300)
+    singles = [agreement_exact(x, y, 90).residual for x, y in pairs]
+    assert singles == pytest.approx(together, rel=1e-12)
+
+
+def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
+    a, b = random_pair(6, 2, 19)
+    monkeypatch.setattr(walk, "_AGREE_RTOL", -1.0)
+    monkeypatch.setattr(walk, "_BREAKDOWN", -1.0)
+    # exact at k = 21, past the basis's first 16 columns
+    assert agreement_exact(a, b, 41).residual == pytest.approx(dense_residual(a, b, 41), rel=1e-10)
+    with pytest.raises(ArithmeticError):
+        agreement_exact(a, b, 1000)  # (n-1)^2 = 25 steps, neither exact nor agreeing
+
+
 def test_blocks_enumerate_every_input_once(monkeypatch):
     monkeypatch.setattr(walk, "BLOCK_INPUTS", 7)  # two words of three starts per block
     draws = WordDistribution(3, 3, 4).blocks()
