@@ -11,7 +11,9 @@ into the output; a failure prints one JSON error line to stderr instead.
 ``pagree --method`` takes a key of :data:`sqsa.walk.AGREEMENT_METHODS`
 (``spectral``, ``brute``, ``mc``) and reports its label (``spectral``,
 ``brute-force``, ``monte-carlo``).  Each ``oracle`` line is a whole
-:class:`sqsa.sq.QueryRecord`, with its ``method`` and ``max_stderr``.
+:class:`sqsa.sq.QueryRecord`, with its ``method`` and ``max_stderr``; an
+``oracle`` run samples only when ``--samples`` is given, and is exact
+otherwise.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ _DEFAULTS: dict[str, dict] = {
     "spectrum": {"method": "expected", "n": 5, "p": 0.5, "members": "0,1", "format": "csv"},
     "mixing": {"members": "0,1", "t_max": 100, "format": "csv"},
     "certify": {"t": None, "d": None, "format": "json"},
-    "oracle": {"t": 10, "tau": 0.1, "seed": 0, "samples": 100_000, "format": "jsonl"},
+    "oracle": {"t": 10, "tau": 0.1, "seed": 0, "samples": None, "format": "jsonl"},
 }
 
 _FORMATS: dict[str, set[str]] = {
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--t", type=int, help="word length")
     oracle.add_argument("--tau", type=float, help="query tolerance")
     oracle.add_argument("--seed", type=int, help="session seed for sampled statistics")
-    oracle.add_argument("--samples", type=int, help="samples when enumeration is too large")
+    oracle.add_argument("--samples", type=int, help="Monte Carlo samples per query; omit for exact answers")
     oracle.add_argument("--queries", help="JSON file: list of {builtin, params}")
     return parser
 
@@ -349,7 +351,7 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
         int(config["t"]),
         float(config["tau"]),
         seed=int(config["seed"]),
-        mc_samples=int(config["samples"]),
+        mc_samples=None if config["samples"] is None else int(config["samples"]),
     )
     for index, entry in enumerate(scripted):
         if not isinstance(entry, dict) or not isinstance(entry.get("builtin"), str):

@@ -12,26 +12,29 @@ projection of the query onto the label-average direction.  A learner can
 then eliminate exactly the candidates whose centered statistic exceeds
 the tolerance in magnitude, and with pairwise-uncorrelated candidate
 families that number is provably small per query.  Sessions keep a
-ledger of every answer and elimination.  An entry's ``method`` is ``exact``
-when every input was enumerated, else ``monte-carlo``, with ``max_stderr``
-the largest standard error over the survivors (None if exact or none left).
-
-Inputs come as :class:`WordDistribution` draws (exhaustive ``blocks()``
-or sampled ``strata()``), run merged by :func:`sqsa.walk.merge_draws`: the
-64 small strata of a sampled query become a few runs, so each concept
-reads their words in a few batched passes.  Every float sum is still
-taken per draw and added in draw order, so the ledger does not depend
-on how draws are merged.
+ledger of every answer and elimination.
 
 Queries are named built-ins with declared integer parameters (``value``
 may be any number), not arbitrary code, so transcripts are reproducible.
-Each returns ``h(x, .)`` over every label ``y`` at once, as a table with
-one row per input of a run or, if it ignores ``x``, one row:
+Each built-in's answer is a closed form:
 
-- ``label-indicator``     h(x, y) = 1 if y equals ``label``
-- ``state-agreement``     h(x, y) = 1 if y equals the output of reference ``member``
-- ``final-state-parity``  h(x, y) = +1 for even y, -1 for odd y
-- ``constant``            h(x, y) = ``value`` in [-1, 1]
+- ``label-indicator``     h(x, y) = 1 if y equals ``label``; answer ``1/n``
+- ``state-agreement``     h(x, y) = 1 if y equals the output of reference
+  ``member``; answer ``1/n``
+- ``final-state-parity``  h(x, y) = +1 for even y, -1 for odd y; answer ``(n mod 2)/n``
+- ``constant``            h(x, y) = ``value`` in [-1, 1]; answer ``value``
+
+The label-only built-ins and ``constant`` read the final state alone.
+That state is uniform for every concept (a uniform start pushed through
+a permutation), so their centered statistic is exactly 0 and they never
+eliminate anyone.  A survivor's centered ``state-agreement`` statistic
+is its agreement residual with the reference member, ``p_agree - 1/n``.
+A session with ``mc_samples=None`` takes every residual exactly, by the
+Lanczos-Gauss rule at any word length, and its ledger says ``exact``.
+A session with ``mc_samples`` set counts agreements on that many
+stratified samples per query, and its ledger says ``monte-carlo``, with
+``max_stderr`` the largest standard error over the survivors (None when
+the query sampled nothing).
 """
 
 from __future__ import annotations
@@ -42,15 +45,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, ShuffleFamily, run_words
-from .walk import Draw, WordDistribution, _gauss_residuals, agreement, merge_draws
+from .automata import Semiautomaton, ShuffleFamily
+from .walk import WordDistribution, _count_agreements, _gauss_residuals, agreement
 
 __all__ = [
     "BUILTIN_PARAMS",
     "BUILTIN_QUERIES",
     "CertificateReport",
     "CorrelationEstimate",
-    "ENUMERATION_LIMIT",
     "OracleSession",
     "QueryRecord",
     "StatQuery",
@@ -62,9 +64,6 @@ __all__ = [
     "pairwise_correlation",
     "query_lower_bound",
 ]
-
-ENUMERATION_LIMIT = 10**7  # oracle inputs enumerated exactly; larger spaces are sampled
-
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
@@ -197,13 +196,17 @@ class QueryRecord:
 
 @dataclass
 class OracleSession:
-    """Mutable session state: candidate concepts, distribution, tolerance, ledger."""
+    """Mutable session state: candidate concepts, distribution, tolerance, ledger.
+
+    ``mc_samples=None`` answers every query exactly; a sample count makes
+    each ``state-agreement`` query sample that many inputs.
+    """
 
     concepts: tuple[Semiautomaton, ...]
     distribution: WordDistribution
     tolerance: float
     seed: int = 0
-    mc_samples: int = 100_000
+    mc_samples: int | None = None
     survivors: list[int] = field(default_factory=list)
     ledger: list[QueryRecord] = field(default_factory=list)
 
@@ -212,7 +215,7 @@ class OracleSession:
             raise ValueError("tolerance must be positive")
         if not self.concepts:
             raise ValueError("need at least one concept")
-        if self.mc_samples < 1:
+        if self.mc_samples is not None and self.mc_samples < 1:
             raise ValueError("need at least one sample")
         if not self.survivors:
             self.survivors = list(range(len(self.concepts)))
@@ -223,9 +226,13 @@ def make_session(
     word_length: int,
     tolerance: float,
     seed: int = 0,
-    mc_samples: int = 100_000,
+    mc_samples: int | None = None,
 ) -> OracleSession:
-    """Session over all family members as candidate concepts."""
+    """Session over all family members as candidate concepts.
+
+    Exact at any word length when ``mc_samples`` is None; sampled, from
+    ``seed``, when it is a sample count.
+    """
     concepts = tuple(family.members)
     distribution = WordDistribution(
         family.config.n_states, family.config.alphabet_size, word_length
@@ -233,61 +240,56 @@ def make_session(
     return OracleSession(concepts, distribution, tolerance, seed, mc_samples)
 
 
-# (words, starts) -> h over every label, broadcastable to starts.shape + (labels,)
-Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Factory = Callable[[Mapping[str, int], OracleSession], Evaluator]
+# (closed-form answer, reference member or None).  A survivor's centered
+# statistic is its agreement residual with the reference, or exactly 0 when
+# there is none (a statistic of the final state alone).
+Answer = tuple[float, Semiautomaton | None]
+Builtin = Callable[[Mapping[str, float], OracleSession], Answer]
 
-BUILTIN_QUERIES: dict[str, Factory] = {}
+BUILTIN_QUERIES: dict[str, Builtin] = {}
 BUILTIN_PARAMS: dict[str, dict[str, str]] = {}  # builtin -> {param: kind}
 _PARAM_TYPES = {"integer": int, "number": (int, float)}  # bools are neither
 
 
-def _builtin(name: str, **params: str) -> Callable[[Factory], Factory]:
+def _builtin(name: str, **params: str) -> Callable[[Builtin], Builtin]:
     """Register a built-in query under ``name`` with its declared params."""
 
-    def register(factory: Factory) -> Factory:
-        BUILTIN_QUERIES[name] = factory
+    def register(builtin: Builtin) -> Builtin:
+        BUILTIN_QUERIES[name] = builtin
         BUILTIN_PARAMS[name] = params
-        return factory
+        return builtin
 
     return register
 
 
 @_builtin("label-indicator", label="integer")
-def _builtin_label_indicator(params: Mapping[str, int], session: OracleSession) -> Evaluator:
-    label = params["label"]
-    if not 0 <= label < session.distribution.n_states:
-        raise ValueError(f"label {label} out of range")
-    row = (np.arange(session.distribution.n_states) == label).astype(float)
-    return lambda words, starts: row
+def _builtin_label_indicator(params: Mapping[str, int], session: OracleSession) -> Answer:
+    n = session.distribution.n_states
+    if not 0 <= params["label"] < n:
+        raise ValueError(f"label {params['label']} out of range")
+    return 1.0 / n, None
 
 
 @_builtin("state-agreement", member="integer")
-def _builtin_state_agreement(params: Mapping[str, int], session: OracleSession) -> Evaluator:
+def _builtin_state_agreement(params: Mapping[str, int], session: OracleSession) -> Answer:
     member = params["member"]
     if not 0 <= member < len(session.concepts):
         raise ValueError(f"member {member} out of range")
-    reference = session.concepts[member]
-    labels = np.arange(session.distribution.n_states)
-
-    def evaluate(words, starts):
-        return (run_words(reference, words, starts)[..., None] == labels).astype(float)
-
-    return evaluate
+    return 1.0 / session.distribution.n_states, session.concepts[member]
 
 
 @_builtin("final-state-parity")
-def _builtin_final_state_parity(params: Mapping[str, int], session: OracleSession) -> Evaluator:
-    row = np.where(np.arange(session.distribution.n_states) % 2 == 0, 1.0, -1.0)
-    return lambda words, starts: row
+def _builtin_final_state_parity(params: Mapping[str, int], session: OracleSession) -> Answer:
+    n = session.distribution.n_states
+    return (n % 2) / n, None
 
 
 @_builtin("constant", value="number")
-def _builtin_constant(params: Mapping[str, float], session: OracleSession) -> Evaluator:
+def _builtin_constant(params: Mapping[str, float], session: OracleSession) -> Answer:
     value = float(params["value"])
     if not -1.0 <= value <= 1.0:
         raise ValueError(f"constant value {value} outside [-1, 1]")
-    return lambda words, starts: np.full(session.distribution.n_states, value)
+    return value, None
 
 
 def _check_params(query: StatQuery) -> None:
@@ -306,80 +308,49 @@ def _check_params(query: StatQuery) -> None:
         raise ValueError(f"bad params for {query.builtin}: {'; '.join(problems)}")
 
 
-def _statistics(
-    session: OracleSession, evaluate: Evaluator, draws: Sequence[Draw]
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Answer, centered per-survivor means and their standard errors over input draws.
-
-    Draws are run merged (:func:`sqsa.walk.merge_draws`), but every float
-    sum is still taken per draw and added in draw order.
-    """
-    n = session.distribution.n_states
-    survivors = session.survivors
-    sums = np.zeros(len(survivors))
-    sums_sq = np.zeros(len(survivors))
-    answer_sum = 0.0
-    total = 0
-    for run in merge_draws(draws):
-        words, starts, slices = run()
-        table = np.broadcast_to(evaluate(words, starts), starts.shape + (n,))
-        if float(np.max(np.abs(table))) > 1.0 + 1e-12:
-            raise ValueError("query statistic left the range [-1, 1]")
-        label_average = table.mean(axis=-1)
-        for rows in slices:
-            answer_sum += float(label_average[rows].sum())
-        for k, concept_index in enumerate(survivors):
-            labels = run_words(session.concepts[concept_index], words, starts)
-            values = np.take_along_axis(table, labels[..., None], axis=-1)[..., 0]
-            centered = values - label_average
-            for rows in slices:
-                part = centered[rows]
-                sums[k] += float(part.sum())
-                sums_sq[k] += float((part * part).sum())
-        total += starts.size
-    means = sums / total
-    variances = np.maximum(sums_sq / total - means**2, 0.0)
-    stderr = np.sqrt(variances / total)
-    return answer_sum / total, means, stderr
-
-
 def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     """Answer a query adversarially and eliminate over-correlated survivors.
 
-    The answer is the label-average projection of the statistic, which is
-    within tolerance of every survivor's true statistic.  Exact
-    enumeration (ledger method ``exact``) is used when the input space
-    fits :data:`ENUMERATION_LIMIT`; otherwise (``monte-carlo``) elimination is
-    decided conservatively at ``tolerance + 4 * stderr`` from stratified
-    samples.  Ties at the tolerance are kept, never eliminated.  Params
-    that are missing, unknown or of the wrong type raise ``ValueError``.
+    The answer is the closed-form label-average projection of the
+    statistic, which is within tolerance of every survivor's true
+    statistic.  Label-only queries and ``constant`` eliminate nobody.  For
+    ``state-agreement`` an exact session (``mc_samples=None``) takes each
+    survivor's agreement residual with the reference from one batched
+    Lanczos-Gauss run; a sampled session counts agreements on
+    ``mc_samples`` stratified inputs (substream key ``(query_id,)``) and
+    eliminates conservatively, at ``tolerance + 4 * stderr``.  Ties at the
+    tolerance are kept, never eliminated.  Params that are missing,
+    unknown or of the wrong type raise ``ValueError``.
     """
     if query.builtin not in BUILTIN_QUERIES:
         raise ValueError(f"unknown built-in query {query.builtin!r}")
     _check_params(query)
-    evaluate = BUILTIN_QUERIES[query.builtin](query.params, session)
-    dist = session.distribution
-    exact = dist.n_inputs() <= ENUMERATION_LIMIT
-    if exact:
-        draws = dist.blocks()
-    else:
-        draws = dist.strata(session.mc_samples, session.seed, (len(session.ledger),))
-    answer, centered, stderr = _statistics(session, evaluate, draws)
-    eliminated = [
-        concept_index
-        for k, concept_index in enumerate(session.survivors)
-        if abs(float(centered[k])) > session.tolerance + (0.0 if exact else 4.0 * stderr[k])
-    ]
-    session.survivors = [i for i in session.survivors if i not in set(eliminated)]
+    answer, reference = BUILTIN_QUERIES[query.builtin](query.params, session)
+    dist, samples = session.distribution, session.mc_samples
+    survivors = [session.concepts[i] for i in session.survivors]
+    residuals, stderr = np.zeros(len(survivors)), None
+    if reference is not None and survivors:
+        if samples is None:
+            pairs = [(survivor, reference) for survivor in survivors]
+            residuals = _gauss_residuals(pairs, dist.word_length)
+        else:
+            draws = dist.strata(samples, session.seed, (len(session.ledger),))
+            p_agree = _count_agreements(reference, survivors, draws, jobs=1) / samples
+            residuals = p_agree - 1.0 / dist.n_states
+            stderr = np.sqrt(p_agree * (1.0 - p_agree) / samples)
+    slack = 0.0 if stderr is None else 4.0 * stderr
+    dead = np.abs(residuals) > session.tolerance + slack
+    eliminated = tuple(i for i, out in zip(session.survivors, dead) if out)
+    session.survivors = [i for i, out in zip(session.survivors, dead) if not out]
     record = QueryRecord(
         query_id=len(session.ledger),
         builtin=query.builtin,
         params=dict(query.params),
-        answer=float(answer),
-        eliminated_ids=tuple(eliminated),
+        answer=answer,
+        eliminated_ids=eliminated,
         survivor_count=len(session.survivors),
-        method="exact" if exact else "monte-carlo",
-        max_stderr=None if exact or not stderr.size else float(np.max(stderr)),
+        method="exact" if samples is None else "monte-carlo",
+        max_stderr=None if stderr is None else float(np.max(stderr)),
     )
     session.ledger.append(record)
-    return float(answer)
+    return answer

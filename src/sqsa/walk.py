@@ -22,8 +22,10 @@ report names its route with a label:
 - ``mc`` (label ``monte-carlo``): the stratified samples of
   :meth:`WordDistribution.strata`, with a standard error.
 
-Both input routes count agreements as integers over ``run_words``, on
-draws joined by :func:`merge_draws` into runs of bounded size.
+Both input routes count agreements as integers over ``run_words``
+(:func:`_count_agreements`, which the sampled oracle also calls), on draws
+joined by :func:`merge_draws` into runs of bounded size.  Counts are
+integers, so neither the merging nor the order of runs changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -132,7 +134,7 @@ class Draw:
         return self.make()
 
 
-Run = Callable[[], tuple[np.ndarray, np.ndarray, list[slice]]]
+Run = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 def merge_draws(draws: Sequence[Draw]) -> list[Run]:
@@ -140,9 +142,9 @@ def merge_draws(draws: Sequence[Draw]) -> list[Run]:
     and :data:`RUN_POSITIONS` symbol positions; a draw over either runs alone.
 
     Grouping reads only the draws' sizes, so each run makes its draws when
-    called, on whichever worker calls it.  A run returns its words, its
-    starts and one row slice per draw, in draw order, so a caller can still
-    reduce per draw.  A run of one draw returns the draw's arrays as made.
+    called, on whichever worker calls it.  A run returns its draws' words
+    and starts concatenated in draw order; a run of one draw returns the
+    draw's arrays as made.
     """
     groups: list[list[Draw]] = []
     inputs = positions = 0
@@ -156,14 +158,12 @@ def merge_draws(draws: Sequence[Draw]) -> list[Run]:
     return [functools.partial(_run, group) for group in groups]
 
 
-def _run(group: list[Draw]) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+def _run(group: list[Draw]) -> tuple[np.ndarray, np.ndarray]:
     parts = [draw() for draw in group]
-    ends = list(itertools.accumulate(words.shape[0] for words, _ in parts))
-    slices = [slice(low, high) for low, high in zip([0, *ends], ends)]
     if len(parts) == 1:
-        return (*parts[0], slices)
+        return parts[0]
     words, starts = (np.concatenate(arrays) for arrays in zip(*parts))
-    return words, starts, slices
+    return words, starts
 
 
 @dataclass(frozen=True)
@@ -508,12 +508,19 @@ def _gauss_chunk(
     )
 
 
-def _count_agreements(a: Semiautomaton, b: Semiautomaton, draws: list[Draw], jobs: int) -> int:
-    """Inputs of ``draws`` on which ``a`` and ``b`` agree, run merged on ``jobs`` threads."""
+def _count_agreements(
+    reference: Semiautomaton, others: Sequence[Semiautomaton], draws: Sequence[Draw], jobs: int
+) -> np.ndarray:
+    """Inputs of ``draws`` on which each of ``others`` agrees with ``reference``.
 
-    def count(run: Run) -> int:
-        words, starts, _ = run()
-        return int((run_words(a, words, starts) == run_words(b, words, starts)).sum())
+    The draws are run merged on ``jobs`` threads, and ``reference`` runs
+    once per merged run.
+    """
+
+    def count(run: Run) -> np.ndarray:
+        words, starts = run()
+        labels = run_words(reference, words, starts)
+        return np.array([(run_words(other, words, starts) == labels).sum() for other in others])
 
     runs = merge_draws(draws)
     if jobs > 1:
@@ -537,7 +544,7 @@ def agreement_brute_force(
     cost = dist.n_inputs()
     if cost > BRUTE_FORCE_LIMIT:
         raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
-    exact = Fraction(_count_agreements(a, b, dist.blocks(), jobs), cost)
+    exact = Fraction(int(_count_agreements(a, [b], dist.blocks(), jobs)[0]), cost)
     p_agree = float(exact)
     return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact)
 
@@ -559,7 +566,7 @@ def agreement_monte_carlo(
     _check_compatible(a, b)
     n = a.n_states
     draws = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
-    p_agree = _count_agreements(a, b, draws, jobs) / samples
+    p_agree = int(_count_agreements(a, [b], draws, jobs)[0]) / samples
     stderr = math.sqrt(p_agree * (1.0 - p_agree) / samples)
     return AgreementReport(
         n, word_length, p_agree, p_agree - 1.0 / n, "monte-carlo", stderr=stderr

@@ -252,12 +252,12 @@ def test_zero_samples_fail_alike_in_pagree_and_oracle(tmp_path, capsys):
     queries = tmp_path / "q.json"
     queries.write_text(json.dumps([{"builtin": "constant", "params": {"value": 0.5}}]))
     capsys.readouterr()
-    # T=8 over the threshold alphabet is far beyond enumeration: the sampled path
+    # --samples asks the oracle for the sampled path, which needs at least one sample
     assert run_cli(["oracle", "--family", family, "--t", 8, "--queries", queries, "--samples", 0]) == 1
     oracle = error_message(capsys)
     assert run_cli(["pagree", "--family", family, "--t", 8, "--method", "mc", "--samples", 0]) == 1
     assert error_message(capsys) == oracle == "need at least one sample"
-    # n=4, k=1, T=2 is enumerated (the exact path), which draws no sample yet still refuses
+    # the count is refused before any query, on a small input space as on a large one
     small = tmp_path / "f4.sqsa"
     assert run_cli(["family", "--n", 4, "--k", 1, "--m", 2, "--out", small]) == 0
     capsys.readouterr()
@@ -319,13 +319,49 @@ def test_oracle_rejects_query_entries_without_builtin(tmp_path, family_file, cap
 def test_oracle_negative_word_length_fails_as_json(tmp_path, family_file, capsys):
     queries = tmp_path / "q.json"
     queries.write_text(json.dumps([{"builtin": "final-state-parity"}]))
-    # k=3 would be enumerated, the threshold k=309 sampled; both refuse before choosing
-    threshold = tmp_path / "threshold.sqsa"
-    assert run_cli(["family", "--n", 4, "--m", 2, "--out", threshold]) == 0
-    capsys.readouterr()
-    for family in (family_file, threshold):
-        assert run_cli(["oracle", "--family", family, "--t", -1, "--queries", queries]) == 1
+    # exact and sampled sessions both refuse it before the first query
+    for sampling in ([], ["--samples", 100]):
+        argv = ["oracle", "--family", family_file, "--t", -1, "--queries", queries, *sampling]
+        assert run_cli(argv) == 1
         assert error_message(capsys) == "word length must be >= 0"
+
+
+def test_oracle_is_exact_at_any_length_unless_sampled(tmp_path, capsys):
+    family = tmp_path / "f5.sqsa"
+    assert run_cli(["family", "--n", 5, "--m", 8, "--seed", 4, "--out", family]) == 0  # threshold k
+    queries = tmp_path / "q.json"
+    queries.write_text(
+        json.dumps(
+            [
+                {"builtin": "state-agreement", "params": {"member": 3}},
+                {"builtin": "label-indicator", "params": {"label": 1}},
+                {"builtin": "final-state-parity"},
+            ]
+        )
+    )
+    base = ["oracle", "--family", family, "--queries", queries, "--tau", 0.2]
+
+    def transcript(argv, jobs):
+        out = tmp_path / f"o{jobs}.jsonl"
+        assert run_cli([*base, *argv, "--jobs", jobs, "--out", out]) == 0
+        return out.read_bytes()
+
+    started = time.perf_counter()
+    exact = transcript(["--t", 1_000_000], 1)
+    assert time.perf_counter() - started < 1.0  # enumeration would run |alphabet|^T * n inputs
+    assert transcript(["--t", 1_000_000], 2) == exact
+    meta, *records = (json.loads(line) for line in exact.decode().splitlines())
+    assert meta["config"]["samples"] is None
+    assert [(r["method"], r["answer"], r["max_stderr"]) for r in records] == [("exact", 0.2, None)] * 3
+    assert [r["eliminated_ids"] for r in records] == [[3], [], []]
+
+    sampled = transcript(["--t", 48, "--samples", 2000, "--seed", 9], 1)
+    assert transcript(["--t", 48, "--samples", 2000, "--seed", 9], 2) == sampled
+    meta, *records = (json.loads(line) for line in sampled.decode().splitlines())
+    assert meta["config"]["samples"] == 2000
+    assert [r["method"] for r in records] == ["monte-carlo"] * 3
+    assert records[0]["max_stderr"] > 0 and 3 in records[0]["eliminated_ids"]
+    assert [r["max_stderr"] for r in records[1:]] == [None, None]  # nothing sampled
 
 
 @pytest.mark.parametrize("jobs", [0, -2])

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sqsa import walk
+from sqsa import automata, walk
 from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies, run_word
 from sqsa.sq import (
-    BUILTIN_QUERIES,
     CorrelationEstimate,
-    ENUMERATION_LIMIT,
     StatQuery,
     certify_sq_dimension,
     elimination_bound,
@@ -19,7 +19,7 @@ from sqsa.sq import (
     pairwise_correlation,
     query_lower_bound,
 )
-from sqsa.walk import agreement_brute_force, agreement_exact
+from sqsa.walk import WordDistribution, agreement_brute_force, agreement_exact
 
 
 def family_pair(n, k, seed, m=2):
@@ -281,6 +281,19 @@ def test_sampled_path_conservative_elimination_and_reproducible():
     assert [r.answer for r in again.ledger] == [r.answer for r in session.ledger]
 
 
+def test_sampled_elimination_keeps_four_standard_errors():
+    # at T=40 every non-reference residual is ~0, so a sampled residual above the
+    # small tolerance is noise, which the 4-stderr slack (about 0.042) must absorb
+    family = build_family(FamilyConfig(3, 64, 12, 0.5, 8800))
+    samples = 2000
+    session = make_session(family, 40, tolerance=0.01, seed=3, mc_samples=samples)
+    for member in range(3):
+        oracle_answer(session, StatQuery("state-agreement", {"member": member}))
+    assert [record.eliminated_ids for record in session.ledger] == [(0,), (1,), (2,)]
+    for record in session.ledger:  # sqrt(p(1-p)/samples) at p near 1/3
+        assert 0.95 * math.sqrt(2 / 9 / samples) < record.max_stderr <= math.sqrt(0.25 / samples)
+
+
 def test_elimination_cap_on_certified_family():
     family = build_family(FamilyConfig(3, 64, 24, 0.5, 8800))
     dim, tolerance = 24, 0.6
@@ -314,20 +327,6 @@ def test_builtin_parameter_validation():
         oracle_answer(session, StatQuery("constant", {"value": 1.5}))
 
 
-def test_out_of_range_statistic_rejected(monkeypatch):
-    def bad_factory(params, session):
-        def evaluate(words, starts):
-            return np.full(starts.shape + (session.distribution.n_states,), 2.0)
-
-        return evaluate
-
-    monkeypatch.setitem(BUILTIN_QUERIES, "too-big", bad_factory)
-    family = family_pair(3, 1, 17)
-    session = make_session(family, 1, tolerance=0.1)
-    with pytest.raises(ValueError):
-        oracle_answer(session, StatQuery("too-big", {}))
-
-
 def test_session_validation():
     family = family_pair(3, 1, 18)
     with pytest.raises(ValueError):
@@ -348,29 +347,83 @@ def test_sampled_query_with_no_survivors_left():
     assert record.survivor_count == 0 and record.max_stderr is None
 
 
-@pytest.mark.parametrize(
-    "n_copies, word_length, tolerance, n_draws, n_runs",
-    [(min_alphabet_copies(5), 48, 0.2, 64, 8), (1, 5, 0.3, 16, 16)],
-    ids=["sampled", "exact-multi-block"],
-)
-def test_merged_draws_change_no_session(
-    monkeypatch, n_copies, word_length, tolerance, n_draws, n_runs
-):
-    family = build_family(FamilyConfig(5, n_copies, 8, 0.5, 31))
+def test_merged_draws_change_no_session(monkeypatch):
+    family = build_family(FamilyConfig(5, min_alphabet_copies(5), 8, 0.5, 31))
     script = [StatQuery("state-agreement", {"member": member}) for member in (3, 1, 6)]
     script += [StatQuery("label-indicator", {"label": 2}), StatQuery("final-state-parity")]
 
     def outcome():
-        session = make_session(family, word_length, tolerance, seed=5, mc_samples=10_000)
+        session = make_session(family, 48, 0.2, seed=5, mc_samples=10_000)
         for query in script:
             oracle_answer(session, query)
         return session.ledger, session.survivors
 
-    dist = make_session(family, word_length, tolerance).distribution
-    draws = dist.strata(10_000, 5) if dist.n_inputs() > ENUMERATION_LIMIT else dist.blocks()
-    assert (len(draws), len(walk.merge_draws(draws))) == (n_draws, n_runs)
+    draws = WordDistribution(5, family.config.alphabet_size, 48).strata(10_000, 5)
+    assert (len(draws), len(walk.merge_draws(draws))) == (64, 8)
     merged = outcome()
     monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every draw runs alone
     # records (answers and max_stderr included) equal as floats, not approximately
     assert outcome() == merged
     assert any(record.eliminated_ids for record in merged[0]) and merged[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 5),
+    k=st.integers(1, 2),
+    m=st.integers(2, 5),
+    t=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+    tolerance=st.floats(0.01, 0.99),
+    value=st.floats(-1.0, 1.0),
+    data=st.data(),
+)
+def test_exact_session_equals_enumeration(n, k, m, t, seed, tolerance, value, data):
+    family = build_family(FamilyConfig(n, k, m, 0.5, seed))
+    members = family.members
+    script = [StatQuery("state-agreement", {"member": r}) for r in range(m)]
+    script += [
+        StatQuery("label-indicator", {"label": data.draw(st.integers(0, n - 1))}),
+        StatQuery("final-state-parity"),
+        StatQuery("constant", {"value": value}),
+    ]
+    closed_form = {
+        "state-agreement": 1 / n,
+        "label-indicator": 1 / n,
+        "final-state-parity": sum(1 if y % 2 == 0 else -1 for y in range(n)) / n,
+        "constant": value,
+    }
+    session = make_session(family, t, tolerance)
+    for query in data.draw(st.permutations(script)):
+        expected = set()
+        if query.builtin == "state-agreement":
+            reference = members[query.params["member"]]
+            residuals = {
+                i: agreement_brute_force(members[i], reference, t).residual
+                for i in session.survivors
+            }
+            assume(all(abs(abs(r) - tolerance) > 1e-9 for r in residuals.values()))
+            expected = {i for i, r in residuals.items() if abs(r) > tolerance}
+        assert oracle_answer(session, query) == closed_form[query.builtin]
+        record = session.ledger[-1]
+        assert set(record.eliminated_ids) == expected  # label-only queries eliminate nobody
+        assert (record.method, record.max_stderr) == ("exact", None)
+
+
+def test_exact_session_reads_no_input(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact session read an input")
+
+    monkeypatch.setattr(automata, "run_words", refuse)
+    monkeypatch.setattr(walk, "run_words", refuse)
+    monkeypatch.setattr(WordDistribution, "blocks", refuse)
+    monkeypatch.setattr(WordDistribution, "strata", refuse)
+    family = family_pair(5, 1, 21, m=6)
+    session = make_session(family, 10**6, tolerance=0.5)
+    oracle_answer(session, StatQuery("state-agreement", {"member": 2}))
+    oracle_answer(session, StatQuery("label-indicator", {"label": 4}))
+    oracle_answer(session, StatQuery("final-state-parity"))
+    assert [record.method for record in session.ledger] == ["exact"] * 3
+    assert [record.answer for record in session.ledger] == [0.2, 0.2, 0.2]
+    assert session.ledger[0].eliminated_ids == (2,)  # self residual 1 - 1/5 > 0.5
+    assert session.survivors == [0, 1, 3, 4, 5]

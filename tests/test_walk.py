@@ -276,16 +276,11 @@ def test_merge_draws_keeps_draw_order_within_budgets(monkeypatch):
     draws = WordDistribution(3, 5, 4).strata(100, 7)  # 64 strata of one or two words
     runs = [run() for run in walk.merge_draws(draws)]
     assert 1 < len(runs) < len(draws)
-    pieces = []
-    for words, starts, slices in runs:
+    for words, starts in runs:
         assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1]
-        assert slices[0].start == 0 and slices[-1].stop == words.shape[0]
-        assert all(left.stop == right.start for left, right in zip(slices, slices[1:]))
-        pieces += [(words[rows], starts[rows]) for rows in slices]
-    assert len(pieces) == len(draws)
-    for (words, starts), draw in zip(pieces, draws):
-        drawn_words, drawn_starts = draw()
-        assert np.array_equal(words, drawn_words) and np.array_equal(starts, drawn_starts)
+    drawn = [draw() for draw in draws]
+    for merged, alone in zip(zip(*runs), zip(*drawn)):  # words, then starts
+        assert np.array_equal(np.concatenate(merged), np.concatenate(alone))
 
 
 def test_merged_draws_change_no_count(monkeypatch):
