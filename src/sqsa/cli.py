@@ -93,7 +93,8 @@ def _git_blob_sha1(data: bytes) -> str:
     return digest.hexdigest()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and each subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="sqsa",
         description="shuffle-semiautomaton agreement, spectrum, and SQ-oracle experiments",
@@ -148,12 +149,24 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--seed", type=int, help="session seed for sampled statistics")
     oracle.add_argument("--samples", type=int, help="Monte Carlo samples per query; omit for exact answers")
     oracle.add_argument("--queries", help="JSON file: list of {builtin, params}")
-    return parser
+    return parser, sub.choices
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
+# a flag's argparse type -> the JSON types its config-file value may have
+_CONFIG_TYPES: dict[type | None, tuple[type, ...]] = {
+    int: (int,), float: (int, float), None: (str,)
+}
+
+
+def _resolve_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
     """Defaults < config file < explicit flags; the file may set the command's
-    own flags except ``--out`` and ``--jobs``, and any other key is rejected."""
+    own flags except ``--out`` and ``--jobs``, and any other key is rejected.
+
+    A file value must have its flag's type: an int flag takes an integer
+    (not a boolean), a float flag a number, any other flag a string; ``null``
+    is taken only where the default is unset.  The value that runs is then
+    the value that ``meta.config`` echoes.
+    """
     accepted = set(vars(args)) - {"command", "config", "out", "jobs"}
     resolved = dict(_DEFAULTS[args.command])
     if args.config:
@@ -164,6 +177,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - accepted
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+        types = {action.dest: action.type for action in command._actions}
+        for key, value in loaded.items():
+            allowed = _CONFIG_TYPES[types[key]]
+            if value is None and resolved.get(key) is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                names = " or ".join(kind.__name__ for kind in allowed)
+                raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
         resolved.update(loaded)
     for key in accepted:
         value = getattr(args, key)
@@ -206,9 +227,10 @@ def _meta(command: str, config: dict, family_sha1: str | None) -> dict:
 
 
 def _jsonable(value):
-    """``json.dumps`` hook: a dataclass becomes a dict, a Fraction ``"p/q"``."""
+    """``json.dumps`` hook: a dataclass becomes a dict of its fields (nested
+    values come back through this hook), a Fraction ``"p/q"``."""
     if dataclasses.is_dataclass(value):
-        return dataclasses.asdict(value)
+        return {field.name: getattr(value, field.name) for field in dataclasses.fields(value)}
     if isinstance(value, Fraction):
         return _fraction_text(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -303,10 +325,11 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
     scan = mixing_scan(family.members[i], family.members[j], int(config["t_max"]))
     meta = _meta("mixing", config, sha1)
     if config["format"] == "json":
-        result = dataclasses.asdict(scan)
-        del result["n_states"]
-        for point in result["points"]:
-            point["T"] = point.pop("word_length")
+        result = {key: value for key, value in vars(scan).items() if key != "n_states"}
+        result["points"] = [
+            {"T" if key == "word_length" else key: value for key, value in vars(point).items()}
+            for point in scan.points
+        ]
         return _json_payload(meta, result)
     rows = [
         [
@@ -372,10 +395,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        config = _resolve_config(args)
+        config = _resolve_config(args, commands[args.command])
         if args.jobs is not None and args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         jobs = args.jobs or os.cpu_count() or 1

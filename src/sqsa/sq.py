@@ -139,7 +139,7 @@ def certify_sq_dimension(
     worst, worst_pair = 0.0, None
     if pairs:
         batch = [(members[i], members[j]) for i, j in pairs]
-        correlations = np.abs(_gauss_residuals(batch, word_length))
+        correlations = np.abs(_gauss_residuals(batch, [word_length])[:, 0])
         first = int(np.argmax(correlations))
         worst, worst_pair = float(correlations[first]), pairs[first]
     passed = worst <= threshold
@@ -332,7 +332,7 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     if reference is not None and survivors:
         if samples is None:
             pairs = [(survivor, reference) for survivor in survivors]
-            residuals = _gauss_residuals(pairs, dist.word_length)
+            residuals = _gauss_residuals(pairs, [dist.word_length])[:, 0]
         else:
             draws = dist.strata(samples, session.seed, (len(session.ledger),))
             p_agree = _count_agreements(reference, survivors, draws, jobs=1) / samples

@@ -49,9 +49,10 @@ run as one stack, so ``certify`` pays one Lanczos run for all its pairs.
 The residual is the primary quantity and ``p_agree = 1/n + residual``,
 so it keeps its relative accuracy far below the rounding of ``p_agree``.
 
-The dense ``M`` (:func:`fourier_matrix`) is kept where every eigenvalue
-is needed: the realized spectrum and :func:`mixing_scan`, whose residual
-series is one matvec per word length.
+The rule is a sum of exponentials in ``T``, so one run also gives
+:func:`mixing_scan` its whole series.  The dense ``M``
+(:func:`fourier_matrix`) serves only the realized spectrum and a mixing
+scan's norm and smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,6 +105,7 @@ RUN_POSITIONS = 1 << 16  # symbol positions (rows x T) per merged run
 KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
 _AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
+_NORMAL = np.finfo(float).tiny  # smallest normal double
 
 
 class BruteForceGuardError(ValueError):
@@ -321,8 +323,8 @@ def fourier_matrix(dist: StepDistribution) -> np.ndarray:
     times ``std(left) (x) std(right)``; all pairs go through one product
     (:func:`_kron_sum`).  Symmetric (all support actions are involutions
     and the representation is orthogonal) with spectral norm at most 1
-    (convex combination of orthogonal matrices).  Built only where every
-    eigenvalue is needed: the realized spectrum and :func:`mixing_scan`.
+    (convex combination of orthogonal matrices).  Built only for the realized
+    spectrum and the norm and smallest eigenvalue of :func:`mixing_scan`.
     """
     factors = _factor_stack(dist.n_states)
     weights = np.zeros((factors.shape[0], factors.shape[0]))
@@ -334,15 +336,6 @@ def fourier_matrix(dist: StepDistribution) -> np.ndarray:
 def diagonal_vector(n_states: int) -> np.ndarray:
     """The vectorized identity of the standard representation's space."""
     return np.eye(n_states - 1).reshape(-1)
-
-
-def _residuals(matrix: np.ndarray, n_states: int) -> Iterator[float]:
-    """``v' M^t v / n`` for ``t = 0, 1, 2, ...``, one matvec per step."""
-    vector = diagonal_vector(n_states)
-    power = vector
-    while True:
-        yield float(vector @ power) / n_states
-        power = matrix @ power
 
 
 @dataclass(frozen=True)
@@ -381,7 +374,7 @@ def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> Agr
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     n = a.n_states
-    residual = float(_gauss_residuals([(a, b)], word_length)[0])
+    residual = float(_gauss_residuals([(a, b)], [word_length])[0, 0])
     return AgreementReport(n, word_length, 1.0 / n + residual, residual, "spectral")
 
 
@@ -420,8 +413,9 @@ def _pair_chain(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> Callabl
     return step
 
 
-def _gauss_rule(alpha: np.ndarray, beta: np.ndarray, word_length: int) -> np.ndarray:
-    """``sum_i S_0i^2 (1 - mu_i)^T`` of each Lanczos tridiagonal ``S diag(mu) S'`` of ``I - M``.
+def _gauss_rule(alpha: np.ndarray, beta: np.ndarray, word_lengths: np.ndarray) -> np.ndarray:
+    """``sum_i S_0i^2 (1 - mu_i)^T`` of each Lanczos tridiagonal ``S diag(mu) S'`` of ``I - M``,
+    shape ``(pairs, word lengths)``.
 
     ``(1 - mu)^T`` is taken as ``exp(T log1p(-mu))`` where ``mu < 1``:
     rounding ``1 - mu`` first would cost up to ``T`` ulps of relative error.
@@ -434,50 +428,54 @@ def _gauss_rule(alpha: np.ndarray, beta: np.ndarray, word_length: int) -> np.nda
     tridiagonal[:, index, index] = alpha
     tridiagonal[:, index[1:], index[:-1]] = tridiagonal[:, index[:-1], index[1:]] = beta
     mu, vectors = np.linalg.eigh(tridiagonal)
-    mu = np.clip(mu, 0.0, 2.0)
-    power, slow = np.empty_like(mu), mu < 1.0
-    power[slow] = np.exp(word_length * np.log1p(-mu[slow]))
-    power[~slow] = (1.0 - mu[~slow]) ** word_length
-    return np.einsum("pi,pi->p", vectors[:, 0] ** 2, power)
+    mu = np.clip(mu, 0.0, 2.0)[:, None, :]
+    slow = mu < 1.0
+    exponent = word_lengths[:, None] * np.log1p(-np.where(slow, mu, 0.0))
+    # exp is 0 below -746, and numpy's exp is slow to underflow there
+    power = np.exp(exponent, out=np.zeros_like(exponent), where=exponent > -746.0)
+    pairs, _, ritz = np.nonzero(~slow)
+    power[pairs, :, ritz] = (1.0 - mu[pairs, 0, ritz, None]) ** word_lengths
+    return np.einsum("pi,pti->pt", vectors[:, 0] ** 2, power)
 
 
 def _gauss_residuals(
-    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_length: int
+    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_lengths: Sequence[int]
 ) -> np.ndarray:
-    """``p_agree - 1/n`` of each pair, in chunks whose Lanczos basis holds
-    at most :data:`KRYLOV_ELEMENTS` entries at the largest step they may need."""
-    n = pairs[0][0].n_states
-    if word_length == 0:
-        return np.full(len(pairs), (n - 1) / n)
+    """``p_agree - 1/n`` of each pair at each word length (``T = 0`` gives exactly
+    ``(n-1)/n``), in chunks whose Lanczos basis holds at most
+    :data:`KRYLOV_ELEMENTS` entries at the largest step they may need."""
+    n, lengths = pairs[0][0].n_states, np.asarray(word_lengths, dtype=np.int64)
+    if not lengths.any():
+        return np.full((len(pairs), lengths.size), (n - 1) / n)
     # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
-    steps = min((n - 1) ** 2, word_length // 2 + 1)
+    steps = min((n - 1) ** 2, int(lengths.max()) // 2 + 1)
     chunk = max(1, KRYLOV_ELEMENTS // (steps * n * n))
-    return np.concatenate(
-        [
-            _gauss_chunk(pairs[low : low + chunk], word_length, steps)
-            for low in range(0, len(pairs), chunk)
-        ]
+    residuals = np.concatenate(
+        [_gauss_chunk(pairs[low : low + chunk], lengths, steps)
+         for low in range(0, len(pairs), chunk)]
     )
+    residuals[:, lengths == 0] = (n - 1) / n
+    return residuals
 
 
 def _gauss_chunk(
-    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_length: int, steps: int
+    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_lengths: np.ndarray, steps: int
 ) -> np.ndarray:
     """Lanczos on ``I - M`` from ``Y_0 = I - J/n`` for every pair at once.
 
     The residual is ``||Y_0||^2 / n`` times the Gauss rule.  A pair stops
-    at the first ``k`` where the rule is exact (``2k - 1 >= T``, or the
-    Krylov space closed) or agrees with the one at ``k - 1``.  Each vector
-    is fully reorthogonalised, then re-centred: rounding that leaves the
-    centred space grows each step and shows up as spurious Ritz values.
+    at the first ``k`` where the rule is exact (``2k - 1 >= max T``, or the
+    Krylov space closed) or agrees with the one at ``k - 1`` at every ``T``.
+    Each vector is fully reorthogonalised, then re-centred: rounding that
+    leaves the centred space grows each step and shows up as spurious Ritz values.
     """
     n, count = pairs[0][0].n_states, len(pairs)
     step = _pair_chain(pairs)
     basis = np.empty((count, min(steps, 16), n * n))
     basis[:, 0] = ((np.eye(n) - 1.0 / n) / math.sqrt(n - 1)).reshape(-1)
     alpha, beta = np.zeros((count, steps)), np.zeros((count, steps))
-    residuals, active = np.zeros(count), np.ones(count, dtype=bool)
-    previous = np.full(count, np.nan)
+    residuals, active = np.zeros((count, word_lengths.size)), np.ones(count, dtype=bool)
+    previous = np.full_like(residuals, np.nan)
     for k in range(1, steps + 1):
         vector = basis[:, k - 1]
         product = step(vector.reshape(count, n, n)).reshape(count, n * n)
@@ -487,10 +485,13 @@ def _gauss_chunk(
             product -= np.einsum("pji,pj->pi", basis[:, :k], weights)
         product = _centred(product.reshape(count, n, n)).reshape(count, n * n)
         beta[:, k - 1] = np.linalg.norm(product, axis=1)
-        estimate = _gauss_rule(alpha[:, :k], beta[:, : k - 1], word_length)
+        estimate = _gauss_rule(alpha[:, :k], beta[:, : k - 1], word_lengths)
         closed = beta[:, k - 1] <= _BREAKDOWN
-        done = closed | (np.abs(estimate - previous) <= _AGREE_RTOL * np.abs(estimate))
-        done |= 2 * k - 1 >= word_length
+        agree = np.abs(estimate - previous) <= _AGREE_RTOL * np.abs(estimate)
+        # a subnormal tail has too few digits to agree; it passes once a normal T agrees
+        tail = np.maximum(np.abs(estimate), np.abs(previous)) < _NORMAL
+        agree |= tail & (agree & ~tail).any(axis=1, keepdims=True)
+        done = closed | agree.all(axis=1) | (2 * k - 1 >= word_lengths.max())
         residuals[active & done] = estimate[active & done]
         active &= ~done
         if not active.any():
@@ -504,7 +505,7 @@ def _gauss_chunk(
         # a closed space goes on with zero vectors, which leave its rule as it is
         basis[:, k] = product / np.where(closed, np.inf, beta[:, k - 1])[:, None]
     raise ArithmeticError(
-        f"Lanczos-Gauss residual did not converge in {steps} steps (n={n}, T={word_length})"
+        f"Lanczos-Gauss residual did not converge in {steps} steps (n={n}, T={word_lengths.max()})"
     )
 
 
@@ -727,7 +728,9 @@ class MixingPoint:
 class MixingScan:
     """Residual series of a pair with bound applicability flags and violations.
 
-    The upper envelope ``(1 - 1/(2n))^T`` binds whenever the Fourier
+    The series is the Lanczos-Gauss rule (:func:`_gauss_residuals`) and the two
+    eigenvalues come from the dense Fourier matrix.  The upper envelope
+    ``(1 - 1/(2n))^T`` binds whenever the Fourier
     matrix norm is at most ``1 - 1/(2n)``; the lower envelope
     ``(1/2)(1 - 3/n)^T`` binds whenever the matrix is positive definite
     with smallest eigenvalue at least ``(n-3)/(n-1) - 1/(2n)``.
@@ -744,7 +747,8 @@ class MixingScan:
 
 
 def mixing_scan(a: Semiautomaton, b: Semiautomaton, t_max: int) -> MixingScan:
-    """Residuals for word lengths ``0..t_max`` checked against both envelopes."""
+    """Residuals for word lengths ``0..t_max``, from one Lanczos-Gauss run,
+    checked against both envelopes."""
     if t_max < 1:
         raise ValueError("need t_max >= 1")
     _check_compatible(a, b)
@@ -755,8 +759,9 @@ def mixing_scan(a: Semiautomaton, b: Semiautomaton, t_max: int) -> MixingScan:
     min_eig = float(eigenvalues[0])
     upper_applies = norm <= 1.0 - 1.0 / (2 * n)
     lower_applies = min_eig > 0.0 and min_eig >= (n - 3) / (n - 1) - 1.0 / (2 * n)
+    residuals = _gauss_residuals([(a, b)], np.arange(t_max + 1))[0].tolist()
     points = []
-    for t, residual in zip(range(t_max + 1), _residuals(matrix, n)):
+    for t, residual in enumerate(residuals):
         upper = (1.0 - 1.0 / (2 * n)) ** t
         lower = 0.5 * (1.0 - 3.0 / n) ** t
         points.append(MixingPoint(t, 1.0 / n + residual, residual, upper, lower))
@@ -767,12 +772,6 @@ def mixing_scan(a: Semiautomaton, b: Semiautomaton, t_max: int) -> MixingScan:
         p.word_length for p in points if lower_applies and p.residual < p.lower_bound
     )
     return MixingScan(
-        n,
-        norm,
-        min_eig,
-        upper_applies,
-        lower_applies,
-        tuple(points),
-        upper_violations,
+        n, norm, min_eig, upper_applies, lower_applies, tuple(points), upper_violations,
         lower_violations,
     )

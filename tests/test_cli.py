@@ -282,6 +282,38 @@ def test_config_keys_the_command_would_ignore_are_rejected(tmp_path, family_file
 
 
 @pytest.mark.parametrize(
+    "command, key, value, problem",
+    [
+        ("mixing", "t_max", 3.9, "config key 't_max' must be int, got 3.9"),
+        ("pagree", "t", True, "config key 't' must be int, got True"),
+        ("oracle", "tau", "0.5", "config key 'tau' must be int or float, got '0.5'"),
+        ("pagree", "members", [0, 1], "config key 'members' must be str, got [0, 1]"),
+        ("pagree", "t", None, "config key 't' must be int, got None"),
+    ],
+)
+def test_config_values_of_the_wrong_type_fail_on_the_error_line(
+    tmp_path, family_file, capsys, command, key, value, problem
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert run_cli([command, "--config", config, "--family", family_file]) == 1
+    assert error_message(capsys) == problem
+
+
+def test_config_null_and_numbers_where_the_flag_takes_them(tmp_path, family_file, capsys):
+    config = tmp_path / "config.json"
+    # null certify t and d keep their computed defaults; an integral tau is a number
+    config.write_text(json.dumps({"family": str(family_file), "t": None, "d": None}))
+    assert run_cli(["certify", "--config", config]) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["config"]["d"] == 6
+    queries = tmp_path / "queries.json"
+    queries.write_text(json.dumps([{"builtin": "final-state-parity"}]))
+    config.write_text(json.dumps({"tau": 1, "queries": str(queries)}))
+    assert run_cli(["oracle", "--config", config, "--family", family_file]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["config"]["tau"] == 1
+
+
+@pytest.mark.parametrize(
     "builtin, params, problem",
     [
         ("label-indicator", {"label": 1, "bogus": 9}, "unknown 'bogus'"),

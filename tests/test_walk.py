@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -238,9 +239,9 @@ def test_gauss_residuals_do_not_depend_on_chunking(monkeypatch):
         return run_chunk(chunk, t, steps)
 
     monkeypatch.setattr(walk, "_gauss_chunk", counted)
-    together = walk._gauss_residuals(pairs, 90)
+    together = walk._gauss_residuals(pairs, [90])[:, 0]
     monkeypatch.setattr(walk, "KRYLOV_ELEMENTS", 1)  # one pair per chunk
-    alone = walk._gauss_residuals(pairs, 90)
+    alone = walk._gauss_residuals(pairs, [90])[:, 0]
     assert chunks == [4, 1, 1, 1, 1]
     assert alone == pytest.approx(together, rel=1e-12, abs=1e-300)
     singles = [agreement_exact(x, y, 90).residual for x, y in pairs]
@@ -448,10 +449,72 @@ def test_fixed_point_fourier_check_refuses_large_n():
 
 
 def test_mixing_scan_residual_at_zero():
-    a, b = random_pair(5, 2, 16)
-    scan = mixing_scan(a, b, 3)
-    assert scan.points[0].residual == pytest.approx(4 / 5, abs=1e-12)
-    assert scan.points[0].p_agree == pytest.approx(1.0, abs=1e-12)
+    for n in (3, 5, 7):
+        a, b = random_pair(n, 2, 16)
+        for x, y in ((a, b), (a, a)):
+            scan = mixing_scan(x, y, 3)
+            assert scan.points[0].residual == (n - 1) / n
+            assert scan.points[0].p_agree == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 12), st.integers(1, 3), st.integers(1, 200), st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_mixing_series_equals_dense_matvecs(n, k, t_max, seed, same):
+    a, b = random_pair(n, k, seed)
+    if same:
+        b = a
+    matrix = fourier_matrix(step_distribution(a, b))
+    vector = power = diagonal_vector(n)
+    expected = []
+    for _ in range(t_max + 1):
+        expected.append(float(vector @ power) / n)
+        power = matrix @ power
+    series = [point.residual for point in mixing_scan(a, b, t_max).points]
+    assert len(series) == t_max + 1
+    for residual, dense in zip(series, expected):
+        assert abs(residual - dense) <= max(1e-10 * abs(dense), 1e-13)
+
+
+@pytest.mark.parametrize("n, k, t", [(4, 1, 7), (6, 2, 55), (9, 3, 180), (12, 1, 400)])
+def test_mixing_series_ends_at_the_single_word_length_residual(n, k, t):
+    a, b = random_pair(n, k, n + t)
+    single = agreement_exact(a, b, t).residual
+    assert mixing_scan(a, b, t).points[t].residual == pytest.approx(single, rel=1e-11)
+
+
+@pytest.mark.parametrize("n, k, seed", [(10, 1, 3272444790), (12, 2, 3834164936)])
+def test_subnormal_tail_adds_no_lanczos_steps(n, k, seed, monkeypatch):
+    # held to the relative test, these tails cost 3 more Lanczos steps
+    a, b = build_family(FamilyConfig(n, k, 2, 0.5, seed)).members
+    steps = []
+    rule = walk._gauss_rule
+
+    def counted(alpha, beta, t):
+        steps.append(alpha.shape[1])
+        return rule(alpha, beta, t)
+
+    monkeypatch.setattr(walk, "_gauss_rule", counted)
+    series = walk._gauss_residuals([(a, b)], np.arange(30001))[0]
+    with_tail = max(steps)
+    normal = np.nonzero(np.abs(series) >= np.finfo(float).tiny)[0]
+    assert normal.max() < 30000  # the series ends in a subnormal (or zero) tail
+    steps.clear()
+    cut = walk._gauss_residuals([(a, b)], np.arange(normal.max() + 1))[0]
+    assert max(steps) == with_tail
+    assert np.array_equal(cut, series[: normal.max() + 1])
+
+
+@pytest.mark.parametrize("n, k, t_max", [(5, 1, 20000), (20, None, 2000)])
+def test_mixing_scan_long_series_is_fast(n, k, t_max):
+    # at n=5, k=1 the tail of the series is subnormal and must not hold up the kernel
+    a, b = random_pair(n, k or min_alphabet_copies(n), 1)
+    started = time.perf_counter()
+    scan = mixing_scan(a, b, t_max)
+    assert time.perf_counter() - started < 1.0
+    assert len(scan.points) == t_max + 1
 
 
 def test_mixing_scan_monotone_residual_for_psd_matrix():
