@@ -1,12 +1,13 @@
 """Config-driven experiment runner.
 
 Subcommands: ``family``, ``pagree``, ``spectrum``, ``mixing``, ``certify``,
-``oracle``.  Every run resolves its parameters as CLI flags over an
-optional JSON config file over built-in defaults, embeds the resolved
-config (plus tool version and a git-style blob hash of any input family
-file) in the output, and is byte-for-byte reproducible from
-``(config, seed)`` regardless of ``--jobs``.  Timing goes to stderr, not
-into the output; a failure prints one JSON error line to stderr instead.
+``oracle``.  One table, :data:`_FLAGS`, declares each command's flags (type
+or choices, default, help).  A run resolves its parameters as CLI flags over
+an optional JSON config file (checked against that table) over the defaults,
+embeds the resolved config (plus tool version and a git-style blob hash of
+any input family file) in the output, and is byte-for-byte reproducible from
+``(config, seed)`` regardless of ``--jobs``.  Timing goes to stderr, not into
+the output; a failure prints one JSON error line to stderr instead.
 
 ``pagree --method`` takes a key of :data:`sqsa.walk.AGREEMENT_METHODS`
 (``spectral``, ``brute``, ``mc``) and reports its label (``spectral``,
@@ -53,28 +54,56 @@ from .walk import (
 
 __all__ = ["main"]
 
-_DEFAULTS: dict[str, dict] = {
-    "family": {"n": 5, "k": None, "m": 32, "p": 0.5, "seed": 0},
-    "pagree": {
-        "members": "0,1",
-        "t": 10,
-        "method": "spectral",
-        "samples": 100_000,
-        "seed": 0,
-        "format": "json",
-    },
-    "spectrum": {"method": "expected", "n": 5, "p": 0.5, "members": "0,1", "format": "csv"},
-    "mixing": {"members": "0,1", "t_max": 100, "format": "csv"},
-    "certify": {"t": None, "d": None, "format": "json"},
-    "oracle": {"t": 10, "tau": 0.1, "seed": 0, "samples": None, "format": "jsonl"},
-}
+_UNSET = object()  # no default: ``meta.config`` holds the flag only once it is set
 
-_FORMATS: dict[str, set[str]] = {
-    "pagree": {"json"},
-    "spectrum": {"csv", "json"},
-    "mixing": {"csv", "json"},
-    "certify": {"json"},
-    "oracle": {"jsonl"},
+# command -> flag -> (type, or the choices of a string flag; default; help text).
+# The parser, the resolved defaults and the config-file checks all read it.
+_FLAGS: dict[str, dict[str, tuple]] = {
+    "family": {
+        "n": (int, 5, "number of states"),
+        "k": (int, None, "alphabet copies (default: gap threshold for n>=4, else 1)"),
+        "m": (int, 32, "number of members"),
+        "p": (float, 0.5, "Bernoulli mask parameter"),
+        "seed": (int, 0, None),
+    },
+    "pagree": {
+        "format": (("json",), "json", None),
+        "family": (str, _UNSET, "family file"),
+        "members": (str, "0,1", "pair of member indices, e.g. 0,1"),
+        "t": (int, 10, "word length"),
+        "method": (tuple(AGREEMENT_METHODS), "spectral", None),
+        "samples": (int, 100_000, "Monte Carlo samples"),
+        "seed": (int, 0, "Monte Carlo seed"),
+    },
+    "spectrum": {
+        "format": (("csv", "json"), "csv", None),
+        "method": (("expected", "realized"), "expected", None),
+        "n": (int, 5, "states (expected method)"),
+        "p": (float, 0.5, "mask parameter (expected method)"),
+        "family": (str, _UNSET, "family file (realized method)"),
+        "members": (str, "0,1", "pair of member indices (realized method)"),
+    },
+    "mixing": {
+        "format": (("csv", "json"), "csv", None),
+        "family": (str, _UNSET, "family file"),
+        "members": (str, "0,1", "pair of member indices"),
+        "t_max": (int, 100, None),
+    },
+    "certify": {
+        "format": (("json",), "json", None),
+        "family": (str, _UNSET, "family file"),
+        "t": (int, None, "word length (default: mixing length for n)"),
+        "d": (int, None, "certificate dimension (default: family size)"),
+    },
+    "oracle": {
+        "format": (("jsonl",), "jsonl", None),
+        "family": (str, _UNSET, "family file"),
+        "t": (int, 10, "word length"),
+        "tau": (float, 0.1, "query tolerance"),
+        "seed": (int, 0, "session seed for sampled statistics"),
+        "samples": (int, None, "Monte Carlo samples per query; omit for exact answers"),
+        "queries": (str, _UNSET, "JSON file: list of {builtin, params}"),
+    },
 }
 
 
@@ -93,106 +122,62 @@ def _git_blob_sha1(data: bytes) -> str:
     return digest.hexdigest()
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The CLI parser and each subcommand's own parser."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; every flag but ``--config``, ``--out`` and ``--jobs`` is
+    read from :data:`_FLAGS` and left ``None`` when not given."""
     parser = argparse.ArgumentParser(
         prog="sqsa",
         description="shuffle-semiautomaton agreement, spectrum, and SQ-oracle experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="JSON config file; flags override its keys")
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--jobs", type=int, help="worker threads (never changes results)")
-        if name in _FORMATS:
-            cmd.add_argument("--format", choices=sorted(_FORMATS[name]))
-        return cmd
-
-    family = add("family", "generate a shuffle family and write the family file")
-    family.add_argument("--n", type=int, help="number of states")
-    family.add_argument("--k", type=int, help="alphabet copies (default: gap threshold for n>=4, else 1)")
-    family.add_argument("--m", type=int, help="number of members")
-    family.add_argument("--p", type=float, help="Bernoulli mask parameter")
-    family.add_argument("--seed", type=int)
-
-    pagree = add("pagree", "agreement probability of a member pair")
-    pagree.add_argument("--family", help="family file")
-    pagree.add_argument("--members", help="pair of member indices, e.g. 0,1")
-    pagree.add_argument("--t", type=int, help="word length")
-    pagree.add_argument("--method", choices=list(AGREEMENT_METHODS))
-    pagree.add_argument("--samples", type=int, help="Monte Carlo samples")
-    pagree.add_argument("--seed", type=int, help="Monte Carlo seed")
-
-    spectrum = add("spectrum", "expected-operator or realized Fourier-matrix spectrum")
-    spectrum.add_argument("--method", choices=["expected", "realized"])
-    spectrum.add_argument("--n", type=int, help="states (expected method)")
-    spectrum.add_argument("--p", type=float, help="mask parameter (expected method)")
-    spectrum.add_argument("--family", help="family file (realized method)")
-    spectrum.add_argument("--members", help="pair of member indices (realized method)")
-
-    mixing = add("mixing", "residual decay scan with closed-form envelopes")
-    mixing.add_argument("--family", help="family file")
-    mixing.add_argument("--members", help="pair of member indices")
-    mixing.add_argument("--t-max", dest="t_max", type=int)
-
-    certify = add("certify", "pairwise-correlation certificate over family members")
-    certify.add_argument("--family", help="family file")
-    certify.add_argument("--t", type=int, help="word length (default: mixing length for n)")
-    certify.add_argument("--d", type=int, help="certificate dimension (default: family size)")
-
-    oracle = add("oracle", "scripted adversarial-oracle session transcript")
-    oracle.add_argument("--family", help="family file")
-    oracle.add_argument("--t", type=int, help="word length")
-    oracle.add_argument("--tau", type=float, help="query tolerance")
-    oracle.add_argument("--seed", type=int, help="session seed for sampled statistics")
-    oracle.add_argument("--samples", type=int, help="Monte Carlo samples per query; omit for exact answers")
-    oracle.add_argument("--queries", help="JSON file: list of {builtin, params}")
-    return parser, sub.choices
+        for key, (kind, _, flag_help) in _FLAGS[name].items():
+            choices = kind if isinstance(kind, tuple) else None
+            flag = "--" + key.replace("_", "-")
+            cmd.add_argument(flag, type=None if choices else kind, choices=choices, help=flag_help)
+    return parser
 
 
-# a flag's argparse type -> the JSON types its config-file value may have
-_CONFIG_TYPES: dict[type | None, tuple[type, ...]] = {
-    int: (int,), float: (int, float), None: (str,)
-}
-
-
-def _resolve_config(args: argparse.Namespace, command: argparse.ArgumentParser) -> dict:
+def _resolve_config(args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags; the file may set the command's
     own flags except ``--out`` and ``--jobs``, and any other key is rejected.
 
     A file value must have its flag's type: an int flag takes an integer
-    (not a boolean), a float flag a number, any other flag a string; ``null``
-    is taken only where the default is unset.  The value that runs is then
-    the value that ``meta.config`` echoes.
+    (not a boolean), a float flag a number, a string flag a string, and a
+    flag with choices one of them; ``null`` is taken only where the default
+    is unset.  The value that runs is then the value that ``meta.config`` echoes.
     """
-    accepted = set(vars(args)) - {"command", "config", "out", "jobs"}
-    resolved = dict(_DEFAULTS[args.command])
+    flags = _FLAGS[args.command]
+    resolved = {key: default for key, (_, default, _) in flags.items() if default is not _UNSET}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - accepted
+        unknown = set(loaded) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-        types = {action.dest: action.type for action in command._actions}
         for key, value in loaded.items():
-            allowed = _CONFIG_TYPES[types[key]]
-            if value is None and resolved.get(key) is None:
+            kind, default, _ = flags[key]
+            if value is None and (default is None or default is _UNSET):
                 continue
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                names = " or ".join(kind.__name__ for kind in allowed)
-                raise ValueError(f"config key {key!r} must be {names}, got {value!r}")
+            if isinstance(kind, tuple):
+                wanted, fits = f"one of {list(kind)}", value in kind
+            else:
+                allowed = (int, float) if kind is float else (kind,)
+                wanted = " or ".join(json_type.__name__ for json_type in allowed)
+                fits = isinstance(value, allowed) and not isinstance(value, bool)
+            if not fits:
+                raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
         resolved.update(loaded)
-    for key in accepted:
+    for key in flags:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    fmt = resolved.get("format")
-    if fmt is not None and fmt not in _FORMATS[args.command]:
-        raise ValueError(f"format {fmt!r} not supported by {args.command}")
     return resolved
 
 
@@ -289,22 +274,17 @@ def _grouped_eigenvalues(matrix: np.ndarray, tol: float = 1e-8) -> list[tuple[fl
 
 
 def _cmd_spectrum(config: dict, jobs: int) -> bytes:
-    sha1 = None
-    closed: list[Fraction | None]
+    sha1, closed_forms = None, []
     if config["method"] == "expected":
         n = int(config["n"])
         matrix = expected_operator(n, float(config["p"]))
-        groups = _grouped_eigenvalues(matrix)
         closed_forms = [entry[0] for entry in expected_spectrum(n)] if n >= 4 else []
-        closed = [closed_forms[i] if i < len(closed_forms) else None for i in range(len(groups))]
-    elif config["method"] == "realized":
+    else:
         family, sha1 = _load_family(config.get("family"))
         i, j = _parse_members(config["members"], family)
         matrix = fourier_matrix(step_distribution(family.members[i], family.members[j]))
-        groups = _grouped_eigenvalues(matrix)
-        closed = [None] * len(groups)
-    else:
-        raise ValueError(f"unknown spectrum method {config['method']!r}")
+    groups = _grouped_eigenvalues(matrix)
+    closed: list[Fraction | None] = closed_forms + [None] * (len(groups) - len(closed_forms))
     meta = _meta("spectrum", config, sha1)
     if config["format"] == "json":
         result = [
@@ -384,26 +364,26 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# command -> (handler, help text)
 _COMMANDS = {
-    "family": _cmd_family,
-    "pagree": _cmd_pagree,
-    "spectrum": _cmd_spectrum,
-    "mixing": _cmd_mixing,
-    "certify": _cmd_certify,
-    "oracle": _cmd_oracle,
+    "family": (_cmd_family, "generate a shuffle family and write the family file"),
+    "pagree": (_cmd_pagree, "agreement probability of a member pair"),
+    "spectrum": (_cmd_spectrum, "expected-operator or realized Fourier-matrix spectrum"),
+    "mixing": (_cmd_mixing, "residual decay scan with closed-form envelopes"),
+    "certify": (_cmd_certify, "pairwise-correlation certificate over family members"),
+    "oracle": (_cmd_oracle, "scripted adversarial-oracle session transcript"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        config = _resolve_config(args, commands[args.command])
+        config = _resolve_config(args)
         if args.jobs is not None and args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         jobs = args.jobs or os.cpu_count() or 1
-        payload = _COMMANDS[args.command](config, jobs)
+        payload = _COMMANDS[args.command][0](config, jobs)
         if args.out:
             Path(args.out).write_bytes(payload)
             destination = args.out

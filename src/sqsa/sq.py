@@ -334,8 +334,8 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
             pairs = [(survivor, reference) for survivor in survivors]
             residuals = _gauss_residuals(pairs, [dist.word_length])[:, 0]
         else:
-            draws = dist.strata(samples, session.seed, (len(session.ledger),))
-            p_agree = _count_agreements(reference, survivors, draws, jobs=1) / samples
+            runs = dist.strata(samples, session.seed, (len(session.ledger),))
+            p_agree = _count_agreements(reference, survivors, runs, jobs=1) / samples
             residuals = p_agree - 1.0 / dist.n_states
             stderr = np.sqrt(p_agree * (1.0 - p_agree) / samples)
     slack = 0.0 if stderr is None else 4.0 * stderr

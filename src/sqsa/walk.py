@@ -23,9 +23,9 @@ report names its route with a label:
   :meth:`WordDistribution.strata`, with a standard error.
 
 Both input routes count agreements as integers over ``run_words``
-(:func:`_count_agreements`, which the sampled oracle also calls), on draws
-joined by :func:`merge_draws` into runs of bounded size.  Counts are
-integers, so neither the merging nor the order of runs changes a result.
+(:func:`_count_agreements`, which the sampled oracle also calls), on the
+runs of bounded size that :class:`WordDistribution` sizes itself.  Counts
+are integers, so neither the run sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -44,7 +44,9 @@ second difference ``Y_ii + Y_jj - Y_ij - Y_ji`` of each transposition
 matvec.  The step is self-adjoint in the Frobenius product, so ``k``
 Lanczos steps from ``Y_0 = I - J/n`` give a Gauss rule for
 ``v' M^T v = <Y_0, M^T Y_0>``, exact once ``2k - 1 >= T``
-(Golub & Meurant, "Matrices, moments and quadrature", 1994).  Pairs are
+(Golub & Meurant, "Matrices, moments and quadrature", 1994).  A run stops
+sooner once successive rules agree, in log magnitude where both are
+subnormal, and a Gauss weight of rounding size counts as zero.  Pairs are
 run as one stack, so ``certify`` pays one Lanczos run for all its pairs.
 The residual is the primary quantity and ``p_agree = 1/n + residual``,
 so it keeps its relative accuracy far below the rounding of ``p_agree``.
@@ -76,7 +78,6 @@ __all__ = [
     "AgreementReport",
     "BRUTE_FORCE_LIMIT",
     "BruteForceGuardError",
-    "Draw",
     "FixedPointFourierReport",
     "MixingPoint",
     "MixingScan",
@@ -91,7 +92,6 @@ __all__ = [
     "expected_spectrum",
     "fixed_point_fourier_check",
     "fourier_matrix",
-    "merge_draws",
     "mixing_scan",
     "spectral_norm",
     "step_distribution",
@@ -100,12 +100,15 @@ __all__ = [
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-BLOCK_INPUTS = 1 << 15  # (word, start) inputs per exhaustive block or merged run
-RUN_POSITIONS = 1 << 16  # symbol positions (rows x T) per merged run
+BLOCK_INPUTS = 1 << 15  # (word, start) inputs per run of an input stream
+RUN_POSITIONS = 1 << 16  # symbol positions (rows x T) per run of sampled strata
 KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
 _AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
 _NORMAL = np.finfo(float).tiny  # smallest normal double
+# Gauss weights below this are rounding, on modes that Y_0 does not touch: they turn
+# up once the Krylov space is spent, and at large T their decay may be the slowest
+_ROUNDING_WEIGHT = 1e-20
 
 
 class BruteForceGuardError(ValueError):
@@ -120,52 +123,7 @@ class BruteForceGuardError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Draw:
-    """One lazily made ``(words, starts)`` batch of a :class:`WordDistribution`.
-
-    ``inputs`` counts its (word, start) pairs and ``positions`` its symbol
-    positions (rows x T), both known before ``make`` runs.
-    """
-
-    inputs: int
-    positions: int
-    make: Callable[[], tuple[np.ndarray, np.ndarray]]
-
-    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.make()
-
-
 Run = Callable[[], tuple[np.ndarray, np.ndarray]]
-
-
-def merge_draws(draws: Sequence[Draw]) -> list[Run]:
-    """Consecutive draws joined into runs of at most :data:`BLOCK_INPUTS` inputs
-    and :data:`RUN_POSITIONS` symbol positions; a draw over either runs alone.
-
-    Grouping reads only the draws' sizes, so each run makes its draws when
-    called, on whichever worker calls it.  A run returns its draws' words
-    and starts concatenated in draw order; a run of one draw returns the
-    draw's arrays as made.
-    """
-    groups: list[list[Draw]] = []
-    inputs = positions = 0
-    for draw in draws:
-        inputs += draw.inputs
-        positions += draw.positions
-        if not groups or inputs > BLOCK_INPUTS or positions > RUN_POSITIONS:
-            groups.append([])
-            inputs, positions = draw.inputs, draw.positions
-        groups[-1].append(draw)
-    return [functools.partial(_run, group) for group in groups]
-
-
-def _run(group: list[Draw]) -> tuple[np.ndarray, np.ndarray]:
-    parts = [draw() for draw in group]
-    if len(parts) == 1:
-        return parts[0]
-    words, starts = (np.concatenate(arrays) for arrays in zip(*parts))
-    return words, starts
 
 
 @dataclass(frozen=True)
@@ -183,57 +141,61 @@ class WordDistribution:
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
 
-    def blocks(self) -> list[Draw]:
-        """Every input once, in draws of at most :data:`BLOCK_INPUTS` inputs.
+    def blocks(self) -> list[Run]:
+        """Every input once, in runs of at most :data:`BLOCK_INPUTS` inputs.
 
-        A draw's words ``(B, T)`` are in counting order (column-major, the
+        A run's words ``(B, T)`` are in counting order (column-major, the
         layout ``run_words`` reads); its starts ``(B, n)`` are every start.
         """
         n, length, base = self.n_states, self.word_length, self.n_symbols
         total, size = base**length, max(1, BLOCK_INPUTS // n)
 
-        def rows(low: int) -> int:
-            return min(size, total - low)
-
-        def draw(low: int) -> tuple[np.ndarray, np.ndarray]:
-            index = np.arange(low, low + rows(low), dtype=np.int64)
+        def run(low: int) -> tuple[np.ndarray, np.ndarray]:
+            index = np.arange(low, min(low + size, total), dtype=np.int64)
             words = np.empty((length, index.shape[0]), dtype=np.int64).T
             for t in range(length - 1, -1, -1):
                 words[:, t] = index % base
                 index //= base
             return words, np.broadcast_to(np.arange(n, dtype=np.int64), (words.shape[0], n))
 
-        return [
-            Draw(rows(low) * n, rows(low) * length, functools.partial(draw, low))
-            for low in range(0, total, size)
-        ]
+        return [functools.partial(run, low) for low in range(0, total, size)]
 
-    def strata(
-        self, samples: int, seed: int, key: tuple[int, ...] = ()
-    ) -> list[Draw]:
-        """One ``(words, starts)`` draw per non-empty stratum of ``samples`` inputs.
+    def strata(self, samples: int, seed: int, key: tuple[int, ...] = ()) -> list[Run]:
+        """``samples`` inputs over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
 
-        Stratum ``s`` draws from its own Philox substream, spawn key
-        ``key + (s,)``, so no draw depends on which worker makes it.
+        A run holds at most :data:`BLOCK_INPUTS` inputs and
+        :data:`RUN_POSITIONS` symbol positions (rows x T); a stratum over
+        either runs alone.  Stratum ``s`` draws from its own Philox
+        substream, spawn key ``key + (s,)``, so no run depends on which
+        worker makes it.  A run returns its strata's words and starts
+        concatenated in stratum order, and a one-stratum run its arrays as drawn.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
         base, extra = divmod(samples, SAMPLE_STRATA)
-
-        def count(stratum: int) -> int:
-            return base + (1 if stratum < extra else 0)
+        # strata past the first ``samples`` would draw nothing
+        counts = [base + (1 if s < extra else 0) for s in range(min(samples, SAMPLE_STRATA))]
 
         def draw(stratum: int) -> tuple[np.ndarray, np.ndarray]:
             sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
             rng = np.random.Generator(np.random.Philox(sequence))
-            words = rng.integers(0, self.n_symbols, size=(count(stratum), self.word_length))
-            return words, rng.integers(0, self.n_states, size=count(stratum))
+            words = rng.integers(0, self.n_symbols, size=(counts[stratum], self.word_length))
+            return words, rng.integers(0, self.n_states, size=counts[stratum])
 
-        # strata past the first ``samples`` would draw nothing
-        return [
-            Draw(count(s), count(s) * self.word_length, functools.partial(draw, s))
-            for s in range(min(samples, SAMPLE_STRATA))
-        ]
+        def run(strata: range) -> tuple[np.ndarray, np.ndarray]:
+            if len(strata) == 1:
+                return draw(strata[0])
+            words, starts = zip(*map(draw, strata))
+            return np.concatenate(words), np.concatenate(starts)
+
+        firsts, inputs = [], 0
+        for stratum, count in enumerate(counts):
+            inputs += count
+            if not firsts or inputs > BLOCK_INPUTS or inputs * self.word_length > RUN_POSITIONS:
+                firsts.append(stratum)
+                inputs = count
+        bounds = itertools.pairwise(firsts + [len(counts)])
+        return [functools.partial(run, range(low, high)) for low, high in bounds]
 
 
 @dataclass(frozen=True)
@@ -413,9 +375,12 @@ def _pair_chain(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> Callabl
     return step
 
 
-def _gauss_rule(alpha: np.ndarray, beta: np.ndarray, word_lengths: np.ndarray) -> np.ndarray:
+def _gauss_rule(
+    alpha: np.ndarray, beta: np.ndarray, word_lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """``sum_i S_0i^2 (1 - mu_i)^T`` of each Lanczos tridiagonal ``S diag(mu) S'`` of ``I - M``,
-    shape ``(pairs, word lengths)``.
+    shape ``(pairs, word lengths)``, and where that is below the smallest normal
+    double its log magnitude ``log sum_i S_0i^2 |1 - mu_i|^T`` (NaN elsewhere).
 
     ``(1 - mu)^T`` is taken as ``exp(T log1p(-mu))`` where ``mu < 1``:
     rounding ``1 - mu`` first would cost up to ``T`` ulps of relative error.
@@ -430,12 +395,22 @@ def _gauss_rule(alpha: np.ndarray, beta: np.ndarray, word_lengths: np.ndarray) -
     mu, vectors = np.linalg.eigh(tridiagonal)
     mu = np.clip(mu, 0.0, 2.0)[:, None, :]
     slow = mu < 1.0
-    exponent = word_lengths[:, None] * np.log1p(-np.where(slow, mu, 0.0))
+    # T log |1 - mu|; log(mu - 1) is exact enough above 1, and mu = 1 counts as a smallest normal
+    exponent = word_lengths[:, None] * np.where(
+        slow, np.log1p(-np.where(slow, mu, 0.0)), np.log(np.maximum(mu - 1.0, _NORMAL))
+    )
     # exp is 0 below -746, and numpy's exp is slow to underflow there
     power = np.exp(exponent, out=np.zeros_like(exponent), where=exponent > -746.0)
     pairs, _, ritz = np.nonzero(~slow)
     power[pairs, :, ritz] = (1.0 - mu[pairs, 0, ritz, None]) ** word_lengths
-    return np.einsum("pi,pti->pt", vectors[:, 0] ** 2, power)
+    weights = vectors[:, 0] ** 2
+    weights[weights < _ROUNDING_WEIGHT] = 0.0
+    estimate = np.einsum("pi,pti->pt", weights, power)
+    log_size, tiny = np.full_like(estimate, np.nan), np.abs(estimate) < _NORMAL
+    if tiny.any():
+        log_weights = np.log(weights, out=np.full_like(weights, -np.inf), where=weights > 0.0)
+        log_size[tiny] = np.logaddexp.reduce((log_weights[:, None, :] + exponent)[tiny], axis=1)
+    return estimate, log_size
 
 
 def _gauss_residuals(
@@ -465,7 +440,9 @@ def _gauss_chunk(
 
     The residual is ``||Y_0||^2 / n`` times the Gauss rule.  A pair stops
     at the first ``k`` where the rule is exact (``2k - 1 >= max T``, or the
-    Krylov space closed) or agrees with the one at ``k - 1`` at every ``T``.
+    Krylov space closed) or agrees with the one at ``k - 1`` at every ``T``:
+    within :data:`_AGREE_RTOL` relative or, where both are subnormal (0.0 at
+    both steps before a slow mode is found), in log magnitude to ``_AGREE_RTOL * max(1, |log|)``.
     Each vector is fully reorthogonalised, then re-centred: rounding that
     leaves the centred space grows each step and shows up as spurious Ritz values.
     """
@@ -475,7 +452,7 @@ def _gauss_chunk(
     basis[:, 0] = ((np.eye(n) - 1.0 / n) / math.sqrt(n - 1)).reshape(-1)
     alpha, beta = np.zeros((count, steps)), np.zeros((count, steps))
     residuals, active = np.zeros((count, word_lengths.size)), np.ones(count, dtype=bool)
-    previous = np.full_like(residuals, np.nan)
+    previous = previous_size = np.full_like(residuals, np.nan)
     for k in range(1, steps + 1):
         vector = basis[:, k - 1]
         product = step(vector.reshape(count, n, n)).reshape(count, n * n)
@@ -485,12 +462,12 @@ def _gauss_chunk(
             product -= np.einsum("pji,pj->pi", basis[:, :k], weights)
         product = _centred(product.reshape(count, n, n)).reshape(count, n * n)
         beta[:, k - 1] = np.linalg.norm(product, axis=1)
-        estimate = _gauss_rule(alpha[:, :k], beta[:, : k - 1], word_lengths)
+        estimate, size = _gauss_rule(alpha[:, :k], beta[:, : k - 1], word_lengths)
         closed = beta[:, k - 1] <= _BREAKDOWN
         agree = np.abs(estimate - previous) <= _AGREE_RTOL * np.abs(estimate)
-        # a subnormal tail has too few digits to agree; it passes once a normal T agrees
         tail = np.maximum(np.abs(estimate), np.abs(previous)) < _NORMAL
-        agree |= tail & (agree & ~tail).any(axis=1, keepdims=True)
+        close = np.abs(size - previous_size) <= _AGREE_RTOL * np.maximum(1.0, np.abs(size))
+        agree[tail] = close[tail]
         done = closed | agree.all(axis=1) | (2 * k - 1 >= word_lengths.max())
         residuals[active & done] = estimate[active & done]
         active &= ~done
@@ -498,7 +475,7 @@ def _gauss_chunk(
             return residuals * (n - 1) / n
         if k == steps:
             break
-        previous = estimate
+        previous, previous_size = estimate, size
         if k == basis.shape[1]:
             grown = np.empty((count, min(k, steps - k), n * n))
             basis = np.concatenate([basis, grown], axis=1)
@@ -510,12 +487,13 @@ def _gauss_chunk(
 
 
 def _count_agreements(
-    reference: Semiautomaton, others: Sequence[Semiautomaton], draws: Sequence[Draw], jobs: int
+    reference: Semiautomaton, others: Sequence[Semiautomaton], runs: Sequence[Run], jobs: int
 ) -> np.ndarray:
-    """Inputs of ``draws`` on which each of ``others`` agrees with ``reference``.
+    """Inputs of ``runs`` on which each of ``others`` agrees with ``reference``.
 
-    The draws are run merged on ``jobs`` threads, and ``reference`` runs
-    once per merged run.
+    Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
+    is made and counted on one of ``jobs`` threads, and ``reference`` runs
+    once per run.
     """
 
     def count(run: Run) -> np.ndarray:
@@ -523,7 +501,6 @@ def _count_agreements(
         labels = run_words(reference, words, starts)
         return np.array([(run_words(other, words, starts) == labels).sum() for other in others])
 
-    runs = merge_draws(draws)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return sum(pool.map(count, runs))
@@ -566,8 +543,8 @@ def agreement_monte_carlo(
     """
     _check_compatible(a, b)
     n = a.n_states
-    draws = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
-    p_agree = int(_count_agreements(a, [b], draws, jobs)[0]) / samples
+    runs = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
+    p_agree = int(_count_agreements(a, [b], runs, jobs)[0]) / samples
     stderr = math.sqrt(p_agree * (1.0 - p_agree) / samples)
     return AgreementReport(
         n, word_length, p_agree, p_agree - 1.0 / n, "monte-carlo", stderr=stderr

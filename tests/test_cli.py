@@ -1,11 +1,19 @@
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqsa.automata import deserialize_family
+from sqsa.automata import (
+    FamilyConfig,
+    Semiautomaton,
+    ShuffleFamily,
+    deserialize_family,
+    serialize_family,
+)
 from sqsa.cli import main
 
 
@@ -300,6 +308,24 @@ def test_config_values_of_the_wrong_type_fail_on_the_error_line(
     assert error_message(capsys) == problem
 
 
+@pytest.mark.parametrize(
+    "command, key, value, choices",
+    [
+        ("pagree", "format", "xml", ["json"]),
+        ("spectrum", "method", "bogus", ["expected", "realized"]),
+        ("pagree", "method", "bogus", ["spectral", "brute", "mc"]),
+        ("certify", "format", "csv", ["json"]),
+    ],
+)
+def test_config_values_outside_the_choices_fail_on_the_error_line(
+    tmp_path, family_file, capsys, command, key, value, choices
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert run_cli([command, "--config", config, "--family", family_file]) == 1
+    assert error_message(capsys) == f"config key {key!r} must be one of {choices}, got {value!r}"
+
+
 def test_config_null_and_numbers_where_the_flag_takes_them(tmp_path, family_file, capsys):
     config = tmp_path / "config.json"
     # null certify t and d keep their computed defaults; an integral tau is a number
@@ -401,3 +427,69 @@ def test_jobs_below_one_rejected(family_file, capsys, jobs):
     argv = ["pagree", "--family", family_file, "--t", 2, "--method", "brute", "--jobs", jobs]
     assert run_cli(argv) == 1
     assert error_message(capsys) == f"--jobs must be >= 1, got {jobs}"
+
+
+# SHA-256 of each output, taken before the input runs and the flag table were
+# rewritten.  None of these outputs prints a Lanczos or LAPACK float, so the
+# bytes are the same on every platform; relative paths keep meta.config so too.
+GOLDEN_SHA256 = {
+    "family.sqsa": "60d93bbae4c96254488924eee310b99b6dd58c0fc23ff56c6613fe138f6977ae",
+    "brute.json": "f4cb4afb530189e62692d999098dd866af70c63d610681edccc8e916831b84ba",
+    "mc.json": "66e548dade58fdd3f91f7588301ce7ce4d07fd752ae7997d304f5cadac204f86",
+    "exact.jsonl": "869de488f690a869ea506ffb48bfb13aed843ff5b811064de81c6fefb70d43cf",
+    "sampled.jsonl": "52009978d79a757ad53a4ad956a4a1896c7e842f6ae696b91bb87ee2ba0fb9cb",
+    "config.json.out": "a2a1f682794471f71811f1b8fef5c816d77aaa50a60c9a783125fa0478a0fc9d",
+}
+
+
+def test_outputs_of_the_exact_routes_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    queries = [
+        {"builtin": "state-agreement", "params": {"member": 2}},
+        {"builtin": "label-indicator", "params": {"label": 1}},
+        {"builtin": "state-agreement", "params": {"member": 0}},
+        {"builtin": "final-state-parity"},
+    ]
+    Path("queries.json").write_text(json.dumps(queries))
+    Path("config.json").write_text(
+        json.dumps({"family": "family.sqsa", "members": "1,4", "t": 2, "method": "brute"})
+    )
+    common = ["--family", "family.sqsa"]
+    commands = {
+        "family.sqsa": ["family", "--n", "4", "--k", "3", "--m", "6", "--seed", "11"],
+        "brute.json": ["pagree", *common, "--t", "4", "--method", "brute"],
+        # 20 000 samples at T=6 fill two runs of strata
+        "mc.json": ["pagree", *common, "--t", "6", "--method", "mc", "--samples", "20000"],
+        "exact.jsonl": ["oracle", *common, "--t", "5", "--tau", "0.3", "--queries", "queries.json"],
+        "sampled.jsonl": [
+            "oracle", *common, "--t", "8", "--tau", "0.3", "--queries", "queries.json",
+            "--samples", "3000", "--seed", "4",
+        ],
+        "config.json.out": ["pagree", "--config", "config.json", "--seed", "3"],
+    }
+    for name, argv in commands.items():
+        assert main([*argv, "--jobs", "2", "--out", name]) == 0
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in commands}
+    assert digests == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("t", [2341, 10**6, 10**9])
+def test_mode_that_never_decays_reaches_pagree_certify_and_oracle(tmp_path, capsys, t):
+    # M has eigenvalue 1, so the residual is 1/12 at any T >= 50 (tau=0.05 eliminates
+    # member 1); at large T the first Gauss estimates both underflow to 0.0 and must
+    # not pass as agreeing
+    masks = np.array([[1, 0, 0], [0, 0, 1]], dtype=bool)
+    members = tuple(Semiautomaton(3, 1, mask) for mask in masks)
+    family = tmp_path / "pair.sqsa"
+    family.write_bytes(serialize_family(ShuffleFamily(FamilyConfig(3, 1, 2), members)))
+    queries = tmp_path / "queries.json"
+    queries.write_text(json.dumps([{"builtin": "state-agreement", "params": {"member": 0}}]))
+    one_twelfth = pytest.approx(1 / 12, rel=1e-12)
+    assert run_cli(["pagree", "--family", family, "--t", t]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["residual"] == one_twelfth
+    assert run_cli(["certify", "--family", family, "--t", t, "--d", 2]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["max_abs_correlation"] == one_twelfth
+    argv = ["oracle", "--family", family, "--t", t, "--tau", 0.05, "--queries", queries]
+    assert run_cli(argv) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[1])
+    assert record["eliminated_ids"] == [0, 1] and record["survivor_count"] == 0

@@ -358,10 +358,11 @@ def test_merged_draws_change_no_session(monkeypatch):
             oracle_answer(session, query)
         return session.ledger, session.survivors
 
-    draws = WordDistribution(5, family.config.alphabet_size, 48).strata(10_000, 5)
-    assert (len(draws), len(walk.merge_draws(draws))) == (64, 8)
+    dist = WordDistribution(5, family.config.alphabet_size, 48)
+    assert len(dist.strata(10_000, 5)) == 8  # 64 strata of 156 or 157 words
     merged = outcome()
-    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every draw runs alone
+    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every stratum runs alone
+    assert len(dist.strata(10_000, 5)) == 64
     # records (answers and max_stderr included) equal as floats, not approximately
     assert outcome() == merged
     assert any(record.eliminated_ids for record in merged[0]) and merged[1]

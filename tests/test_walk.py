@@ -260,34 +260,39 @@ def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
 
 def test_blocks_enumerate_every_input_once(monkeypatch):
     monkeypatch.setattr(walk, "BLOCK_INPUTS", 7)  # two words of three starts per block
-    draws = WordDistribution(3, 3, 4).blocks()
-    assert len(draws) == 41  # 81 words, two per block
-    words, starts = zip(*(draw() for draw in draws))
+    runs = WordDistribution(3, 3, 4).blocks()
+    assert len(runs) == 41  # 81 words, two per block
+    words, starts = zip(*(run() for run in runs))
     assert all(block.shape[0] * 3 <= 7 for block in words)
     assert np.concatenate(words).tolist() == [list(w) for w in itertools.product(range(3), repeat=4)]
     assert all(np.array_equal(block, np.tile([0, 1, 2], (block.shape[0], 1))) for block in starts)
     # T=0: the one empty word, run from every start
-    (draw,) = WordDistribution(5, 4, 0).blocks()
-    words, starts = draw()
+    (run,) = WordDistribution(5, 4, 0).blocks()
+    words, starts = run()
     assert words.shape == (1, 0) and starts.tolist() == [[0, 1, 2, 3, 4]]
 
 
-def test_merge_draws_keeps_draw_order_within_budgets(monkeypatch):
+def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
+    dist = WordDistribution(3, 5, 4)
+    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every stratum runs alone
+    alone = [run() for run in dist.strata(100, 7)]  # 64 strata of one or two words
+    assert len(alone) == 64
     monkeypatch.setattr(walk, "RUN_POSITIONS", 20)  # five words of T=4 per run
-    draws = WordDistribution(3, 5, 4).strata(100, 7)  # 64 strata of one or two words
-    runs = [run() for run in walk.merge_draws(draws)]
-    assert 1 < len(runs) < len(draws)
+    runs = [run() for run in dist.strata(100, 7)]
+    assert 1 < len(runs) < len(alone)
     for words, starts in runs:
         assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1]
-    drawn = [draw() for draw in draws]
-    for merged, alone in zip(zip(*runs), zip(*drawn)):  # words, then starts
-        assert np.array_equal(np.concatenate(merged), np.concatenate(alone))
+    for merged, single in zip(zip(*runs), zip(*alone)):  # words, then starts
+        assert np.array_equal(np.concatenate(merged), np.concatenate(single))
+    # a stratum over the budget runs alone, its arrays as drawn
+    monkeypatch.setattr(walk, "BLOCK_INPUTS", 1)
+    assert [run()[0].shape[0] for run in dist.strata(100, 7)] == [2] * 36 + [1] * 28
 
 
 def test_merged_draws_change_no_count(monkeypatch):
     a, b = random_pair(4, 2, 5)
     strata = WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)
-    assert len(walk.merge_draws(strata)) == 1  # 64 small strata, one run
+    assert len(strata) == 1  # 64 small strata, one run
 
     def counts():
         return [
@@ -299,7 +304,8 @@ def test_merged_draws_change_no_count(monkeypatch):
         ]
 
     merged = counts()
-    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every draw runs alone
+    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every stratum runs alone
+    assert len(WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)) == 64
     assert counts() == merged
     assert merged[0] == merged[1]
 
@@ -483,6 +489,38 @@ def test_mixing_series_ends_at_the_single_word_length_residual(n, k, t):
     a, b = random_pair(n, k, n + t)
     single = agreement_exact(a, b, t).residual
     assert mixing_scan(a, b, t).points[t].residual == pytest.approx(single, rel=1e-11)
+
+
+def test_rounding_weights_past_the_krylov_space_count_for_nothing():
+    # v spans 21 Krylov directions here; the steps after those meet a mode v does
+    # not touch (I - M eigenvalue 0.092) at weight ~1e-33, which at T=999 would
+    # more than double the residual.  The reference is the 36-state chain of the
+    # pair's images, powered in 110-digit arithmetic.
+    a, b = build_family(FamilyConfig(6, 1, 6, 0.5, 1)).members[2:4]
+    exact = pytest.approx(3.20153551815396e-76, rel=1e-9, abs=0.0)
+    assert agreement_exact(a, b, 999).residual == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    t=st.one_of(st.integers(0, 3000), st.integers(0, 10**6)),
+    data=st.data(),
+)
+def test_residual_matches_dense_eigendecomposition(n, t, data):
+    masks = st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    a, b = automaton(n, 1, data.draw(masks)), automaton(n, 1, data.draw(masks))
+    eigenvalues, vectors = np.linalg.eigh(fourier_matrix(step_distribution(a, b)))
+    weights = (vectors.T @ diagonal_vector(n)) ** 2
+    # weights of rounding size sit on modes that v does not touch; at large T
+    # their slow decay would swamp the sum
+    weights[weights < 1e-18] = 0.0
+    reference = float(weights @ eigenvalues**t) / n
+    # an eigenvalue good to ~1e-14 moves its power by t * 1e-14 * |eigenvalue|^(t-1)
+    size = np.abs(eigenvalues)
+    doubt = weights @ (1e-15 * size**t + t * 1e-14 * size ** max(t - 1, 0)) / n
+    if abs(reference) >= np.finfo(float).tiny and doubt <= 1e-7 * abs(reference):
+        assert agreement_exact(a, b, t).residual == pytest.approx(reference, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("n, k, seed", [(10, 1, 3272444790), (12, 2, 3834164936)])
