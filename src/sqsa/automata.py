@@ -13,7 +13,9 @@ A semiautomaton runs from one flat, read-only step table of ``n * A``
 coded states, ``A`` the alphabet size: a state ``s`` is coded as ``s * A``,
 and entry ``s * A + symbol`` holds the code of the state that ``symbol``
 leads to.  One step of a batch is then one add and one ``take``, and the
-final codes are decoded once, by ``// A``.
+final codes are decoded once, by ``// A``.  Row ``s`` of the table, read
+as ``(n, A)``, holds the code after each symbol from ``s``, so continuing a
+batch by every symbol at once is one row-wise ``take``.
 
 Family file format (little-endian), version 1:
 
@@ -51,6 +53,7 @@ __all__ = [
     "mask_stream",
     "min_alphabet_copies",
     "min_word_length",
+    "run_suffixes",
     "run_word",
     "run_words",
     "serialize_family",
@@ -210,6 +213,26 @@ def run_words(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -
         codes = table.take(codes)
     states = np.empty(starts.shape, dtype=np.int64)
     np.floor_divide(codes.T, size, out=states)
+    return states
+
+
+def run_suffixes(automaton: Semiautomaton, states: np.ndarray, length: int) -> np.ndarray:
+    """Final states of every word of ``length`` symbols, run from each of ``states``.
+
+    The result is shaped ``states.shape + (A**length,)``, ``A`` the alphabet
+    size, with the words along the last axis in counting order (the last
+    symbol varies fastest).  States are range-checked first.  Row ``s`` of
+    the step table, decoded, holds the state after each symbol from ``s``,
+    so each symbol position costs one row-wise ``take`` over the expansion
+    so far.
+    """
+    n, size = automaton.n_states, automaton.alphabet_size
+    states = np.array(states, dtype=np.int64)[..., None]
+    _check_range(states, n, f"start state {{}} out of range for {n} states")
+    successors = automaton.step_table.reshape(n, size) // size
+    for _ in range(length):
+        shape = (*states.shape[:-1], states.shape[-1] * size)
+        states = successors.take(states, axis=0).reshape(shape)
     return states
 
 

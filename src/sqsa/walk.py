@@ -17,15 +17,18 @@ agreement probability three ways.
 report names its route with a label:
 
 - ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
-- ``brute`` (label ``brute-force``): every (word, start) input, from
-  :meth:`WordDistribution.blocks`, giving an exact rational;
+- ``brute`` (label ``brute-force``): every (word, start) input, from the
+  prefix tree of :meth:`WordDistribution.blocks`, giving an exact rational;
 - ``mc`` (label ``monte-carlo``): the stratified samples of
   :meth:`WordDistribution.strata`, with a standard error.
 
 Both input routes count agreements as integers over ``run_words``
 (:func:`_count_agreements`, which the sampled oracle also calls), on the
-runs of bounded size that :class:`WordDistribution` sizes itself.  Counts
-are integers, so neither the run sizes nor their order changes a result.
+runs of bounded size that :class:`WordDistribution` sizes itself.  Brute
+force runs each distinct word prefix once and expands the last symbols
+with ``run_suffixes``, so every input's final state is still read from
+that automaton's own step table.  Counts are integers, so neither the run
+sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -69,7 +72,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, run_words
+from .automata import Semiautomaton, run_suffixes, run_words
 from .perm import Permutation, SizeMismatchError, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
@@ -141,14 +144,28 @@ class WordDistribution:
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
 
-    def blocks(self) -> list[Run]:
-        """Every input once, in runs of at most :data:`BLOCK_INPUTS` inputs.
+    @property
+    def suffix_length(self) -> int:
+        """Last symbols of every word that :meth:`blocks` leaves to
+        :func:`~sqsa.automata.run_suffixes`: the most, up to the word length,
+        whose ``A**j`` words from every start fit one run's budget."""
+        size, length = max(1, BLOCK_INPUTS // self.n_states), 0
+        while length < self.word_length and self.n_symbols ** (length + 1) <= size:
+            length += 1
+        return length
 
-        A run's words ``(B, T)`` are in counting order (column-major, the
-        layout ``run_words`` reads); its starts ``(B, n)`` are every start.
+    def blocks(self) -> list[Run]:
+        """Every input once, as a prefix tree in runs of at most :data:`BLOCK_INPUTS` inputs.
+
+        A run's words ``(B, T - j)`` are distinct prefixes in counting order
+        (column-major, the layout ``run_words`` reads), ``j`` the
+        :attr:`suffix_length`; its starts ``(B, n)`` are every start.  Each
+        prefix stands for its ``A**j`` words, one per suffix, so a run holds
+        ``B * A**j * n`` inputs and runs each prefix position once.
         """
-        n, length, base = self.n_states, self.word_length, self.n_symbols
-        total, size = base**length, max(1, BLOCK_INPUTS // n)
+        n, base, suffix = self.n_states, self.n_symbols, self.suffix_length
+        length, leaves = self.word_length - suffix, base**suffix
+        total, size = base**length, max(1, BLOCK_INPUTS // n // leaves)
 
         def run(low: int) -> tuple[np.ndarray, np.ndarray]:
             index = np.arange(low, min(low + size, total), dtype=np.int64)
@@ -487,19 +504,28 @@ def _gauss_chunk(
 
 
 def _count_agreements(
-    reference: Semiautomaton, others: Sequence[Semiautomaton], runs: Sequence[Run], jobs: int
+    reference: Semiautomaton,
+    others: Sequence[Semiautomaton],
+    runs: Sequence[Run],
+    jobs: int,
+    suffix: int = 0,
 ) -> np.ndarray:
     """Inputs of ``runs`` on which each of ``others`` agrees with ``reference``.
 
     Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
     is made and counted on one of ``jobs`` threads, and ``reference`` runs
-    once per run.
+    once per run.  A run's words stop ``suffix`` symbols short, and each
+    automaton expands those from its own step table with ``run_suffixes``.
     """
+
+    def finals(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        states = run_words(automaton, words, starts)
+        return run_suffixes(automaton, states, suffix) if suffix else states
 
     def count(run: Run) -> np.ndarray:
         words, starts = run()
-        labels = run_words(reference, words, starts)
-        return np.array([(run_words(other, words, starts) == labels).sum() for other in others])
+        labels = finals(reference, words, starts)
+        return np.array([np.count_nonzero(finals(o, words, starts) == labels) for o in others])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -512,8 +538,11 @@ def agreement_brute_force(
 ) -> AgreementReport:
     """Literal enumeration of every word and start; the independent oracle.
 
-    Exact by construction: agreement is counted as an integer and the
-    probability is a rational number.  Refuses when
+    Each automaton runs every distinct prefix of :meth:`WordDistribution.blocks`
+    from every start, then every suffix of the last
+    :attr:`~WordDistribution.suffix_length` symbols, by lookups in its own
+    step table.  Exact by construction: agreement is counted as an integer
+    and the probability is a rational number.  Refuses when
     ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
     """
     _check_compatible(a, b)
@@ -522,7 +551,8 @@ def agreement_brute_force(
     cost = dist.n_inputs()
     if cost > BRUTE_FORCE_LIMIT:
         raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
-    exact = Fraction(int(_count_agreements(a, [b], dist.blocks(), jobs)[0]), cost)
+    agreed = _count_agreements(a, [b], dist.blocks(), jobs, dist.suffix_length)[0]
+    exact = Fraction(int(agreed), cost)
     p_agree = float(exact)
     return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact)
 

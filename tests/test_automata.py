@@ -15,6 +15,7 @@ from sqsa.automata import (
     deserialize_family,
     min_alphabet_copies,
     min_word_length,
+    run_suffixes,
     run_word,
     run_words,
     serialize_family,
@@ -134,6 +135,35 @@ def test_run_words_range_checked_like_run_word(symbol, start):
         with pytest.raises(ValueError) as raised:
             run_words(automaton, words, starts)
         assert str(raised.value) == str(expected.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 2),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_run_suffixes_runs_every_word_in_counting_order(n, k, length, rows, seed):
+    rng = np.random.default_rng(seed)
+    automaton = Semiautomaton(n, k, rng.random(k * n * (n - 1) // 2) < 0.5)
+    starts = rng.integers(0, n, size=(rows, 2))
+    states = run_suffixes(automaton, starts, length)
+    words = list(itertools.product(range(automaton.alphabet_size), repeat=length))
+    assert states.shape == (rows, 2, len(words))
+    for (row, column), start in np.ndenumerate(starts):
+        assert states[row, column].tolist() == [run_word(automaton, w, int(start)) for w in words]
+
+
+@pytest.mark.parametrize("start", [-1, 4])
+def test_run_suffixes_range_checked_like_run_word(start):
+    automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]
+    with pytest.raises(ValueError) as expected:
+        run_word(automaton, [], start)
+    with pytest.raises(ValueError) as raised:
+        run_suffixes(automaton, np.array([[0, start], [3, 2]]), 1)
+    assert str(raised.value) == str(expected.value)
 
 
 @settings(max_examples=30)

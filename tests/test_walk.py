@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -5,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies
+from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies, run_word
 from sqsa.perm import Permutation, SizeMismatchError, all_transpositions
 from sqsa import walk
 from sqsa.symrep import std_matrix
@@ -245,7 +246,7 @@ def test_gauss_residuals_do_not_depend_on_chunking(monkeypatch):
     assert chunks == [4, 1, 1, 1, 1]
     assert alone == pytest.approx(together, rel=1e-12, abs=1e-300)
     singles = [agreement_exact(x, y, 90).residual for x, y in pairs]
-    assert singles == pytest.approx(together, rel=1e-12)
+    assert singles == pytest.approx(together, rel=1e-12, abs=0.0)
 
 
 def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
@@ -259,17 +260,64 @@ def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
 
 
 def test_blocks_enumerate_every_input_once(monkeypatch):
-    monkeypatch.setattr(walk, "BLOCK_INPUTS", 7)  # two words of three starts per block
-    runs = WordDistribution(3, 3, 4).blocks()
-    assert len(runs) == 41  # 81 words, two per block
-    words, starts = zip(*(run() for run in runs))
-    assert all(block.shape[0] * 3 <= 7 for block in words)
-    assert np.concatenate(words).tolist() == [list(w) for w in itertools.product(range(3), repeat=4)]
+    monkeypatch.setattr(walk, "BLOCK_INPUTS", 54)  # two prefixes of nine suffixes, three starts
+    dist = WordDistribution(3, 3, 4)
+    assert dist.suffix_length == 2
+    runs = dist.blocks()
+    assert len(runs) == 5  # 9 prefixes, two per block
+    prefixes, starts = zip(*(run() for run in runs))
+    assert all(block.shape[0] * 9 * 3 <= 54 for block in prefixes)
+    suffixes = list(itertools.product(range(3), repeat=2))
+    words = [list(p) + list(s) for block in prefixes for p in block for s in suffixes]
+    assert words == [list(w) for w in itertools.product(range(3), repeat=4)]
     assert all(np.array_equal(block, np.tile([0, 1, 2], (block.shape[0], 1))) for block in starts)
+    # T < j: the empty prefix, every word a suffix
+    assert WordDistribution(3, 3, 1).suffix_length == 1
+    (run,) = WordDistribution(3, 3, 1).blocks()
+    assert run()[0].shape == (1, 0)
     # T=0: the one empty word, run from every start
     (run,) = WordDistribution(5, 4, 0).blocks()
     words, starts = run()
     assert words.shape == (1, 0) and starts.tolist() == [[0, 1, 2, 3, 4]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 2),
+    st.integers(0, 4),
+    st.sampled_from([4, 7, 40, 200]),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=1, t=0, budget=40, seed=0)  # suffix_length 0
+@example(n=3, k=1, t=1, budget=40, seed=0)  # T < j = 2
+@example(n=3, k=1, t=2, budget=40, seed=0)  # T = j
+@example(n=2, k=1, t=4, budget=4, seed=0)  # one symbol: the whole word is suffix
+def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
+    assume(k == 1 or t <= 3)  # at most 6912 inputs to run one by one
+    a, b = random_pair(n, k, seed)
+    words = list(itertools.product(range(a.alphabet_size), repeat=t))
+    expected = sum(run_word(a, w, s) == run_word(b, w, s) for w in words for s in range(n))
+    sizes = []
+    count = walk._count_agreements
+
+    def sized(reference, others, runs, jobs, suffix=0):
+        def measured(run):
+            prefixes, starts = run()
+            sizes.append(starts.size * a.alphabet_size**suffix)
+            return prefixes, starts
+
+        runs = [functools.partial(measured, run) for run in runs]
+        return count(reference, others, runs, jobs, suffix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "BLOCK_INPUTS", budget)  # blocks of both prefix and suffix parts
+        patch.setattr(walk, "_count_agreements", sized)
+        reports = [agreement_brute_force(a, b, t, jobs=jobs) for jobs in (1, 2)]
+    assert reports[0] == reports[1]
+    assert reports[0].exact == Fraction(expected, len(words) * n)
+    assert sum(sizes) == 2 * len(words) * n
+    assert max(sizes) <= budget
 
 
 def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
@@ -488,7 +536,7 @@ def test_mixing_series_equals_dense_matvecs(n, k, t_max, seed, same):
 def test_mixing_series_ends_at_the_single_word_length_residual(n, k, t):
     a, b = random_pair(n, k, n + t)
     single = agreement_exact(a, b, t).residual
-    assert mixing_scan(a, b, t).points[t].residual == pytest.approx(single, rel=1e-11)
+    assert mixing_scan(a, b, t).points[t].residual == pytest.approx(single, rel=1e-11, abs=0.0)
 
 
 def test_rounding_weights_past_the_krylov_space_count_for_nothing():
