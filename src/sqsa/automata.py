@@ -12,10 +12,11 @@ bit-identical and members are independent regardless of build order.
 A semiautomaton runs from one flat, read-only step table of ``n * A``
 coded states, ``A`` the alphabet size: a state ``s`` is coded as ``s * A``,
 and entry ``s * A + symbol`` holds the code of the state that ``symbol``
-leads to.  One step of a batch is then one add and one ``take``, and the
-final codes are decoded once, by ``// A``.  Row ``s`` of the table, read
-as ``(n, A)``, holds the code after each symbol from ``s``, so continuing a
-batch by every symbol at once is one row-wise ``take``.
+leads to.  A batch is one word and one start per row; one step of it is
+then one add and one ``take``, and the final codes are decoded once, by
+``// A``.  Row ``s`` of the table, read as ``(n, A)``, holds the code
+after each symbol from ``s``, so continuing a batch by every symbol at
+once is one row-wise ``take``.
 
 Family file format (little-endian), version 1:
 
@@ -191,18 +192,19 @@ def _check_range(values: np.ndarray, bound: int, message: str) -> None:
 
 
 def run_words(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from every
-    start in row ``i`` of ``starts`` (B,) or (B, k); the result is shaped like ``starts``.
+    """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from
+    ``starts[i]``, starts shaped (B,); the result is the (B,) final states.
 
-    Symbols and starts are range-checked first, with :func:`run_word`'s
-    messages.  The starts are then coded once, start-major so that each
-    symbol column meets contiguous codes; each symbol position costs one
-    add and one ``take`` from :attr:`Semiautomaton.step_table`, and the
-    final codes are decoded once.
+    Starts of any other shape raise ``ValueError``.  Symbols and starts
+    are range-checked with :func:`run_word`'s messages, and the starts are
+    then coded once; each symbol position costs one add and one ``take`` from
+    :attr:`Semiautomaton.step_table`, and the final codes are decoded once.
     """
     size = automaton.alphabet_size
     words, starts = np.asarray(words), np.asarray(starts)
-    codes = np.array(starts.T, dtype=np.int64)  # (k, B) or (B,): a contiguous copy
+    if starts.shape != words.shape[:1]:
+        raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
+    codes = np.array(starts, dtype=np.int64)
     n = automaton.n_states
     _check_range(codes, n, f"start state {{}} out of range for {n} states")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
@@ -211,9 +213,7 @@ def run_words(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -
     for t in range(words.shape[1]):
         np.add(codes, words[:, t], out=codes)
         codes = table.take(codes)
-    states = np.empty(starts.shape, dtype=np.int64)
-    np.floor_divide(codes.T, size, out=states)
-    return states
+    return codes // size
 
 
 def run_suffixes(automaton: Semiautomaton, states: np.ndarray, length: int) -> np.ndarray:

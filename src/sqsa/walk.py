@@ -24,8 +24,10 @@ report names its route with a label:
 
 Both input routes count agreements as integers over ``run_words``
 (:func:`_count_agreements`, which the sampled oracle also calls), on the
-runs of bounded size that :class:`WordDistribution` sizes itself.  Brute
-force runs each distinct word prefix once and expands the last symbols
+runs that :class:`WordDistribution` sizes itself: no run's largest array
+holds more than :data:`RUN_ELEMENTS` entries.  A run is one word and one
+start per row, plus the number of last symbols it leaves out.  Brute
+force runs each word prefix once per start and expands those last symbols
 with ``run_suffixes``, so every input's final state is still read from
 that automaton's own step table.  Counts are integers, so neither the run
 sizes nor their order changes a result.
@@ -103,8 +105,7 @@ __all__ = [
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-BLOCK_INPUTS = 1 << 15  # (word, start) inputs per run of an input stream
-RUN_POSITIONS = 1 << 16  # symbol positions (rows x T) per run of sampled strata
+RUN_ELEMENTS = 1 << 16  # entries of a run's largest array: block final states, strata words
 KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
 _AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
@@ -126,7 +127,9 @@ class BruteForceGuardError(ValueError):
         )
 
 
-Run = Callable[[], tuple[np.ndarray, np.ndarray]]
+# () -> (words (B, T - j), starts (B,), j): row i runs from starts[i], then
+# every word of the j symbols left out (j = 0 on strata runs)
+Run = Callable[[], tuple[np.ndarray, np.ndarray, int]]
 
 
 @dataclass(frozen=True)
@@ -144,48 +147,41 @@ class WordDistribution:
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
 
-    @property
-    def suffix_length(self) -> int:
-        """Last symbols of every word that :meth:`blocks` leaves to
-        :func:`~sqsa.automata.run_suffixes`: the most, up to the word length,
-        whose ``A**j`` words from every start fit one run's budget."""
-        size, length = max(1, BLOCK_INPUTS // self.n_states), 0
-        while length < self.word_length and self.n_symbols ** (length + 1) <= size:
-            length += 1
-        return length
-
     def blocks(self) -> list[Run]:
-        """Every input once, as a prefix tree in runs of at most :data:`BLOCK_INPUTS` inputs.
+        """Every input once, as a prefix tree in runs of at most :data:`RUN_ELEMENTS` final states.
 
-        A run's words ``(B, T - j)`` are distinct prefixes in counting order
-        (column-major, the layout ``run_words`` reads), ``j`` the
-        :attr:`suffix_length`; its starts ``(B, n)`` are every start.  Each
-        prefix stands for its ``A**j`` words, one per suffix, so a run holds
-        ``B * A**j * n`` inputs and runs each prefix position once.
+        A run's suffix ``j`` is the most last symbols, up to the word length,
+        whose ``A**j`` words from every start fit the budget.  Its words
+        ``(B * n, T - j)`` are ``B`` prefixes in counting order, each repeated
+        for every start (column-major, the layout ``run_words`` reads), and
+        its starts ``(B * n,)`` tile every start.  Each row stands for its
+        ``A**j`` words, so a run ends in ``B * n * A**j`` final states.
         """
-        n, base, suffix = self.n_states, self.n_symbols, self.suffix_length
+        n, base, suffix = self.n_states, self.n_symbols, 0
+        while suffix < self.word_length and n * base ** (suffix + 1) <= RUN_ELEMENTS:
+            suffix += 1
         length, leaves = self.word_length - suffix, base**suffix
-        total, size = base**length, max(1, BLOCK_INPUTS // n // leaves)
+        total, size = base**length, max(1, RUN_ELEMENTS // n // leaves)
 
-        def run(low: int) -> tuple[np.ndarray, np.ndarray]:
-            index = np.arange(low, min(low + size, total), dtype=np.int64)
+        def run(low: int) -> tuple[np.ndarray, np.ndarray, int]:
+            index = np.arange(low, min(low + size, total), dtype=np.int64).repeat(n)
             words = np.empty((length, index.shape[0]), dtype=np.int64).T
             for t in range(length - 1, -1, -1):
                 words[:, t] = index % base
                 index //= base
-            return words, np.broadcast_to(np.arange(n, dtype=np.int64), (words.shape[0], n))
+            return words, np.tile(np.arange(n, dtype=np.int64), words.shape[0] // n), suffix
 
         return [functools.partial(run, low) for low in range(0, total, size)]
 
     def strata(self, samples: int, seed: int, key: tuple[int, ...] = ()) -> list[Run]:
         """``samples`` inputs over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
 
-        A run holds at most :data:`BLOCK_INPUTS` inputs and
-        :data:`RUN_POSITIONS` symbol positions (rows x T); a stratum over
-        either runs alone.  Stratum ``s`` draws from its own Philox
-        substream, spawn key ``key + (s,)``, so no run depends on which
-        worker makes it.  A run returns its strata's words and starts
-        concatenated in stratum order, and a one-stratum run its arrays as drawn.
+        A run's words hold at most :data:`RUN_ELEMENTS` entries (rows x T,
+        or rows when T = 0); a stratum over that runs alone.  Stratum ``s``
+        draws from its own Philox substream, spawn key ``key + (s,)``, so no
+        run depends on which worker makes it.  A run returns its strata's
+        words and starts concatenated in stratum order, a one-stratum run its
+        arrays as drawn, and suffix 0.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
@@ -199,16 +195,16 @@ class WordDistribution:
             words = rng.integers(0, self.n_symbols, size=(counts[stratum], self.word_length))
             return words, rng.integers(0, self.n_states, size=counts[stratum])
 
-        def run(strata: range) -> tuple[np.ndarray, np.ndarray]:
+        def run(strata: range) -> tuple[np.ndarray, np.ndarray, int]:
             if len(strata) == 1:
-                return draw(strata[0])
+                return *draw(strata[0]), 0
             words, starts = zip(*map(draw, strata))
-            return np.concatenate(words), np.concatenate(starts)
+            return np.concatenate(words), np.concatenate(starts), 0
 
         firsts, inputs = [], 0
         for stratum, count in enumerate(counts):
             inputs += count
-            if not firsts or inputs > BLOCK_INPUTS or inputs * self.word_length > RUN_POSITIONS:
+            if not firsts or inputs * max(1, self.word_length) > RUN_ELEMENTS:
                 firsts.append(stratum)
                 inputs = count
         bounds = itertools.pairwise(firsts + [len(counts)])
@@ -504,28 +500,26 @@ def _gauss_chunk(
 
 
 def _count_agreements(
-    reference: Semiautomaton,
-    others: Sequence[Semiautomaton],
-    runs: Sequence[Run],
-    jobs: int,
-    suffix: int = 0,
+    reference: Semiautomaton, others: Sequence[Semiautomaton], runs: Sequence[Run], jobs: int
 ) -> np.ndarray:
     """Inputs of ``runs`` on which each of ``others`` agrees with ``reference``.
 
     Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
     is made and counted on one of ``jobs`` threads, and ``reference`` runs
-    once per run.  A run's words stop ``suffix`` symbols short, and each
-    automaton expands those from its own step table with ``run_suffixes``.
+    once per run.  A run's words stop ``j`` symbols short, ``j`` its suffix,
+    and each automaton expands those from its own step table with ``run_suffixes``.
     """
 
-    def finals(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        states = run_words(automaton, words, starts)
-        return run_suffixes(automaton, states, suffix) if suffix else states
-
     def count(run: Run) -> np.ndarray:
-        words, starts = run()
-        labels = finals(reference, words, starts)
-        return np.array([np.count_nonzero(finals(o, words, starts) == labels) for o in others])
+        words, starts, suffix = run()
+
+        def finals(automaton: Semiautomaton) -> np.ndarray:
+            states = run_words(automaton, words, starts)
+            # run_suffixes decodes the whole step table, which strata runs never need
+            return run_suffixes(automaton, states, suffix) if suffix else states
+
+        labels = finals(reference)
+        return np.array([np.count_nonzero(finals(o) == labels) for o in others])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -539,11 +533,11 @@ def agreement_brute_force(
     """Literal enumeration of every word and start; the independent oracle.
 
     Each automaton runs every distinct prefix of :meth:`WordDistribution.blocks`
-    from every start, then every suffix of the last
-    :attr:`~WordDistribution.suffix_length` symbols, by lookups in its own
-    step table.  Exact by construction: agreement is counted as an integer
-    and the probability is a rational number.  Refuses when
-    ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
+    from every start, then every word of the last symbols that each run
+    leaves out, by lookups in its own step table.  Exact by construction:
+    agreement is counted as an integer and the probability is a rational
+    number.  Refuses when ``alphabet**word_length * n`` exceeds
+    :data:`BRUTE_FORCE_LIMIT`.
     """
     _check_compatible(a, b)
     n = a.n_states
@@ -551,7 +545,7 @@ def agreement_brute_force(
     cost = dist.n_inputs()
     if cost > BRUTE_FORCE_LIMIT:
         raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
-    agreed = _count_agreements(a, [b], dist.blocks(), jobs, dist.suffix_length)[0]
+    agreed = _count_agreements(a, [b], dist.blocks(), jobs)[0]
     exact = Fraction(int(agreed), cost)
     p_agree = float(exact)
     return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact)

@@ -103,22 +103,18 @@ def test_run_word_matches_permutation_composition_exhaustive():
     st.integers(1, 3),
     st.integers(0, 6),
     st.integers(0, 12),
-    st.none() | st.integers(1, 4),
     st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=2, length=4, rows=0, width=None, seed=0)
-@example(n=3, k=2, length=4, rows=0, width=3, seed=0)
-def test_run_words_matches_run_word(n, k, length, rows, width, seed):
+@example(n=3, k=2, length=4, rows=0, seed=0)
+def test_run_words_matches_run_word(n, k, length, rows, seed):
     rng = np.random.default_rng(seed)
     automaton = Semiautomaton(n, k, rng.random(k * n * (n - 1) // 2) < 0.5)
     words = rng.integers(0, automaton.alphabet_size, size=(rows, length))
-    # (B,) starts, or (B, k): each word runs from every start in its row
-    shape = (rows,) if width is None else (rows, width)
-    starts = rng.integers(0, n, size=shape)
+    starts = rng.integers(0, n, size=rows)
     states = run_words(automaton, words, starts)
-    assert states.shape == shape
-    for index in np.ndindex(*shape):
-        assert states[index] == run_word(automaton, list(words[index[0]]), int(starts[index]))
+    assert states.shape == (rows,)
+    for row in range(rows):
+        assert states[row] == run_word(automaton, list(words[row]), int(starts[row]))
 
 
 @pytest.mark.parametrize(
@@ -130,11 +126,20 @@ def test_run_words_range_checked_like_run_word(symbol, start):
     automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]  # A = 12
     with pytest.raises(ValueError) as expected:
         run_word(automaton, [1, symbol], start)
-    words = np.array([[0, 1], [1, symbol], [2, 3]])
-    for starts in (np.array([0, start, 1]), np.array([[0, 1], [start, 2], [3, 0]])):
-        with pytest.raises(ValueError) as raised:
+    with pytest.raises(ValueError) as raised:
+        run_words(automaton, np.array([[0, 1], [1, symbol], [2, 3]]), np.array([0, start, 1]))
+    assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("length", [0, 3])
+def test_run_words_refuses_starts_not_one_per_word(length):
+    automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]
+    words = np.zeros((3, length), dtype=np.int64)
+    # (B, B) would broadcast against each symbol column; (B + 1,) would not run at T = 0
+    for starts in (np.zeros((3, 3), dtype=np.int64), np.zeros(4, dtype=np.int64)):
+        with pytest.raises(ValueError, match="shape") as raised:
             run_words(automaton, words, starts)
-        assert str(raised.value) == str(expected.value)
+        assert str(starts.shape) in str(raised.value) and str(words.shape) in str(raised.value)
 
 
 @settings(max_examples=40, deadline=None)

@@ -361,7 +361,7 @@ def test_merged_draws_change_no_session(monkeypatch):
     dist = WordDistribution(5, family.config.alphabet_size, 48)
     assert len(dist.strata(10_000, 5)) == 8  # 64 strata of 156 or 157 words
     merged = outcome()
-    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every stratum runs alone
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum runs alone
     assert len(dist.strata(10_000, 5)) == 64
     # records (answers and max_stderr included) equal as floats, not approximately
     assert outcome() == merged

@@ -260,25 +260,32 @@ def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
 
 
 def test_blocks_enumerate_every_input_once(monkeypatch):
-    monkeypatch.setattr(walk, "BLOCK_INPUTS", 54)  # two prefixes of nine suffixes, three starts
-    dist = WordDistribution(3, 3, 4)
-    assert dist.suffix_length == 2
-    runs = dist.blocks()
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 54)  # two prefixes of nine suffixes, three starts
+    runs = [run() for run in WordDistribution(3, 3, 4).blocks()]
     assert len(runs) == 5  # 9 prefixes, two per block
-    prefixes, starts = zip(*(run() for run in runs))
-    assert all(block.shape[0] * 9 * 3 <= 54 for block in prefixes)
-    suffixes = list(itertools.product(range(3), repeat=2))
-    words = [list(p) + list(s) for block in prefixes for p in block for s in suffixes]
-    assert words == [list(w) for w in itertools.product(range(3), repeat=4)]
-    assert all(np.array_equal(block, np.tile([0, 1, 2], (block.shape[0], 1))) for block in starts)
-    # T < j: the empty prefix, every word a suffix
-    assert WordDistribution(3, 3, 1).suffix_length == 1
-    (run,) = WordDistribution(3, 3, 1).blocks()
-    assert run()[0].shape == (1, 0)
+    assert {suffix for _, _, suffix in runs} == {2}
+    assert all(words.shape[0] * 3**suffix <= 54 for words, _, suffix in runs)
+    inputs = [
+        (list(prefix) + list(last), start)
+        for words, starts, suffix in runs
+        for prefix, start in zip(words, starts)
+        for last in itertools.product(range(3), repeat=suffix)
+    ]
+    # every prefix from every start in turn, each then ending in every suffix
+    expected = [
+        (list(word), start)
+        for prefix in itertools.product(range(3), repeat=2)
+        for start in range(3)
+        for word in itertools.product(range(3), repeat=4)
+        if word[:2] == prefix
+    ]
+    assert inputs == expected
+    # T < j: the empty prefix from every start, every word a suffix
+    ((words, starts, suffix),) = [run() for run in WordDistribution(3, 3, 1).blocks()]
+    assert words.shape == (3, 0) and starts.tolist() == [0, 1, 2] and suffix == 1
     # T=0: the one empty word, run from every start
-    (run,) = WordDistribution(5, 4, 0).blocks()
-    words, starts = run()
-    assert words.shape == (1, 0) and starts.tolist() == [[0, 1, 2, 3, 4]]
+    ((words, starts, suffix),) = [run() for run in WordDistribution(5, 4, 0).blocks()]
+    assert words.shape == (5, 0) and starts.tolist() == [0, 1, 2, 3, 4] and suffix == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,7 +296,7 @@ def test_blocks_enumerate_every_input_once(monkeypatch):
     st.sampled_from([4, 7, 40, 200]),
     st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=1, t=0, budget=40, seed=0)  # suffix_length 0
+@example(n=3, k=1, t=0, budget=40, seed=0)  # suffix 0
 @example(n=3, k=1, t=1, budget=40, seed=0)  # T < j = 2
 @example(n=3, k=1, t=2, budget=40, seed=0)  # T = j
 @example(n=2, k=1, t=4, budget=4, seed=0)  # one symbol: the whole word is suffix
@@ -301,17 +308,17 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     sizes = []
     count = walk._count_agreements
 
-    def sized(reference, others, runs, jobs, suffix=0):
+    def sized(reference, others, runs, jobs):
         def measured(run):
-            prefixes, starts = run()
+            prefixes, starts, suffix = run()
             sizes.append(starts.size * a.alphabet_size**suffix)
-            return prefixes, starts
+            return prefixes, starts, suffix
 
         runs = [functools.partial(measured, run) for run in runs]
-        return count(reference, others, runs, jobs, suffix)
+        return count(reference, others, runs, jobs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "BLOCK_INPUTS", budget)  # blocks of both prefix and suffix parts
+        patch.setattr(walk, "RUN_ELEMENTS", budget)  # blocks of both prefix and suffix parts
         patch.setattr(walk, "_count_agreements", sized)
         reports = [agreement_brute_force(a, b, t, jobs=jobs) for jobs in (1, 2)]
     assert reports[0] == reports[1]
@@ -322,19 +329,26 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
 
 def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
     dist = WordDistribution(3, 5, 4)
-    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every stratum runs alone
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum runs alone
     alone = [run() for run in dist.strata(100, 7)]  # 64 strata of one or two words
     assert len(alone) == 64
-    monkeypatch.setattr(walk, "RUN_POSITIONS", 20)  # five words of T=4 per run
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 20)  # five words of T=4 per run
     runs = [run() for run in dist.strata(100, 7)]
     assert 1 < len(runs) < len(alone)
-    for words, starts in runs:
-        assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1]
-    for merged, single in zip(zip(*runs), zip(*alone)):  # words, then starts
+    for words, starts, suffix in runs:
+        assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1] and suffix == 0
+    for column in (0, 1):  # words, then starts
+        merged, single = ([run[column] for run in r] for r in (runs, alone))
         assert np.array_equal(np.concatenate(merged), np.concatenate(single))
     # a stratum over the budget runs alone, its arrays as drawn
-    monkeypatch.setattr(walk, "BLOCK_INPUTS", 1)
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 4)
     assert [run()[0].shape[0] for run in dist.strata(100, 7)] == [2] * 36 + [1] * 28
+    # T=0: a run's words are its rows
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 5)
+    runs = [run() for run in WordDistribution(3, 5, 0).strata(100, 7)]
+    assert all(words.shape == (starts.shape[0], 0) for words, starts, _ in runs)
+    assert max(starts.shape[0] for _, starts, _ in runs) == 5
+    assert sum(starts.shape[0] for _, starts, _ in runs) == 100
 
 
 def test_merged_draws_change_no_count(monkeypatch):
@@ -352,7 +366,7 @@ def test_merged_draws_change_no_count(monkeypatch):
         ]
 
     merged = counts()
-    monkeypatch.setattr(walk, "RUN_POSITIONS", 0)  # every stratum runs alone
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum and every prefix runs alone
     assert len(WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)) == 64
     assert counts() == merged
     assert merged[0] == merged[1]
