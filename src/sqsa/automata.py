@@ -2,7 +2,8 @@
 
 A shuffle semiautomaton on ``n`` states has an alphabet of ``k * C(n, 2)``
 symbols: ``k`` labelled copies of the full transposition list, in
-copy-major order (symbol ``j`` names ``all_transpositions(n)[j % C(n, 2)]``).
+copy-major order: symbol ``j`` names pair ``j % C(n, 2)`` in the lexicographic
+``(a, b)`` order of ``perm.all_transpositions`` and ``np.triu_indices(n, 1)``.
 A per-symbol mask bit decides whether the symbol acts on states as that
 transposition or as the identity.  A family draws each mask bit as an
 independent Bernoulli(p) coin from a counter-based stream derived from
@@ -41,8 +42,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-
-from .perm import all_transpositions
 
 __all__ = [
     "FamilyConfig",
@@ -133,9 +132,9 @@ class Semiautomaton:
         size = self.alphabet_size
         codes = np.arange(self.n_states, dtype=np.int64) * size
         table = np.repeat(codes, size)  # every symbol fixes every state
-        pairs = np.array([(t.a, t.b) for t in all_transpositions(self.n_states)])
+        ends = np.array(np.triu_indices(self.n_states, 1))  # all_transpositions order
         active = np.flatnonzero(self.mask)
-        low, high = pairs[active % self.n_transpositions].T
+        low, high = ends[:, active % self.n_transpositions]
         table[codes[low] + active] = codes[high]
         table[codes[high] + active] = codes[low]
         table.setflags(write=False)

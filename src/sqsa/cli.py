@@ -244,11 +244,9 @@ def _csv_payload(meta: dict, header: list[str], rows: list[list[str]]) -> bytes:
 
 def _cmd_family(config: dict, jobs: int) -> bytes:
     n = int(config["n"])
-    k = config["k"]
-    if k is None:
-        k = min_alphabet_copies(n) if n >= 4 else 1
-        config["k"] = k
-    family = build_family(FamilyConfig(n, int(k), int(config["m"]), float(config["p"]), int(config["seed"])))
+    if config["k"] is None:
+        config["k"] = min_alphabet_copies(n) if n >= 4 else 1
+    family = build_family(FamilyConfig(n, int(config["k"]), int(config["m"]), float(config["p"]), int(config["seed"])))
     return serialize_family(family)
 
 
@@ -278,13 +276,15 @@ def _cmd_spectrum(config: dict, jobs: int) -> bytes:
     if config["method"] == "expected":
         n = int(config["n"])
         matrix = expected_operator(n, float(config["p"]))
-        closed_forms = [entry[0] for entry in expected_spectrum(n)] if n >= 4 else []
+        closed_forms = expected_spectrum(n, Fraction(repr(float(config["p"])))) if n >= 4 else []
     else:
         family, sha1 = _load_family(config.get("family"))
         i, j = _parse_members(config["members"], family)
         matrix = fourier_matrix(step_distribution(family.members[i], family.members[j]))
     groups = _grouped_eigenvalues(matrix)
-    closed: list[Fraction | None] = closed_forms + [None] * (len(groups) - len(closed_forms))
+    # tiny p merges blocks in the grouping; pair closed forms only where the blocks line up
+    matched = [count for _, count in groups] == [count for _, count in closed_forms]
+    closed = [value for value, _ in closed_forms] if matched else [None] * len(groups)
     meta = _meta("spectrum", config, sha1)
     if config["format"] == "json":
         result = [
@@ -328,15 +328,11 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
 
 def _cmd_certify(config: dict, jobs: int) -> bytes:
     family, sha1 = _load_family(config.get("family"))
-    t = config["t"]
-    if t is None:
-        t = min_word_length(family.config.n_states)
-        config["t"] = t
-    dim = config["d"]
-    if dim is None:
-        dim = len(family.members)
-        config["d"] = dim
-    report = certify_sq_dimension(family.members, int(t), int(dim))
+    if config["t"] is None:
+        config["t"] = min_word_length(family.config.n_states)
+    if config["d"] is None:
+        config["d"] = len(family.members)
+    report = certify_sq_dimension(family.members, int(config["t"]), int(config["d"]))
     return _json_payload(_meta("certify", config, sha1), report)
 
 

@@ -231,11 +231,15 @@ class StepDistribution:
         if total != self.alphabet_size:
             raise ValueError(f"counts sum to {total}, expected exactly {self.alphabet_size}")
         n_actions = 1 + self.n_states * (self.n_states - 1) // 2
+        seen = set()
         for left, right, count in self.entries:
             if count <= 0:
                 raise ValueError("counts must be positive")
             if not (0 <= left < n_actions and 0 <= right < n_actions):
                 raise ValueError(f"actions ({left}, {right}) outside 0..{n_actions - 1}")
+            if (left, right) in seen:
+                raise ValueError(f"actions ({left}, {right}) repeated")
+            seen.add((left, right))
 
 
 def _check_compatible(a: Semiautomaton, b: Semiautomaton) -> None:
@@ -249,13 +253,14 @@ def _mask_counts(a: Semiautomaton, b: Semiautomaton) -> np.ndarray:
     """Symbols per transposition acting on both machines, on ``a`` only and on ``b`` only.
 
     Shape ``(3, C(n,2))``, transpositions in ``all_transpositions`` order;
-    the remaining symbols act on neither machine.
+    the remaining symbols act on neither machine.  One product counts
+    ``both``; each machine's own count less ``both`` is what acts on it alone.
     """
     _check_compatible(a, b)
-    n_trans = a.n_transpositions
-    mask_a = a.mask.reshape(a.n_copies, n_trans)
-    mask_b = b.mask.reshape(b.n_copies, n_trans)
-    return np.stack([mask_a & mask_b, mask_a & ~mask_b, ~mask_a & mask_b]).sum(axis=1)
+    mask_a = a.mask.reshape(a.n_copies, -1)
+    mask_b = b.mask.reshape(b.n_copies, -1)
+    both = (mask_a & mask_b).sum(axis=0)
+    return np.stack([both, mask_a.sum(axis=0) - both, mask_b.sum(axis=0) - both])
 
 
 def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
@@ -345,7 +350,6 @@ def agreement_exact(a: Semiautomaton, b: Semiautomaton, word_length: int) -> Agr
     built, so any ``n`` and any ``T`` are accepted.  ``T = 0`` gives
     ``p_agree`` exactly 1.
     """
-    _check_compatible(a, b)
     if word_length < 0:
         raise ValueError("word length must be >= 0")
     n = a.n_states
@@ -433,8 +437,6 @@ def _gauss_residuals(
     ``(n-1)/n``), in chunks whose Lanczos basis holds at most
     :data:`KRYLOV_ELEMENTS` entries at the largest step they may need."""
     n, lengths = pairs[0][0].n_states, np.asarray(word_lengths, dtype=np.int64)
-    if not lengths.any():
-        return np.full((len(pairs), lengths.size), (n - 1) / n)
     # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
     steps = min((n - 1) ** 2, int(lengths.max()) // 2 + 1)
     chunk = max(1, KRYLOV_ELEMENTS // (steps * n * n))
@@ -645,23 +647,23 @@ def expected_operator(n_states: int, p: float = 0.5) -> np.ndarray:
     return _kron_sum(factors, weights)
 
 
-def expected_spectrum(n_states: int) -> list[tuple[Fraction, int]]:
-    """Closed-form eigenvalues (descending) and multiplicities of the p=1/2 average.
+def expected_spectrum(n_states: int, p: Fraction = Fraction(1, 2)) -> list[tuple[Fraction, int]]:
+    """Closed-form eigenvalues (descending) and multiplicities of the mask-``p`` average.
 
     Valid for ``n >= 4``, where the Kronecker square of the standard
     representation splits into four distinct irreducible blocks; smaller
     ``n`` must be measured numerically instead.  With ``S = (n-1, 1)`` and
     ``r`` the transposition character ratio, the irrep ``lam`` of
-    ``S (x) S`` carries ``(1 + 2 r(S) + r(lam)) / 4`` with multiplicity
-    ``dim(lam)``: averaging ``(S + I) (x) (S + I) / 4`` over transpositions
-    turns each term into its character ratio.
+    ``S (x) S`` carries ``(1-p)^2 + 2p(1-p) r(S) + p^2 r(lam)`` with
+    multiplicity ``dim(lam)``: averaging ``(pS + (1-p)I) (x) (pS + (1-p)I)``
+    over transpositions turns each term into its character ratio.
     """
     if n_states < 4:
         raise ValueError("closed-form spectrum needs n >= 4")
-    n = n_states
-    standard = char_ratio(Partition.standard(n))
+    n, p = n_states, Fraction(p)
+    shared = (1 - p) ** 2 + 2 * p * (1 - p) * char_ratio(Partition.standard(n))
     labels = [Partition(parts) for parts in ((n,), (n - 1, 1), (n - 2, 2), (n - 2, 1, 1))]
-    return [((1 + 2 * standard + char_ratio(label)) / 4, irrep_dim(label)) for label in labels]
+    return [(shared + p * p * char_ratio(label), irrep_dim(label)) for label in labels]
 
 
 @dataclass(frozen=True)
@@ -752,7 +754,6 @@ def mixing_scan(a: Semiautomaton, b: Semiautomaton, t_max: int) -> MixingScan:
     checked against both envelopes."""
     if t_max < 1:
         raise ValueError("need t_max >= 1")
-    _check_compatible(a, b)
     n = a.n_states
     matrix = fourier_matrix(step_distribution(a, b))
     eigenvalues = _checked_eigenvalues(matrix)

@@ -180,6 +180,40 @@ def test_symbol_actions_are_involutions(seed, symbol):
         assert run_word(automaton, [symbol, symbol], state) == state
 
 
+def transposition_step_table(automaton):
+    """The step table built from ``Transposition`` objects: the reference for
+    :attr:`Semiautomaton.step_table`, which reads the ends from ``np.triu_indices``."""
+    size = automaton.alphabet_size
+    codes = np.arange(automaton.n_states, dtype=np.int64) * size
+    table = np.repeat(codes, size)
+    pairs = np.array([(t.a, t.b) for t in all_transpositions(automaton.n_states)])
+    active = np.flatnonzero(automaton.mask)
+    low, high = pairs[active % automaton.n_transpositions].T
+    table[codes[low] + active] = codes[high]
+    table[codes[high] + active] = codes[low]
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    k=st.integers(1, 4),
+    fill=st.sampled_from(["random", "ones", "zeros"]),
+    seed=st.integers(0, 2**32),
+)
+def test_step_table_equals_the_transposition_object_table(n, k, fill, seed):
+    size = k * n * (n - 1) // 2
+    mask = {
+        "random": np.random.default_rng(seed).random(size) < 0.5,
+        "ones": np.ones(size, dtype=bool),
+        "zeros": np.zeros(size, dtype=bool),
+    }[fill]
+    automaton = Semiautomaton(n, k, mask)
+    table = automaton.step_table
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(table, transposition_step_table(automaton))
+
+
 def test_identical_masks_are_extensionally_equal():
     rng = np.random.default_rng(3)
     mask = rng.random(3) < 0.5

@@ -110,6 +110,36 @@ def test_spectrum_expected_matches_closed_form(capsys):
         assert row["eigenvalue"] == pytest.approx(int(num) / int(den), abs=1e-9)
 
 
+def test_spectrum_expected_closed_forms_follow_p(capsys):
+    assert run_cli(["spectrum", "--n", 5, "--p", 0.3, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["result"]
+    assert [row["closed_form"] for row in rows] == ["79/100", "149/200", "359/500", "7/10"]
+    for row in rows:
+        num, den = row["closed_form"].split("/")
+        assert row["eigenvalue"] == pytest.approx(int(num) / int(den), rel=0.0, abs=1e-12)
+
+
+def test_spectrum_expected_leaves_merged_blocks_without_closed_forms(capsys):
+    # at tiny p the 1e-8 grouping merges all four blocks into one row
+    assert run_cli(["spectrum", "--n", 5, "--p", 1e-5]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["eigenvalue,multiplicity,closed_form", "0.99999000009999983,16,"]
+
+
+def test_spectrum_expected_csv_bytes_at_half(capsys):
+    assert run_cli(["spectrum", "--n", 5]) == 0
+    assert capsys.readouterr().out == (
+        "# tool: sqsa 0.1.0\n"
+        "# command: spectrum\n"
+        '# config: {"format": "csv", "members": "0,1", "method": "expected", "n": 5, "p": 0.5}\n'
+        "eigenvalue,multiplicity,closed_form\n"
+        "0.75000000000000011,1,3/4\n"
+        "0.62500000000000044,4,5/8\n"
+        "0.55000000000000027,5,11/20\n"
+        "0.50000000000000044,6,1/2\n"
+    )
+
+
 def test_spectrum_realized(family_file, capsys):
     assert run_cli(["spectrum", "--method", "realized", "--family", family_file, "--members", "1,2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +78,13 @@ def test_all_transpositions_small_cases():
     assert len(five) == 10
     assert (five[0].a, five[0].b) == (0, 1)
     assert (five[-1].a, five[-1].b) == (3, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_all_transpositions_in_triu_indices_order(n):
+    # the step table and the pair-chain Laplacians index transpositions this way
+    ends = [(t.a, t.b) for t in all_transpositions(n)]
+    assert ends == [(int(a), int(b)) for a, b in zip(*np.triu_indices(n, 1))]
 
 
 def test_all_transpositions_are_involutions():

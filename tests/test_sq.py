@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sqsa import automata, walk
 from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies, run_word
+from sqsa.perm import SizeMismatchError
 from sqsa.sq import (
     CorrelationEstimate,
     StatQuery,
@@ -134,6 +135,13 @@ def test_certificate_rejects_negative_word_length_without_pairs():
     family = family_pair(4, 1, 7)
     with pytest.raises(ValueError, match="word length must be >= 0"):
         certify_sq_dimension(family.members, -1, 1)
+
+
+def test_certificate_at_zero_length_rejects_members_of_different_shapes():
+    small = family_pair(4, 1, 3).members[0]
+    large = family_pair(5, 1, 3).members[0]
+    with pytest.raises(SizeMismatchError):
+        certify_sq_dimension([small, large], 0, 2)
 
 
 def test_certificate_needs_enough_members():

@@ -85,6 +85,39 @@ def test_step_distribution_rejects_bad_masses():
         StepDistribution(3, 3, ((0, 4, 3),))
 
 
+def test_step_distribution_rejects_repeated_pairs():
+    # fourier_matrix would keep only the last count: 0.5 I instead of I
+    with pytest.raises(ValueError, match=r"actions \(0, 0\) repeated"):
+        StepDistribution(3, 4, ((0, 0, 2), (0, 0, 2)))
+    with pytest.raises(ValueError, match=r"actions \(2, 0\) repeated"):
+        StepDistribution(3, 4, ((2, 0, 1), (1, 1, 2), (2, 0, 1)))
+
+
+def three_product_counts(a, b):
+    """Mask counts as three masked products summed over the copies: the
+    reference for ``walk._mask_counts``."""
+    mask_a = a.mask.reshape(a.n_copies, a.n_transpositions)
+    mask_b = b.mask.reshape(b.n_copies, b.n_transpositions)
+    return np.stack([mask_a & mask_b, mask_a & ~mask_b, ~mask_a & mask_b]).sum(axis=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mask_counts_equal_the_three_product_form(data):
+    n, k = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 4))
+    size = k * n * (n - 1) // 2
+    masks = st.one_of(
+        st.just([True] * size),
+        st.just([False] * size),
+        st.lists(st.booleans(), min_size=size, max_size=size),
+    )
+    a, b = automaton(n, k, data.draw(masks)), automaton(n, k, data.draw(masks))
+    counts = walk._mask_counts(a, b)
+    assert counts.shape == (3, n * (n - 1) // 2)
+    assert np.array_equal(counts, three_product_counts(a, b))
+    assert counts.sum() <= a.alphabet_size
+
+
 def test_fourier_matrix_identity_distribution():
     dist = StepDistribution(4, 5, ((0, 0, 5),))
     assert np.abs(fourier_matrix(dist) - np.eye(9)).max() < 1e-14
@@ -475,6 +508,27 @@ def test_expected_spectrum_matches_closed_form_fractions():
             (Fraction(n * n - 3 * n + 1, n * (n - 1)), n * (n - 3) // 2),
             (Fraction(n - 3, n - 1), (n - 1) * (n - 2) // 2),
         ]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("p", [Fraction(3, 10), Fraction(7, 8)])
+def test_expected_spectrum_away_from_half_matches_eigensolve(n, p):
+    eigenvalues = np.linalg.eigvalsh(expected_operator(n, float(p)))[::-1]
+    expected = []
+    for value, multiplicity in expected_spectrum(n, p):
+        assert isinstance(value, Fraction)
+        expected.extend([float(value)] * multiplicity)
+    assert np.abs(eigenvalues - np.array(expected)).max() <= 1e-12
+
+
+def test_expected_spectrum_at_p_three_tenths_n5():
+    spectrum = expected_spectrum(5, Fraction(3, 10))
+    assert spectrum == [
+        (Fraction(79, 100), 1),
+        (Fraction(149, 200), 4),
+        (Fraction(359, 500), 5),
+        (Fraction(7, 10), 6),
+    ]
 
 
 def test_expected_spectrum_minimum_eigenvalue_n5():
