@@ -9,6 +9,9 @@ transposition or as the identity.  A family draws each mask bit as an
 independent Bernoulli(p) coin from a counter-based stream derived from
 ``(seed, member index)``, so regenerating with the same config is
 bit-identical and members are independent regardless of build order.
+The stream's uniform doubles are drawn in fixed-size chunks into one
+buffer, which gives the same doubles as one call: a build holds its masks
+plus one chunk, not eight bytes per symbol.
 
 A semiautomaton runs from one flat, read-only step table of ``n * A``
 coded states, ``A`` the alphabet size: a state ``s`` is coded as ``s * A``,
@@ -62,6 +65,7 @@ __all__ = [
 FAMILY_MAGIC = b"SQSA"
 FAMILY_VERSION = 1
 _HEADER = struct.Struct("<4sHHIIdQ")
+MASK_DRAW_CHUNK = 1 << 20  # uniform doubles drawn at once by build_family (8 MB)
 
 
 class FamilyFormatError(ValueError):
@@ -242,12 +246,23 @@ def mask_stream(seed: int, member_index: int) -> np.random.Generator:
 
 
 def build_family(config: FamilyConfig) -> ShuffleFamily:
-    """Draw all mask bits i.i.d. Bernoulli(p); same config, same bits."""
+    """Draw all mask bits i.i.d. Bernoulli(p); same config, same bits.
+
+    Bit ``i`` of a member is ``u_i < p`` for the ``i``-th uniform double of
+    its :func:`mask_stream`.  The doubles are drawn :data:`MASK_DRAW_CHUNK`
+    at a time into one buffer; a stream gives the same doubles in chunks as
+    in one call, so the chunk size never changes a family.
+    """
     n_bits = config.alphabet_size
+    uniforms = np.empty(min(n_bits, MASK_DRAW_CHUNK))
     members = []
     for index in range(config.n_members):
         rng = mask_stream(config.seed, index)
-        mask = rng.random(n_bits) < config.p
+        mask = np.empty(n_bits, dtype=bool)
+        for low in range(0, n_bits, uniforms.shape[0]):
+            drawn = uniforms[: n_bits - low]
+            rng.random(out=drawn)
+            np.less(drawn, config.p, out=mask[low : low + drawn.shape[0]])
         members.append(Semiautomaton(config.n_states, config.n_copies, mask))
     return ShuffleFamily(config, tuple(members))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -106,6 +107,12 @@ _FLAGS: dict[str, dict[str, tuple]] = {
     },
 }
 
+# command -> flag -> the one method that reads it; a run of another method leaves
+# the flag out of ``meta.config`` and refuses it when a flag or config key sets it
+_METHOD_FLAGS: dict[str, dict[str, str]] = {
+    "spectrum": {"n": "expected", "p": "expected", "family": "realized", "members": "realized"},
+}
+
 
 def _float17(value: float) -> str:
     return format(float(value), ".17g")
@@ -122,9 +129,10 @@ def _git_blob_sha1(data: bytes) -> str:
     return digest.hexdigest()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser; every flag but ``--config``, ``--out`` and ``--jobs`` is
-    read from :data:`_FLAGS` and left ``None`` when not given."""
+    """The CLI parser, built once per process; every flag but ``--config``, ``--out``
+    and ``--jobs`` is read from :data:`_FLAGS` and left ``None`` when not given."""
     parser = argparse.ArgumentParser(
         prog="sqsa",
         description="shuffle-semiautomaton agreement, spectrum, and SQ-oracle experiments",
@@ -149,10 +157,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     A file value must have its flag's type: an int flag takes an integer
     (not a boolean), a float flag a number, a string flag a string, and a
     flag with choices one of them; ``null`` is taken only where the default
-    is unset.  The value that runs is then the value that ``meta.config`` echoes.
+    is unset.  A flag that only another method reads (:data:`_METHOD_FLAGS`)
+    is refused when set and dropped otherwise.  The value that runs is then
+    the value that ``meta.config`` echoes.
     """
     flags = _FLAGS[args.command]
     resolved = {key: default for key, (_, default, _) in flags.items() if default is not _UNSET}
+    given = set()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             loaded = json.load(handle)
@@ -174,10 +185,20 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             if not fits:
                 raise ValueError(f"config key {key!r} must be {wanted}, got {value!r}")
         resolved.update(loaded)
+        given.update(loaded)
     for key in flags:
         value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+            given.add(key)
+    for key, method in _METHOD_FLAGS.get(args.command, {}).items():
+        if resolved["method"] != method:
+            if key in given:
+                raise ValueError(
+                    f"{args.command} --method {resolved['method']} does not read {key!r}; "
+                    f"only --method {method} does"
+                )
+            resolved.pop(key, None)
     return resolved
 
 
@@ -227,6 +248,23 @@ def _json_text(value, indent: int | None = None) -> str:
 
 def _json_payload(meta: dict, result) -> bytes:
     return (_json_text({"meta": meta, "result": result}, indent=2) + "\n").encode()
+
+
+_TABLE = "\0table"  # stands in for a table in a payload until the table's text replaces it
+
+
+def _table_text(keys: list[str], values: list, depth: int) -> str:
+    """``json.dumps(rows, indent=2, sort_keys=True)`` of rows that map the sorted
+    ``keys`` to numbers, ``values`` row after row, for a list ``depth`` levels deep.
+
+    With ``indent`` set, ``json`` takes its pure-Python encoder; here every
+    value goes through the C encoder in one call and only the layout is written out.
+    """
+    texts = json.dumps(values)[1:-1].split(", ")  # numbers never hold ", "
+    pad = "  " * depth
+    row = "{{\n" + ",\n".join(f"{pad}    {json.dumps(key)}: {{}}" for key in keys) + f"\n{pad}  }}}}"
+    rows = (row.format(*texts[low : low + len(keys)]) for low in range(0, len(texts), len(keys)))
+    return f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
 
 
 def _csv_payload(meta: dict, header: list[str], rows: list[list[str]]) -> bytes:
@@ -306,11 +344,12 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
     meta = _meta("mixing", config, sha1)
     if config["format"] == "json":
         result = {key: value for key, value in vars(scan).items() if key != "n_states"}
-        result["points"] = [
-            {"T" if key == "word_length" else key: value for key, value in vars(point).items()}
-            for point in scan.points
-        ]
-        return _json_payload(meta, result)
+        result["points"] = _TABLE
+        fields = {"T" if name == "word_length" else name: name for name in vars(scan.points[0])}
+        keys = sorted(fields)
+        values = [getattr(point, fields[key]) for point in scan.points for key in keys]
+        table = _table_text(keys, values, depth=2)
+        return _json_payload(meta, result).replace(json.dumps(_TABLE).encode(), table.encode(), 1)
     rows = [
         [
             str(point.word_length),

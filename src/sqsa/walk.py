@@ -56,6 +56,15 @@ run as one stack, so ``certify`` pays one Lanczos run for all its pairs.
 The residual is the primary quantity and ``p_agree = 1/n + residual``,
 so it keeps its relative accuracy far below the rounding of ``p_agree``.
 
+The step reads a pair only through its mask counts: per transposition,
+the symbols acting on both machines, on one only, and on the other only.
+One pass (:func:`_pair_counts`) takes them for every pair of a run: it
+reads each distinct member's mask once, in blocks of copies, packs 64
+copies of a transposition into one word, and counts each pair's ``both``
+as a popcount of ANDed words.  At the paper's copy count a mask holds
+millions of bits (18 million at n = 60), so ``certify`` pays one read of
+each member's mask, not one per pair.
+
 The rule is a sum of exponentials in ``T``, so one run also gives
 :func:`mixing_scan` its whole series.  The dense ``M``
 (:func:`fourier_matrix`) serves only the realized spectrum and a mixing
@@ -107,6 +116,7 @@ BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
 RUN_ELEMENTS = 1 << 16  # entries of a run's largest array: block final states, strata words
 KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
+COUNT_ELEMENTS = 1 << 24  # mask bits, over all members, of one block of copies in _pair_counts
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
 _AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
 _NORMAL = np.finfo(float).tiny  # smallest normal double
@@ -249,18 +259,57 @@ def _check_compatible(a: Semiautomaton, b: Semiautomaton) -> None:
         )
 
 
-def _mask_counts(a: Semiautomaton, b: Semiautomaton) -> np.ndarray:
-    """Symbols per transposition acting on both machines, on ``a`` only and on ``b`` only.
+def _packed_copies(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Bool mask rows ``(copies, C)`` of each block, packed along the copies.
 
-    Shape ``(3, C(n,2))``, transpositions in ``all_transpositions`` order;
-    the remaining symbols act on neither machine.  One product counts
-    ``both``; each machine's own count less ``both`` is what acts on it alone.
+    The result is ``(len(blocks), ceil(copies / 64), C)`` uint64: each word
+    holds 64 copies of one transposition (zero bits past the last copy),
+    the same copy at the same bit in every block, so a popcount of two
+    blocks' ANDed words counts the copies on which both act.  Eight
+    transpositions share a 64-bit lane, one byte each, while eight copies
+    are shifted into each byte; then eight such bytes make one word.
     """
-    _check_compatible(a, b)
-    mask_a = a.mask.reshape(a.n_copies, -1)
-    mask_b = b.mask.reshape(b.n_copies, -1)
-    both = (mask_a & mask_b).sum(axis=0)
-    return np.stack([both, mask_a.sum(axis=0) - both, mask_b.sum(axis=0) - both])
+    copies, columns = blocks[0].shape
+    words, width = -(-copies // 64), -(-columns // 8) * 8
+    lanes = np.zeros((len(blocks), 64 * words, width), dtype=np.uint8)
+    for lane, rows in zip(lanes, blocks):
+        lane[:copies, :columns] = rows
+    lanes = lanes.view(np.uint64)
+    octets = lanes[:, 0::8].copy()  # bit b of each byte: copy 8q + b of that transposition
+    for bit in range(1, 8):
+        octets |= lanes[:, bit::8] << np.uint64(bit)
+    octets = octets.view(np.uint8).reshape(len(blocks), words, 8, width).swapaxes(-1, -2)
+    return np.ascontiguousarray(octets).view(np.uint64)[..., :columns, 0]
+
+
+def _pair_counts(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> np.ndarray:
+    """Symbols per transposition acting on both machines, on ``a`` only and on ``b`` only,
+    for every pair ``(a, b)``.
+
+    Shape ``(3, len(pairs), C(n,2))`` int64, transpositions in
+    ``all_transpositions`` order; the remaining symbols act on neither
+    machine.  Each distinct member (by identity: its hash would read the
+    whole mask) is read once, in blocks of copies that hold at most
+    :data:`COUNT_ELEMENTS` mask bits over all members, and packed 64 copies
+    a word (:func:`_packed_copies`).  A popcount of its words gives each
+    member's own count, and one of each pair's ANDed words its ``both``;
+    each own count less ``both`` is what acts on that machine alone.
+    """
+    members = list({id(m): m for m in itertools.chain.from_iterable(pairs)}.values())
+    index = {id(member): i for i, member in enumerate(members)}
+    for member in members:
+        _check_compatible(members[0], member)
+    first, second = np.array([[index[id(a)], index[id(b)]] for a, b in pairs]).T
+    copies, columns = members[0].n_copies, members[0].n_transpositions
+    block = max(64, COUNT_ELEMENTS // (len(members) * columns) // 64 * 64)
+    own = np.zeros((len(members), columns), dtype=np.int64)
+    both = np.zeros((len(pairs), columns), dtype=np.int64)
+    for low in range(0, copies, block):
+        words = _packed_copies([m.mask.reshape(copies, columns)[low : low + block] for m in members])
+        own += np.bitwise_count(words).sum(axis=1, dtype=np.uint32)
+        for pair, (i, j) in enumerate(zip(first, second)):
+            both[pair] += np.bitwise_count(words[i] & words[j]).sum(axis=0, dtype=np.uint32)
+    return np.stack([both, own[first] - both, own[second] - both])
 
 
 def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
@@ -271,7 +320,7 @@ def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
     ``(tau, tau)``, ``(tau, identity)`` and ``(identity, tau)``, counted
     straight from the two masks.
     """
-    counts = _mask_counts(a, b)
+    counts = _pair_counts([(a, b)])[:, 0]
     neither = a.alphabet_size - int(counts.sum())
     entries = [(0, 0, neither)] if neither else []
     for swap, (both, only_a, only_b) in enumerate(counts.T, start=1):
@@ -372,16 +421,14 @@ def _centred(y: np.ndarray) -> np.ndarray:
     return y - y.mean(axis=-1, keepdims=True)
 
 
-def _pair_chain(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> Callable:
-    """``I - M`` of each pair on a ``(P, n, n)`` stack of centred ``Y``, re-centred.
+def _pair_chain(counts: np.ndarray, n: int, alphabet_size: int) -> Callable:
+    """``I - M`` of each pair on a ``(P, n, n)`` stack of centred ``Y``, re-centred,
+    from the pairs' ``(3, P, C(n,2))`` counts of :func:`_pair_counts`.
 
     Leaving out ``M``'s leading ``Y`` turns its slow modes (eigenvalues
     near 1) into small eigenvalues, which keep their relative accuracy.
     """
-    n = pairs[0][0].n_states
-    both, only_a, only_b = np.stack(
-        [_mask_counts(a, b) / a.alphabet_size for a, b in pairs], axis=1
-    )
+    both, only_a, only_b = counts / alphabet_size
     lap_a, lap_b = _laplacians(both + only_a, n), _laplacians(both + only_b, n)
     low, high = np.triu_indices(n, 1)
 
@@ -434,14 +481,16 @@ def _gauss_residuals(
     pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_lengths: Sequence[int]
 ) -> np.ndarray:
     """``p_agree - 1/n`` of each pair at each word length (``T = 0`` gives exactly
-    ``(n-1)/n``), in chunks whose Lanczos basis holds at most
+    ``(n-1)/n``).  The mask counts of all pairs come from one :func:`_pair_counts`
+    pass; the pairs then run in chunks whose Lanczos basis holds at most
     :data:`KRYLOV_ELEMENTS` entries at the largest step they may need."""
     n, lengths = pairs[0][0].n_states, np.asarray(word_lengths, dtype=np.int64)
+    counts, alphabet = _pair_counts(pairs), pairs[0][0].alphabet_size
     # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
     steps = min((n - 1) ** 2, int(lengths.max()) // 2 + 1)
     chunk = max(1, KRYLOV_ELEMENTS // (steps * n * n))
     residuals = np.concatenate(
-        [_gauss_chunk(pairs[low : low + chunk], lengths, steps)
+        [_gauss_chunk(counts[:, low : low + chunk], n, alphabet, lengths, steps)
          for low in range(0, len(pairs), chunk)]
     )
     residuals[:, lengths == 0] = (n - 1) / n
@@ -449,9 +498,9 @@ def _gauss_residuals(
 
 
 def _gauss_chunk(
-    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_lengths: np.ndarray, steps: int
+    counts: np.ndarray, n: int, alphabet_size: int, word_lengths: np.ndarray, steps: int
 ) -> np.ndarray:
-    """Lanczos on ``I - M`` from ``Y_0 = I - J/n`` for every pair at once.
+    """Lanczos on ``I - M`` from ``Y_0 = I - J/n`` for every pair of ``counts`` at once.
 
     The residual is ``||Y_0||^2 / n`` times the Gauss rule.  A pair stops
     at the first ``k`` where the rule is exact (``2k - 1 >= max T``, or the
@@ -461,8 +510,7 @@ def _gauss_chunk(
     Each vector is fully reorthogonalised, then re-centred: rounding that
     leaves the centred space grows each step and shows up as spurious Ritz values.
     """
-    n, count = pairs[0][0].n_states, len(pairs)
-    step = _pair_chain(pairs)
+    count, step = counts.shape[1], _pair_chain(counts, n, alphabet_size)
     basis = np.empty((count, min(steps, 16), n * n))
     basis[:, 0] = ((np.eye(n) - 1.0 / n) / math.sqrt(n - 1)).reshape(-1)
     alpha, beta = np.zeros((count, steps)), np.zeros((count, steps))

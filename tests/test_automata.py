@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqsa import automata
 from sqsa.automata import (
     FamilyConfig,
     FamilyFormatError,
     Semiautomaton,
     build_family,
     deserialize_family,
+    mask_stream,
     min_alphabet_copies,
     min_word_length,
     run_suffixes,
@@ -235,6 +238,29 @@ def test_build_family_deterministic_and_independent_of_order():
     for index in (0, 3, 7):
         solo = build_family(FamilyConfig(4, 3, index + 1, 0.5, 99)).members[index]
         assert solo == first.members[index]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    k=st.integers(1, 6),
+    p=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**64 - 1),
+    chunk=st.sampled_from(["above the size", "the size", "one below", "a fraction"]),
+)
+def test_build_family_draws_in_chunks_as_in_one_call(n, k, p, seed, chunk):
+    config = FamilyConfig(n, k, 2, p, seed)
+    size = config.alphabet_size
+    chunk_size = {
+        "above the size": size + 1,
+        "the size": size,
+        "one below": max(1, size - 1),
+        "a fraction": max(1, size // 3),
+    }[chunk]
+    with mock.patch.object(automata, "MASK_DRAW_CHUNK", chunk_size):
+        family = build_family(config)
+    for index, member in enumerate(family.members):
+        assert np.array_equal(member.mask, mask_stream(seed, index).random(size) < p)
 
 
 def test_build_family_mask_bit_rate():

@@ -14,7 +14,9 @@ from sqsa.automata import (
     deserialize_family,
     serialize_family,
 )
+from sqsa import cli
 from sqsa.cli import main
+from sqsa.walk import MixingPoint, MixingScan
 
 
 def run_cli(args):
@@ -131,7 +133,7 @@ def test_spectrum_expected_csv_bytes_at_half(capsys):
     assert capsys.readouterr().out == (
         "# tool: sqsa 0.1.0\n"
         "# command: spectrum\n"
-        '# config: {"format": "csv", "members": "0,1", "method": "expected", "n": 5, "p": 0.5}\n'
+        '# config: {"format": "csv", "method": "expected", "n": 5, "p": 0.5}\n'
         "eigenvalue,multiplicity,closed_form\n"
         "0.75000000000000011,1,3/4\n"
         "0.62500000000000044,4,5/8\n"
@@ -148,6 +150,81 @@ def test_spectrum_realized(family_file, capsys):
     values = [float(line.split(",")[0]) for line in lines[header_index + 1 :]]
     assert all(-1.0 - 1e-9 <= v <= 1.0 + 1e-9 for v in values)
     assert sum(int(line.split(",")[1]) for line in lines[header_index + 1 :]) == 9
+
+
+def test_spectrum_config_echoes_only_what_the_method_reads(tmp_path, family_file, capsys):
+    assert run_cli(["spectrum", "--n", 4, "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["meta"]["config"]
+    assert config == {"format": "json", "method": "expected", "n": 4, "p": 0.5}
+    assert run_cli(["spectrum", "--method", "realized", "--family", family_file, "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["meta"]["config"]
+    assert config == {"family": str(family_file), "format": "json", "members": "0,1", "method": "realized"}
+
+
+@pytest.mark.parametrize(
+    "argv, config, problem",
+    [
+        (["--members", "0,1"], {}, "spectrum --method expected does not read 'members'; only --method realized does"),
+        ([], {"family": "f.sqsa"}, "spectrum --method expected does not read 'family'; only --method realized does"),
+        (["--method", "realized", "--n", 4], {}, "spectrum --method realized does not read 'n'; only --method expected does"),
+        ([], {"method": "realized", "p": 0.5}, "spectrum --method realized does not read 'p'; only --method expected does"),
+    ],
+)
+def test_spectrum_refuses_what_the_method_would_ignore(tmp_path, capsys, argv, config, problem):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["spectrum", "--config", path, *argv]) == 1
+    assert error_message(capsys) == problem
+
+
+def test_parser_is_built_once_and_keeps_help_and_errors(family_file, capsys):
+    cli._build_parser.cache_clear()
+    argv = ["pagree", "--family", family_file, "--t", 3, "--method", "brute"]
+    outputs = []
+    for _ in range(2):
+        assert run_cli(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert cli._build_parser.cache_info().misses == 1
+    for _ in range(2):
+        assert run_cli([*argv, "--jobs", 0]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            '{"error": {"message": "--jobs must be >= 1, got 0", "type": "ValueError"}}'
+        ]
+    with pytest.raises(SystemExit):
+        main(["pagree", "--help"])
+    cached = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(["pagree", "--help"])
+    assert capsys.readouterr().out == cached
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def crafted_scan(t_max):
+    """A scan whose residuals take every sign and range: negative, subnormal, zero."""
+    specials = [-0.25, 5e-324, -2.5e-320, 0.0, -1.0000000000000002, 1e-300]
+    points = tuple(
+        MixingPoint(t, 0.25 + specials[t % 6], specials[t % 6], 0.9 ** t, -(0.5 ** t))
+        for t in range(t_max + 1)
+    )
+    return MixingScan(4, 0.875, 0.125, True, False, points, (1, 3), ())
+
+
+@pytest.mark.parametrize("t_max", [1, 2000])
+def test_mixing_json_points_keep_the_stdlib_bytes(tmp_path, family_file, monkeypatch, t_max):
+    scan = crafted_scan(t_max)
+    monkeypatch.setattr(cli, "mixing_scan", lambda a, b, t: scan)
+    out = tmp_path / "mixing.json"
+    argv = ["mixing", "--family", family_file, "--t-max", t_max, "--format", "json", "--out", out]
+    assert run_cli(argv) == 0
+    result = {key: value for key, value in vars(scan).items() if key != "n_states"}
+    result["points"] = [
+        {"T" if key == "word_length" else key: value for key, value in vars(point).items()}
+        for point in scan.points
+    ]
+    meta = json.loads(out.read_text())["meta"]
+    expected = json.dumps({"meta": meta, "result": result}, indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == expected.encode()
 
 
 def test_certify_roundtrip(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_step_distribution_rejects_repeated_pairs():
 
 def three_product_counts(a, b):
     """Mask counts as three masked products summed over the copies: the
-    reference for ``walk._mask_counts``."""
+    reference for ``walk._pair_counts``."""
     mask_a = a.mask.reshape(a.n_copies, a.n_transpositions)
     mask_b = b.mask.reshape(b.n_copies, b.n_transpositions)
     return np.stack([mask_a & mask_b, mask_a & ~mask_b, ~mask_a & mask_b]).sum(axis=1)
@@ -104,18 +104,41 @@ def three_product_counts(a, b):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_mask_counts_equal_the_three_product_form(data):
-    n, k = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 4))
+    # k up to 20 leaves most words part-filled; pairs may repeat a member or pair it
+    # with itself, as the exact oracle's (reference, reference) does
+    n, k = data.draw(st.integers(2, 9)), data.draw(st.integers(1, 20))
     size = k * n * (n - 1) // 2
     masks = st.one_of(
         st.just([True] * size),
         st.just([False] * size),
         st.lists(st.booleans(), min_size=size, max_size=size),
     )
-    a, b = automaton(n, k, data.draw(masks)), automaton(n, k, data.draw(masks))
-    counts = walk._mask_counts(a, b)
-    assert counts.shape == (3, n * (n - 1) // 2)
-    assert np.array_equal(counts, three_product_counts(a, b))
-    assert counts.sum() <= a.alphabet_size
+    members = [automaton(n, k, data.draw(masks)) for _ in range(data.draw(st.integers(1, 4)))]
+    index = st.integers(0, len(members) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8))
+    counts = walk._pair_counts([(members[i], members[j]) for i, j in pairs])
+    assert counts.shape == (3, len(pairs), n * (n - 1) // 2)
+    for column, (i, j) in zip(counts.transpose(1, 0, 2), pairs):
+        assert np.array_equal(column, three_product_counts(members[i], members[j]))
+    assert (counts.sum(axis=(0, 2)) <= members[0].alphabet_size).all()
+
+
+def test_mask_counts_add_up_over_blocks_of_copies(monkeypatch):
+    # 150 copies: three 64-copy blocks at the smallest budget, the last one part-filled
+    family = build_family(FamilyConfig(5, 150, 3, 0.5, 41))
+    a, b, c = family.members
+    pairs = [(a, b), (b, c), (c, c), (a, c)]
+    whole = walk._pair_counts(pairs)
+    monkeypatch.setattr(walk, "COUNT_ELEMENTS", 1)
+    assert np.array_equal(walk._pair_counts(pairs), whole)
+    for column, (x, y) in zip(whole.transpose(1, 0, 2), pairs):
+        assert np.array_equal(column, three_product_counts(x, y))
+
+
+def test_mask_counts_refuse_members_of_another_shape():
+    a, b = random_pair(4, 2, 3)
+    with pytest.raises(SizeMismatchError):
+        walk._pair_counts([(a, b), (b, automaton(4, 1, [True] * 6))])
 
 
 def test_fourier_matrix_identity_distribution():
@@ -268,9 +291,9 @@ def test_gauss_residuals_do_not_depend_on_chunking(monkeypatch):
     chunks = []
     run_chunk = walk._gauss_chunk
 
-    def counted(chunk, t, steps):
-        chunks.append(len(chunk))
-        return run_chunk(chunk, t, steps)
+    def counted(counts, *rest):
+        chunks.append(counts.shape[1])
+        return run_chunk(counts, *rest)
 
     monkeypatch.setattr(walk, "_gauss_chunk", counted)
     together = walk._gauss_residuals(pairs, [90])[:, 0]
