@@ -16,11 +16,17 @@ plus one chunk, not eight bytes per symbol.
 A semiautomaton runs from one flat, read-only step table of ``n * A``
 coded states, ``A`` the alphabet size: a state ``s`` is coded as ``s * A``,
 and entry ``s * A + symbol`` holds the code of the state that ``symbol``
-leads to.  A batch is one word and one start per row; one step of it is
-then one add and one ``take``, and the final codes are decoded once, by
-``// A``.  Row ``s`` of the table, read as ``(n, A)``, holds the code
-after each symbol from ``s``, so continuing a batch by every symbol at
-once is one row-wise ``take``.
+leads to.  Codes are int32 while ``n * A < 2**31`` and int64 beyond
+(:func:`index_dtype`), so a table at the paper's copy count is half the
+size.  A batch is one word and one start per row; one step of it is then
+one add and one ``take``, and the final codes are decoded once, by
+``// A``.  Several machines of one shape run a batch in one walk: their
+tables are stacked into one, machine ``i``'s codes offset by ``i * n * A``,
+so a step is still one add and one ``take``, for every machine at once.
+The last stack is kept for the next batch of the same machines.
+Row ``s`` of a table, read as ``(n, A)``, holds the code after each symbol
+from ``s``, so continuing a batch by every symbol at once is one row-wise
+``take``.
 
 Family file format (little-endian), version 1:
 
@@ -38,6 +44,7 @@ padded with zero bits to whole bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -46,6 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .perm import SizeMismatchError
+
 __all__ = [
     "FamilyConfig",
     "FamilyFormatError",
@@ -53,6 +62,7 @@ __all__ = [
     "ShuffleFamily",
     "build_family",
     "deserialize_family",
+    "index_dtype",
     "mask_stream",
     "min_alphabet_copies",
     "min_word_length",
@@ -66,6 +76,11 @@ FAMILY_MAGIC = b"SQSA"
 FAMILY_VERSION = 1
 _HEADER = struct.Struct("<4sHHIIdQ")
 MASK_DRAW_CHUNK = 1 << 20  # uniform doubles drawn at once by build_family (8 MB)
+
+
+def index_dtype(count: int) -> np.dtype:
+    """int32 when every index below ``count`` fits it (``count < 2**31``), else int64."""
+    return np.dtype(np.int32 if count < 2**31 else np.int64)
 
 
 class FamilyFormatError(ValueError):
@@ -132,9 +147,10 @@ class Semiautomaton:
     @cached_property
     def step_table(self) -> np.ndarray:
         """Coded transitions, shape (n_states * alphabet,): entry ``s * A + symbol``
-        holds ``next_state * A`` (``A`` the alphabet size)."""
+        holds ``next_state * A`` (``A`` the alphabet size), in
+        ``index_dtype(n_states * A)``."""
         size = self.alphabet_size
-        codes = np.arange(self.n_states, dtype=np.int64) * size
+        codes = np.arange(self.n_states, dtype=index_dtype(self.n_states * size)) * size
         table = np.repeat(codes, size)  # every symbol fixes every state
         ends = np.array(np.triu_indices(self.n_states, 1))  # all_transpositions order
         active = np.flatnonzero(self.mask)
@@ -187,36 +203,76 @@ def run_word(automaton: Semiautomaton, word: Sequence[int], start: int) -> int:
 
 def _check_range(values: np.ndarray, bound: int, message: str) -> None:
     """Raise ``message`` formatted with the minimum of ``values`` if it is below 0,
-    else with their maximum if it is ``>= bound``."""
-    # one pass: read as unsigned, a negative value exceeds every bound
-    if values.size and values.astype(np.int64, copy=False).view(np.uint64).max() >= bound:
+    else with their maximum if it is ``>= bound``; non-integers raise ``TypeError``."""
+    if not values.size:
+        return
+    if values.dtype.kind not in "biu":
+        raise TypeError(f"expected integers, got {values.dtype}")
+    # one pass, no copy: read as unsigned of the same width, a negative value exceeds every bound
+    if values.view(values.dtype.str.replace("i", "u")).max() >= bound:
         low = int(values.min())
         raise ValueError(message.format(low if low < 0 else int(values.max())))
 
 
-def run_words(automaton: Semiautomaton, words: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from
-    ``starts[i]``, starts shaped (B,); the result is the (B,) final states.
+def _check_compatible(*automata: Semiautomaton) -> None:
+    """Raise ``SizeMismatchError`` naming the first shape and the first that differs from it."""
+    shapes = [(automaton.n_states, automaton.n_copies) for automaton in automata]
+    for shape in shapes:
+        if shape != shapes[0]:
+            raise SizeMismatchError(f"automata shapes differ: {shapes[0]} vs {shape}")
 
-    Starts of any other shape raise ``ValueError``.  Symbols and starts
-    are range-checked with :func:`run_word`'s messages, and the starts are
-    then coded once; each symbol position costs one add and one ``take`` from
-    :attr:`Semiautomaton.step_table`, and the final codes are decoded once.
+
+@functools.lru_cache(maxsize=1)
+def _stacked_table(automata: tuple[Semiautomaton, ...]) -> np.ndarray:
+    """The step tables of ``automata`` as one read-only table, automaton ``i``'s
+    codes offset by ``i * n * A``.
+
+    The last stack is kept: a count walks the same automata over every run,
+    and a run may hold fewer entries than the ``n * A`` a machine stacks.
     """
-    size = automaton.alphabet_size
+    span = automata[0].step_table.shape[0]
+    stack = np.empty((len(automata), span), dtype=index_dtype(len(automata) * span))
+    for i, automaton in enumerate(automata):
+        np.add(automaton.step_table, i * span, out=stack[i])
+    stack.setflags(write=False)
+    return stack.reshape(-1)
+
+
+def run_words(
+    automata: Semiautomaton | Sequence[Semiautomaton], words: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from
+    ``starts[i]``, starts shaped (B,).  For one automaton the result is the
+    (B,) final states; for a sequence of ``M`` automata of one shape it is
+    their (M, B) final states, row ``i`` the states of ``automata[i]``.
+
+    Starts of any other shape raise ``ValueError``, and automata of different
+    shapes ``SizeMismatchError``.  Symbols and starts are range-checked once
+    with :func:`run_word`'s messages, and the starts are then coded once;
+    each symbol position costs one add and one ``take`` from the automata's
+    stacked step tables, for every automaton at once, and the final codes
+    are decoded once.  Words stored time-major (``words.T`` C-contiguous)
+    are read one contiguous column a step.
+    """
+    machines = [automata] if isinstance(automata, Semiautomaton) else list(automata)
+    if not machines:
+        raise ValueError("need at least one automaton")
+    _check_compatible(*machines)
+    n, size = machines[0].n_states, machines[0].alphabet_size
     words, starts = np.asarray(words), np.asarray(starts)
     if starts.shape != words.shape[:1]:
         raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
-    codes = np.array(starts, dtype=np.int64)
-    n = automaton.n_states
-    _check_range(codes, n, f"start state {{}} out of range for {n} states")
+    _check_range(starts, n, f"start state {{}} out of range for {n} states")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
-    table = automaton.step_table
-    codes *= size
+    # one automaton's own table is its one-machine stack
+    table = machines[0].step_table if len(machines) == 1 else _stacked_table(tuple(machines))
+    offsets = np.arange(len(machines), dtype=table.dtype)[:, None] * (n * size)
+    codes = offsets + starts.astype(table.dtype) * size
     for t in range(words.shape[1]):
         np.add(codes, words[:, t], out=codes)
         codes = table.take(codes)
-    return codes // size
+    states = codes // size - offsets // size
+    return states[0] if isinstance(automata, Semiautomaton) else states
 
 
 def run_suffixes(automaton: Semiautomaton, states: np.ndarray, length: int) -> np.ndarray:

@@ -24,13 +24,16 @@ report names its route with a label:
 
 Both input routes count agreements as integers over ``run_words``
 (:func:`_count_agreements`, which the sampled oracle also calls), on the
-runs that :class:`WordDistribution` sizes itself: no run's largest array
-holds more than :data:`RUN_ELEMENTS` entries.  A run is one word and one
-start per row, plus the number of last symbols it leaves out.  Brute
-force runs each word prefix once per start and expands those last symbols
-with ``run_suffixes``, so every input's final state is still read from
-that automaton's own step table.  Counts are integers, so neither the run
-sizes nor their order changes a result.
+runs that :class:`WordDistribution` sizes itself: per machine, no run's
+largest array holds more than :data:`RUN_ELEMENTS` entries.  A run is one
+word and one start per row, plus the number of last symbols it leaves out;
+its words are int32 (below ``2**31`` symbols) and time-major, so each
+symbol position is one contiguous column.  Every machine of a count
+walks a run in one ``run_words`` call, over their stacked step tables.
+Brute force runs each word prefix once per start and expands those last
+symbols with ``run_suffixes``, so every input's final state is still read
+from that automaton's own step table.  Counts are integers, so neither the
+run sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -83,8 +86,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, run_suffixes, run_words
-from .perm import Permutation, SizeMismatchError, all_transpositions
+from .automata import Semiautomaton, _check_compatible, index_dtype, run_suffixes, run_words
+from .perm import Permutation, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
 __all__ = [
@@ -114,7 +117,7 @@ __all__ = [
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-RUN_ELEMENTS = 1 << 16  # entries of a run's largest array: block final states, strata words
+RUN_ELEMENTS = 1 << 16  # per machine, entries of a run's largest array: block finals, strata words
 KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
 COUNT_ELEMENTS = 1 << 24  # mask bits, over all members, of one block of copies in _pair_counts
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
@@ -164,8 +167,9 @@ class WordDistribution:
         whose ``A**j`` words from every start fit the budget.  Its words
         ``(B * n, T - j)`` are ``B`` prefixes in counting order, each repeated
         for every start (column-major, the layout ``run_words`` reads), and
-        its starts ``(B * n,)`` tile every start.  Each row stands for its
-        ``A**j`` words, so a run ends in ``B * n * A**j`` final states.
+        its starts ``(B * n,)`` tile every start, both in :func:`index_dtype`.
+        Each row stands for its ``A**j`` words, so a run ends in
+        ``B * n * A**j`` final states for each machine.
         """
         n, base, suffix = self.n_states, self.n_symbols, 0
         while suffix < self.word_length and n * base ** (suffix + 1) <= RUN_ELEMENTS:
@@ -175,11 +179,11 @@ class WordDistribution:
 
         def run(low: int) -> tuple[np.ndarray, np.ndarray, int]:
             index = np.arange(low, min(low + size, total), dtype=np.int64).repeat(n)
-            words = np.empty((length, index.shape[0]), dtype=np.int64).T
+            words = np.empty((length, index.shape[0]), dtype=index_dtype(base)).T
             for t in range(length - 1, -1, -1):
                 words[:, t] = index % base
                 index //= base
-            return words, np.tile(np.arange(n, dtype=np.int64), words.shape[0] // n), suffix
+            return words, np.tile(np.arange(n, dtype=index_dtype(n)), words.shape[0] // n), suffix
 
         return [functools.partial(run, low) for low in range(0, total, size)]
 
@@ -188,10 +192,15 @@ class WordDistribution:
 
         A run's words hold at most :data:`RUN_ELEMENTS` entries (rows x T,
         or rows when T = 0); a stratum over that runs alone.  Stratum ``s``
-        draws from its own Philox substream, spawn key ``key + (s,)``, so no
-        run depends on which worker makes it.  A run returns its strata's
-        words and starts concatenated in stratum order, a one-stratum run its
-        arrays as drawn, and suffix 0.
+        draws its words, then its starts, from its own Philox substream,
+        spawn key ``key + (s,)``, so no run depends on which worker makes
+        it.  A run returns its strata's words and starts in stratum order,
+        and suffix 0.  Its words ``(B, T)`` are the transpose of one
+        time-major ``(T, B)`` buffer (the layout ``run_words`` reads), each
+        stratum's row-major draw written into its rows, in
+        ``index_dtype(n_symbols)``; its starts are in ``index_dtype(n_states)``.
+        numpy draws bounded int32 and int64 alike below 2**32, so the dtype
+        changes no input.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
@@ -199,17 +208,19 @@ class WordDistribution:
         # strata past the first ``samples`` would draw nothing
         counts = [base + (1 if s < extra else 0) for s in range(min(samples, SAMPLE_STRATA))]
 
-        def draw(stratum: int) -> tuple[np.ndarray, np.ndarray]:
-            sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
-            rng = np.random.Generator(np.random.Philox(sequence))
-            words = rng.integers(0, self.n_symbols, size=(counts[stratum], self.word_length))
-            return words, rng.integers(0, self.n_states, size=counts[stratum])
+        symbol, state = index_dtype(self.n_symbols), index_dtype(self.n_states)
 
         def run(strata: range) -> tuple[np.ndarray, np.ndarray, int]:
-            if len(strata) == 1:
-                return *draw(strata[0]), 0
-            words, starts = zip(*map(draw, strata))
-            return np.concatenate(words), np.concatenate(starts), 0
+            rows = np.cumsum([0] + [counts[stratum] for stratum in strata])
+            words = np.empty((self.word_length, rows[-1]), dtype=symbol)
+            starts = np.empty(rows[-1], dtype=state)
+            for stratum, low, high in zip(strata, rows, rows[1:]):
+                sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
+                rng = np.random.Generator(np.random.Philox(sequence))
+                shape = (high - low, self.word_length)
+                words[:, low:high] = rng.integers(0, self.n_symbols, shape, dtype=symbol).T
+                starts[low:high] = rng.integers(0, self.n_states, high - low, dtype=state)
+            return words.T, starts, 0
 
         firsts, inputs = [], 0
         for stratum, count in enumerate(counts):
@@ -252,13 +263,6 @@ class StepDistribution:
             seen.add((left, right))
 
 
-def _check_compatible(a: Semiautomaton, b: Semiautomaton) -> None:
-    if a.n_states != b.n_states or a.n_copies != b.n_copies:
-        raise SizeMismatchError(
-            f"automata shapes differ: ({a.n_states}, {a.n_copies}) vs ({b.n_states}, {b.n_copies})"
-        )
-
-
 def _packed_copies(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """Bool mask rows ``(copies, C)`` of each block, packed along the copies.
 
@@ -297,8 +301,7 @@ def _pair_counts(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> np.nda
     """
     members = list({id(m): m for m in itertools.chain.from_iterable(pairs)}.values())
     index = {id(member): i for i, member in enumerate(members)}
-    for member in members:
-        _check_compatible(members[0], member)
+    _check_compatible(*members)
     first, second = np.array([[index[id(a)], index[id(b)]] for a, b in pairs]).T
     copies, columns = members[0].n_copies, members[0].n_transpositions
     block = max(64, COUNT_ELEMENTS // (len(members) * columns) // 64 * 64)
@@ -555,21 +558,19 @@ def _count_agreements(
     """Inputs of ``runs`` on which each of ``others`` agrees with ``reference``.
 
     Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
-    is made and counted on one of ``jobs`` threads, and ``reference`` runs
-    once per run.  A run's words stop ``j`` symbols short, ``j`` its suffix,
-    and each automaton expands those from its own step table with ``run_suffixes``.
+    is made and counted on one of ``jobs`` threads, in one ``run_words`` walk
+    of ``reference`` and ``others`` together.  A run's words stop ``j``
+    symbols short, ``j`` its suffix, and each automaton expands those from its
+    own step table with ``run_suffixes``.
     """
+    automata = [reference, *others]
 
     def count(run: Run) -> np.ndarray:
         words, starts, suffix = run()
-
-        def finals(automaton: Semiautomaton) -> np.ndarray:
-            states = run_words(automaton, words, starts)
-            # run_suffixes decodes the whole step table, which strata runs never need
-            return run_suffixes(automaton, states, suffix) if suffix else states
-
-        labels = finals(reference)
-        return np.array([np.count_nonzero(finals(o) == labels) for o in others])
+        finals = run_words(automata, words, starts)
+        if suffix:  # run_suffixes decodes the whole step table, which strata runs never need
+            finals = [run_suffixes(a, states, suffix) for a, states in zip(automata, finals)]
+        return np.array([np.count_nonzero(states == finals[0]) for states in finals[1:]])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

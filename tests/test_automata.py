@@ -15,6 +15,7 @@ from sqsa.automata import (
     Semiautomaton,
     build_family,
     deserialize_family,
+    index_dtype,
     mask_stream,
     min_alphabet_copies,
     min_word_length,
@@ -24,7 +25,7 @@ from sqsa.automata import (
     serialize_family,
     _copies_prefactor,
 )
-from sqsa.perm import Permutation, all_transpositions, compose
+from sqsa.perm import Permutation, SizeMismatchError, all_transpositions, compose
 
 
 def all_ones(n, k=1):
@@ -145,6 +146,96 @@ def test_run_words_refuses_starts_not_one_per_word(length):
         assert str(starts.shape) in str(raised.value) and str(words.shape) in str(raised.value)
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("where", ["symbol", "start"])
+def test_run_words_range_checks_narrow_integers_with_run_words_messages(dtype, where):
+    automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]  # A = 12
+    info = np.iinfo(dtype)
+    for value in (info.min, -1, 4 if where == "start" else 12, info.max):
+        symbol, start = (value, 0) if where == "symbol" else (0, value)
+        with pytest.raises(ValueError) as expected:
+            run_word(automaton, [1, symbol], start)
+        words = np.array([[0, 1], [1, symbol], [2, 3]], dtype=dtype)
+        for machines in (automaton, [automaton, automaton]):
+            with pytest.raises(ValueError) as raised:
+                run_words(machines, words, np.array([0, start, 1], dtype=dtype))
+            assert str(raised.value) == str(expected.value)
+    with pytest.raises(TypeError, match="integers"):  # no float read as its bits
+        run_words(automaton, np.zeros((3, 2), dtype=dtype), np.array([0.0, 1.0, 2.0]))
+
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(["random", "ones", "zeros", "repeat"]), min_size=1, max_size=5),
+    st.integers(0, 6),
+    st.integers(0, 12),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_run_words_on_a_sequence_stacks_each_automatons_states(
+    n, k, fills, length, rows, time_major, seed
+):
+    rng = np.random.default_rng(seed)
+    size, machines = k * n * (n - 1) // 2, []
+    for fill in fills:  # "repeat" copies the last mask into a new object; first, it is random
+        if fill == "repeat" and machines:
+            mask = machines[-1].mask.copy()
+        else:
+            mask = {"ones": np.ones(size), "zeros": np.zeros(size)}.get(fill, rng.random(size) < 0.5)
+        machines.append(Semiautomaton(n, k, mask.astype(bool)))
+    words = rng.integers(0, machines[0].alphabet_size, size=(rows, length))
+    if time_major:
+        words = np.ascontiguousarray(words.T, dtype=np.int32).T
+    starts = rng.integers(0, n, size=rows)
+    states = run_words(machines, words, starts)
+    assert states.shape == (len(machines), rows)
+    assert np.array_equal(states, np.stack([run_words(m, words, starts) for m in machines]))
+    alone = run_words(machines[0], words, starts)
+    assert np.array_equal(run_words(machines[:1], words, starts), alone[None])
+
+
+def test_run_words_refuses_a_sequence_of_mixed_shapes():
+    a, b = build_family(FamilyConfig(4, 1, 2, 0.5, 1)).members
+    other = build_family(FamilyConfig(3, 2, 1, 0.5, 1)).members[0]  # the same A = 6
+    words, starts = np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64)
+    with pytest.raises(SizeMismatchError) as raised:
+        run_words([a, b, other], words, starts)
+    assert "(4, 1)" in str(raised.value) and "(3, 2)" in str(raised.value)
+    with pytest.raises(ValueError, match="at least one"):
+        run_words([], words, starts)
+    for starts in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ValueError, match="shape"):
+            run_words([a, b], words, starts)
+
+
+def test_one_index_dtype_rule_for_tables_and_stacks(monkeypatch):
+    assert index_dtype(2**31 - 1) == np.int32 and index_dtype(2**31) == np.int64
+    rule, asked = automata.index_dtype, []
+
+    def spy(count):
+        asked.append(count)
+        return rule(count)
+
+    monkeypatch.setattr(automata, "index_dtype", spy)
+    automata._stacked_table.cache_clear()  # it keeps the last stack
+    machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # n * A = 48
+    rng = np.random.default_rng(6)
+    words, starts = rng.integers(0, 12, size=(20, 7), dtype=np.int32), rng.integers(0, 4, 20)
+    states = run_words(machines, words, starts)
+    assert sorted(asked) == [48, 48, 48, 3 * 48]  # each step table and the stack
+    # int64 tables and stack (n * A >= 2**31) walk to the same states
+    monkeypatch.setattr(automata, "index_dtype", lambda count: np.dtype(np.int64))
+    automata._stacked_table.cache_clear()
+    wide = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members
+    assert wide[0].step_table.dtype == np.int64
+    assert np.array_equal(run_words(wide, words, starts), states)
+    automata._stacked_table.cache_clear()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 5),
@@ -213,7 +304,7 @@ def test_step_table_equals_the_transposition_object_table(n, k, fill, seed):
     }[fill]
     automaton = Semiautomaton(n, k, mask)
     table = automaton.step_table
-    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.dtype == np.int32 and not table.flags.writeable  # n * A < 2**31
     assert np.array_equal(table, transposition_step_table(automaton))
 
 

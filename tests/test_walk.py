@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies, run_word
 from sqsa.perm import Permutation, SizeMismatchError, all_transpositions
-from sqsa import walk
+from sqsa import automata, walk
 from sqsa.symrep import std_matrix
 from sqsa.walk import (
     BruteForceGuardError,
@@ -407,6 +407,44 @@ def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
     assert sum(starts.shape[0] for _, starts, _ in runs) == 100
 
 
+def row_major_strata(n, symbols, length, samples, seed, key):
+    """Every stratum's draw as row-major int64 words, then starts, concatenated in
+    stratum order: the reference that strata runs of any dtype and layout must give."""
+    base, extra = divmod(samples, walk.SAMPLE_STRATA)
+    words, starts = [], []
+    for stratum in range(min(samples, walk.SAMPLE_STRATA)):
+        count = base + (1 if stratum < extra else 0)
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
+        rng = np.random.Generator(np.random.Philox(sequence))
+        words.append(rng.integers(0, symbols, size=(count, length)))
+        starts.append(rng.integers(0, n, size=count))
+    return np.concatenate(words), np.concatenate(starts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    symbols=st.one_of(st.integers(1, 5000), st.sampled_from([2**i for i in range(13)])),
+    length=st.integers(0, 40),
+    samples=st.integers(1, 3000),
+    seed=st.integers(0, 2**64 - 1),
+    key=st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple),
+)
+@example(n=2, symbols=1, length=0, samples=1, seed=0, key=())
+def test_strata_draw_the_row_major_int64_inputs_time_major(n, symbols, length, samples, seed, key):
+    words, starts = row_major_strata(n, symbols, length, samples, seed, key)
+    low = 0
+    for run in WordDistribution(n, symbols, length).strata(samples, seed, key):
+        drawn, drawn_starts, suffix = run()
+        high = low + drawn_starts.shape[0]
+        assert suffix == 0 and drawn.T.flags.c_contiguous
+        assert drawn.dtype == drawn_starts.dtype == np.int32
+        assert np.array_equal(drawn, words[low:high])
+        assert np.array_equal(drawn_starts, starts[low:high])
+        low = high
+    assert low == samples
+
+
 def test_merged_draws_change_no_count(monkeypatch):
     a, b = random_pair(4, 2, 5)
     strata = WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)
@@ -426,6 +464,16 @@ def test_merged_draws_change_no_count(monkeypatch):
     assert len(WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)) == 64
     assert counts() == merged
     assert merged[0] == merged[1]
+
+
+def test_a_count_stacks_its_tables_once():
+    # a stack may outgrow a run: at n = 8 each machine stacks 175 168 codes, a run 65 536
+    family = build_family(FamilyConfig(4, 2, 5, 0.5, 3))
+    runs = WordDistribution(4, 12, 6).strata(20_000, 1)
+    assert len(runs) > 1
+    automata._stacked_table.cache_clear()
+    walk._count_agreements(family.members[0], family.members[1:], runs, jobs=1)
+    assert automata._stacked_table.cache_info().misses == 1
 
 
 def test_agreement_monte_carlo_identical_pair():
