@@ -13,20 +13,23 @@ The stream's uniform doubles are drawn in fixed-size chunks into one
 buffer, which gives the same doubles as one call: a build holds its masks
 plus one chunk, not eight bytes per symbol.
 
-A semiautomaton runs from one flat, read-only step table of ``n * A``
-coded states, ``A`` the alphabet size: a state ``s`` is coded as ``s * A``,
-and entry ``s * A + symbol`` holds the code of the state that ``symbol``
-leads to.  Codes are int32 while ``n * A < 2**31`` and int64 beyond
-(:func:`index_dtype`), so a table at the paper's copy count is half the
-size.  A batch is one word and one start per row; one step of it is then
-one add and one ``take``, and the final codes are decoded once, by
-``// A``.  Several machines of one shape run a batch in one walk: their
-tables are stacked into one, machine ``i``'s codes offset by ``i * n * A``,
-so a step is still one add and one ``take``, for every machine at once.
-The last stack is kept for the next batch of the same machines.
-Row ``s`` of a table, read as ``(n, A)``, holds the code after each symbol
-from ``s``, so continuing a batch by every symbol at once is one row-wise
-``take``.
+A semiautomaton runs a word from one flat, read-only step table of
+``n * A`` coded states, ``A`` the alphabet size: a state ``s`` is coded as
+``s * A``, and entry ``s * A + symbol`` holds the code of the state that
+``symbol`` leads to.  Codes are int32 while ``n * A < 2**31`` and int64
+beyond (:func:`index_dtype`).
+
+A batch of words runs on the joint chain of pairs of machines instead.
+For a pair ``(a, b)`` every symbol has a class that says what it does to
+the pair: class 0 moves neither machine, and class ``1 + 3i + kind``
+applies transposition ``i`` to ``a`` only (kind 0), to ``b`` only (kind 1)
+or to both (kind 2).  One table of ``n * n * K`` codes, ``K = 1 + 3 C(n, 2)``,
+maps a joint state ``s_a * n + s_b`` (coded as its ``K`` multiple) and a
+class to the next joint state, for every pair of every shape-``n`` family;
+what is particular to a pair is only its ``A`` symbol classes.  A batch
+gathers each pair's class of every symbol it reads in one pass, and one
+step of it is then one add and one ``take`` from that small table, for
+every pair at once.
 
 Family file format (little-endian), version 1:
 
@@ -47,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -66,7 +70,6 @@ __all__ = [
     "mask_stream",
     "min_alphabet_copies",
     "min_word_length",
-    "run_suffixes",
     "run_word",
     "run_words",
     "serialize_family",
@@ -76,6 +79,7 @@ FAMILY_MAGIC = b"SQSA"
 FAMILY_VERSION = 1
 _HEADER = struct.Struct("<4sHHIIdQ")
 MASK_DRAW_CHUNK = 1 << 20  # uniform doubles drawn at once by build_family (8 MB)
+GATHER_CHUNK = 1 << 16  # symbol classes gathered at once by run_words (512 kB)
 
 
 def index_dtype(count: int) -> np.dtype:
@@ -222,20 +226,53 @@ def _check_compatible(*automata: Semiautomaton) -> None:
             raise SizeMismatchError(f"automata shapes differ: {shapes[0]} vs {shape}")
 
 
-@functools.lru_cache(maxsize=1)
-def _stacked_table(automata: tuple[Semiautomaton, ...]) -> np.ndarray:
-    """The step tables of ``automata`` as one read-only table, automaton ``i``'s
-    codes offset by ``i * n * A``.
+@functools.cache
+def _joint_codes(n: int) -> np.ndarray:
+    """The joint chain's step table of shape-``n`` pairs: entry ``s * K + c`` holds
+    ``t * K``, ``t`` the joint state that class ``c`` leads joint state ``s``
+    to, ``K = 1 + 3 C(n, 2)``.  Read-only intp, the index type ``take`` reads
+    without a cast."""
+    count = n * (n - 1) // 2
+    low, high = np.triu_indices(n, 1)  # all_transpositions order
+    swaps = np.arange(1, count + 1)
+    moves = np.tile(np.arange(n), (count + 1, 1))  # row 0 the identity, row 1 + i transposition i
+    moves[swaps, low], moves[swaps, high] = high, low
+    on_a = np.concatenate([[0], np.repeat(swaps, 3) * np.tile([1, 0, 1], count)])  # kinds a, b, both
+    on_b = np.concatenate([[0], np.repeat(swaps, 3) * np.tile([0, 1, 1], count)])
+    joint = np.arange(n * n)
+    table = (moves[on_a][:, joint // n] * n + moves[on_b][:, joint % n]).T * (1 + 3 * count)
+    table = np.ascontiguousarray(table, dtype=np.intp).reshape(-1)
+    table.setflags(write=False)
+    return table
 
-    The last stack is kept: a count walks the same automata over every run,
-    and a run may hold fewer entries than the ``n * A`` a machine stacks.
-    """
-    span = automata[0].step_table.shape[0]
-    stack = np.empty((len(automata), span), dtype=index_dtype(len(automata) * span))
-    for i, automaton in enumerate(automata):
-        np.add(automaton.step_table, i * span, out=stack[i])
-    stack.setflags(write=False)
-    return stack.reshape(-1)
+
+def _symbol_classes(a: Semiautomaton, b: Semiautomaton) -> np.ndarray:
+    """The joint chain's class of each symbol for the pair ``(a, b)``, shape ``(A,)`` intp."""
+    kind = a.mask + 2 * b.mask  # 1: a only, 2: b only, 3: both, as kinds 0, 1, 2 of class 1 + 3i + kind
+    swaps = np.tile(np.arange(0, 3 * a.n_transpositions, 3, dtype=np.intp), a.n_copies)
+    return np.where(kind > 0, swaps + kind, 0)
+
+
+# automata ids -> (the automata, their class stack); holding the automata keeps their ids from reuse
+_KEPT_CLASSES: dict[tuple[int, ...], tuple[tuple[Semiautomaton, ...], np.ndarray]] = {}
+_KEPT_LOCK = threading.Lock()  # the threads of one count build its stack once
+
+
+def _class_stack(machines: Sequence[Semiautomaton]) -> np.ndarray:
+    """The ``(A, P)`` symbol classes of ``machines`` taken two at a time, an odd last
+    machine paired with itself.  The last stack is kept, for a count walks the
+    same machines over every run; it is matched by identity, since a hash or an
+    equality test would read every mask."""
+    key = tuple(map(id, machines))
+    with _KEPT_LOCK:
+        kept = _KEPT_CLASSES.get(key)
+        if kept is None:
+            last = len(machines) - 1
+            pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
+            kept = (tuple(machines), np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1))
+            _KEPT_CLASSES.clear()
+            _KEPT_CLASSES[key] = kept
+    return kept[1]
 
 
 def run_words(
@@ -248,11 +285,12 @@ def run_words(
 
     Starts of any other shape raise ``ValueError``, and automata of different
     shapes ``SizeMismatchError``.  Symbols and starts are range-checked once
-    with :func:`run_word`'s messages, and the starts are then coded once;
-    each symbol position costs one add and one ``take`` from the automata's
-    stacked step tables, for every automaton at once, and the final codes
-    are decoded once.  Words stored time-major (``words.T`` C-contiguous)
-    are read one contiguous column a step.
+    with :func:`run_word`'s messages.  The automata walk two at a time on
+    their joint chain, an odd last one (or a lone automaton) paired with
+    itself.  One pass over the words gathers each pair's class of every
+    symbol, :data:`GATHER_CHUNK` classes at a time; each symbol position
+    then costs one add and one ``take`` from the joint table, for every pair
+    at once, and the final joint states are decoded once.
     """
     machines = [automata] if isinstance(automata, Semiautomaton) else list(automata)
     if not machines:
@@ -264,35 +302,18 @@ def run_words(
         raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
     _check_range(starts, n, f"start state {{}} out of range for {n} states")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
-    # one automaton's own table is its one-machine stack
-    table = machines[0].step_table if len(machines) == 1 else _stacked_table(tuple(machines))
-    offsets = np.arange(len(machines), dtype=table.dtype)[:, None] * (n * size)
-    codes = offsets + starts.astype(table.dtype) * size
-    for t in range(words.shape[1]):
-        np.add(codes, words[:, t], out=codes)
-        codes = table.take(codes)
-    states = codes // size - offsets // size
+    table, classes = _joint_codes(n), _class_stack(machines)
+    width = table.shape[0] // (n * n)
+    # every pair starts at joint state (s, s); codes are (B, P), and each step's classes too
+    codes = np.repeat(starts.astype(np.intp)[:, None] * ((n + 1) * width), classes.shape[1], axis=1)
+    span = max(1, GATHER_CHUNK // max(1, codes.size))
+    for low in range(0, words.shape[1], span):
+        for step in classes.take(words[:, low : low + span].T, axis=0):
+            np.add(codes, step, out=codes)
+            codes = table.take(codes)
+    joint = (codes // width).T
+    states = np.stack(np.divmod(joint, n), axis=1).reshape(2 * joint.shape[0], -1)[: len(machines)]
     return states[0] if isinstance(automata, Semiautomaton) else states
-
-
-def run_suffixes(automaton: Semiautomaton, states: np.ndarray, length: int) -> np.ndarray:
-    """Final states of every word of ``length`` symbols, run from each of ``states``.
-
-    The result is shaped ``states.shape + (A**length,)``, ``A`` the alphabet
-    size, with the words along the last axis in counting order (the last
-    symbol varies fastest).  States are range-checked first.  Row ``s`` of
-    the step table, decoded, holds the state after each symbol from ``s``,
-    so each symbol position costs one row-wise ``take`` over the expansion
-    so far.
-    """
-    n, size = automaton.n_states, automaton.alphabet_size
-    states = np.array(states, dtype=np.int64)[..., None]
-    _check_range(states, n, f"start state {{}} out of range for {n} states")
-    successors = automaton.step_table.reshape(n, size) // size
-    for _ in range(length):
-        shape = (*states.shape[:-1], states.shape[-1] * size)
-        states = successors.take(states, axis=0).reshape(shape)
-    return states
 
 
 def mask_stream(seed: int, member_index: int) -> np.random.Generator:

@@ -27,13 +27,13 @@ Both input routes count agreements as integers over ``run_words``
 runs that :class:`WordDistribution` sizes itself: per machine, no run's
 largest array holds more than :data:`RUN_ELEMENTS` entries.  A run is one
 word and one start per row, plus the number of last symbols it leaves out;
-its words are int32 (below ``2**31`` symbols) and time-major, so each
-symbol position is one contiguous column.  Every machine of a count
-walks a run in one ``run_words`` call, over their stacked step tables.
-Brute force runs each word prefix once per start and expands those last
-symbols with ``run_suffixes``, so every input's final state is still read
-from that automaton's own step table.  Counts are integers, so neither the
-run sizes nor their order changes a result.
+its words are int32 below ``2**31`` symbols.  Every machine of a count
+walks a run in one ``run_words`` call, two machines at a time on their
+joint chain.  Brute force runs each word prefix once per start; each
+(reference, other) pair's joint state then runs every word of the left-out
+symbols on the pair's own ``(n * n, A)`` successor table, and reads the
+last symbol from its agreement table, one bool per input.  Counts are
+integers, so neither the run sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -79,6 +79,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,7 +87,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, _check_compatible, index_dtype, run_suffixes, run_words
+from .automata import Semiautomaton, _check_compatible, _joint_codes, _symbol_classes
+from .automata import index_dtype, run_words
 from .perm import Permutation, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
@@ -166,7 +168,7 @@ class WordDistribution:
         A run's suffix ``j`` is the most last symbols, up to the word length,
         whose ``A**j`` words from every start fit the budget.  Its words
         ``(B * n, T - j)`` are ``B`` prefixes in counting order, each repeated
-        for every start (column-major, the layout ``run_words`` reads), and
+        for every start (column-major, as each symbol position is written), and
         its starts ``(B * n,)`` tile every start, both in :func:`index_dtype`.
         Each row stands for its ``A**j`` words, so a run ends in
         ``B * n * A**j`` final states for each machine.
@@ -195,9 +197,8 @@ class WordDistribution:
         draws its words, then its starts, from its own Philox substream,
         spawn key ``key + (s,)``, so no run depends on which worker makes
         it.  A run returns its strata's words and starts in stratum order,
-        and suffix 0.  Its words ``(B, T)`` are the transpose of one
-        time-major ``(T, B)`` buffer (the layout ``run_words`` reads), each
-        stratum's row-major draw written into its rows, in
+        and suffix 0: its words ``(B, T)`` are the strata's row-major draws
+        as drawn (one stratum's own arrays, or their concatenation), in
         ``index_dtype(n_symbols)``; its starts are in ``index_dtype(n_states)``.
         numpy draws bounded int32 and int64 alike below 2**32, so the dtype
         changes no input.
@@ -211,16 +212,16 @@ class WordDistribution:
         symbol, state = index_dtype(self.n_symbols), index_dtype(self.n_states)
 
         def run(strata: range) -> tuple[np.ndarray, np.ndarray, int]:
-            rows = np.cumsum([0] + [counts[stratum] for stratum in strata])
-            words = np.empty((self.word_length, rows[-1]), dtype=symbol)
-            starts = np.empty(rows[-1], dtype=state)
-            for stratum, low, high in zip(strata, rows, rows[1:]):
+            words, starts = [], []
+            for stratum in strata:
                 sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
                 rng = np.random.Generator(np.random.Philox(sequence))
-                shape = (high - low, self.word_length)
-                words[:, low:high] = rng.integers(0, self.n_symbols, shape, dtype=symbol).T
-                starts[low:high] = rng.integers(0, self.n_states, high - low, dtype=state)
-            return words.T, starts, 0
+                shape = (counts[stratum], self.word_length)
+                words.append(rng.integers(0, self.n_symbols, shape, dtype=symbol))
+                starts.append(rng.integers(0, self.n_states, counts[stratum], dtype=state))
+            if len(strata) == 1:
+                return words[0], starts[0], 0
+            return np.concatenate(words), np.concatenate(starts), 0
 
         firsts, inputs = [], 0
         for stratum, count in enumerate(counts):
@@ -560,17 +561,33 @@ def _count_agreements(
     Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
     is made and counted on one of ``jobs`` threads, in one ``run_words`` walk
     of ``reference`` and ``others`` together.  A run's words stop ``j``
-    symbols short, ``j`` its suffix, and each automaton expands those from its
-    own step table with ``run_suffixes``.
+    symbols short, ``j`` its suffix.  Each (reference, other) pair's joint
+    state ``s_ref * n + s_other`` then runs every word of those symbols:
+    ``j - 1`` row-wise ``take``s from the pair's successor table, then one
+    from its agreement table, so each input yields one bool.
     """
-    automata = [reference, *others]
+    automata, n, lock = [reference, *others], reference.n_states, threading.Lock()
+
+    @functools.cache  # strata runs never leave symbols out, nor need the (n * n, A) tables
+    def last_symbols() -> tuple[np.ndarray, np.ndarray]:
+        """Each pair's joint state after each symbol, offset by ``i * n * n`` for
+        pair ``i``, and whether the machines then agree; stacked ``(P * n * n, A)``."""
+        table = _joint_codes(n).reshape(n * n, -1)
+        after = [table[:, _symbol_classes(reference, other)] // table.shape[1] for other in others]
+        agree = np.concatenate([joint % (n + 1) == 0 for joint in after])
+        return np.concatenate([joint + i * n * n for i, joint in enumerate(after)]), agree
 
     def count(run: Run) -> np.ndarray:
         words, starts, suffix = run()
         finals = run_words(automata, words, starts)
-        if suffix:  # run_suffixes decodes the whole step table, which strata runs never need
-            finals = [run_suffixes(a, states, suffix) for a, states in zip(automata, finals)]
-        return np.array([np.count_nonzero(states == finals[0]) for states in finals[1:]])
+        if not suffix:
+            return np.array([np.count_nonzero(states == finals[0]) for states in finals[1:]])
+        with lock:  # built once, by the first run that needs them
+            successors, agree = last_symbols()
+        joint = finals[0] * n + finals[1:] + np.arange(len(others))[:, None] * (n * n)
+        for _ in range(suffix - 1):
+            joint = successors.take(joint, axis=0).reshape(len(others), -1)
+        return np.array([np.count_nonzero(agree.take(row, axis=0)) for row in joint])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -583,9 +600,10 @@ def agreement_brute_force(
 ) -> AgreementReport:
     """Literal enumeration of every word and start; the independent oracle.
 
-    Each automaton runs every distinct prefix of :meth:`WordDistribution.blocks`
-    from every start, then every word of the last symbols that each run
-    leaves out, by lookups in its own step table.  Exact by construction:
+    Both automata run every distinct prefix of :meth:`WordDistribution.blocks`
+    from every start on their joint chain; the pair's joint state then runs
+    every word of the last symbols that each run leaves out, the last one
+    read as agreement.  Exact by construction:
     agreement is counted as an integer and the probability is a rational
     number.  Refuses when ``alphabet**word_length * n`` exceeds
     :data:`BRUTE_FORCE_LIMIT`.

@@ -19,7 +19,6 @@ from sqsa.automata import (
     mask_stream,
     min_alphabet_copies,
     min_word_length,
-    run_suffixes,
     run_word,
     run_words,
     serialize_family,
@@ -170,18 +169,22 @@ def test_run_words_range_checks_narrow_integers_with_run_words_messages(dtype, w
 @given(
     st.integers(2, 6),
     st.integers(1, 3),
-    st.lists(st.sampled_from(["random", "ones", "zeros", "repeat"]), min_size=1, max_size=5),
+    st.lists(st.sampled_from(["random", "ones", "zeros", "repeat", "same"]), min_size=1, max_size=5),
     st.integers(0, 6),
     st.integers(0, 12),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
+@example(n=3, k=1, fills=["ones", "zeros", "same"], length=4, rows=3, time_major=False, seed=0)
 def test_run_words_on_a_sequence_stacks_each_automatons_states(
     n, k, fills, length, rows, time_major, seed
 ):
     rng = np.random.default_rng(seed)
     size, machines = k * n * (n - 1) // 2, []
-    for fill in fills:  # "repeat" copies the last mask into a new object; first, it is random
+    for fill in fills:  # "repeat" copies the last mask into a new object, "same" repeats the
+        if fill == "same" and machines:  # object itself; first, either is random
+            machines.append(machines[-1])
+            continue
         if fill == "repeat" and machines:
             mask = machines[-1].mask.copy()
         else:
@@ -194,6 +197,8 @@ def test_run_words_on_a_sequence_stacks_each_automatons_states(
     states = run_words(machines, words, starts)
     assert states.shape == (len(machines), rows)
     assert np.array_equal(states, np.stack([run_words(m, words, starts) for m in machines]))
+    expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
+    assert np.array_equal(states, np.array(expected, dtype=np.int64).reshape(len(machines), rows))
     alone = run_words(machines[0], words, starts)
     assert np.array_equal(run_words(machines[:1], words, starts), alone[None])
 
@@ -212,7 +217,29 @@ def test_run_words_refuses_a_sequence_of_mixed_shapes():
             run_words([a, b], words, starts)
 
 
-def test_one_index_dtype_rule_for_tables_and_stacks(monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 2),
+    st.sampled_from(["random", "ones", "zeros"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_joint_table_steps_both_machines_by_each_symbols_class(n, k, fill, seed):
+    rng = np.random.default_rng(seed)
+    size = k * n * (n - 1) // 2
+    a = Semiautomaton(n, k, rng.random(size) < 0.5)
+    b = Semiautomaton(n, k, {"ones": np.ones(size), "zeros": np.zeros(size)}.get(
+        fill, rng.random(size) < 0.5).astype(bool))
+    table, classes = automata._joint_codes(n), automata._symbol_classes(a, b)
+    width = 1 + 3 * n * (n - 1) // 2  # K classes
+    assert table.shape == (n * n * width,) and table.dtype == np.intp and not table.flags.writeable
+    assert classes.shape == (size,) and 0 <= classes.min() and classes.max() < width
+    for s_a, s_b, symbol in itertools.product(range(n), range(n), range(size)):
+        after = table[(s_a * n + s_b) * width + classes[symbol]]
+        assert after == (run_word(a, [symbol], s_a) * n + run_word(b, [symbol], s_b)) * width
+
+
+def test_one_index_dtype_rule_for_step_tables(monkeypatch):
     assert index_dtype(2**31 - 1) == np.int32 and index_dtype(2**31) == np.int64
     rule, asked = automata.index_dtype, []
 
@@ -221,48 +248,35 @@ def test_one_index_dtype_rule_for_tables_and_stacks(monkeypatch):
         return rule(count)
 
     monkeypatch.setattr(automata, "index_dtype", spy)
-    automata._stacked_table.cache_clear()  # it keeps the last stack
     machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # n * A = 48
     rng = np.random.default_rng(6)
     words, starts = rng.integers(0, 12, size=(20, 7), dtype=np.int32), rng.integers(0, 4, 20)
     states = run_words(machines, words, starts)
-    assert sorted(asked) == [48, 48, 48, 3 * 48]  # each step table and the stack
-    # int64 tables and stack (n * A >= 2**31) walk to the same states
+    assert asked == []  # the joint chain reads no step table
+    expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
+    assert np.array_equal(states, expected)
+    assert sorted(asked) == [48, 48, 48]  # each step table, once
+    # int64 step tables (n * A >= 2**31) run to the same states
     monkeypatch.setattr(automata, "index_dtype", lambda count: np.dtype(np.int64))
-    automata._stacked_table.cache_clear()
     wide = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members
     assert wide[0].step_table.dtype == np.int64
+    assert np.array_equal(
+        [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in wide], states
+    )
     assert np.array_equal(run_words(wide, words, starts), states)
-    automata._stacked_table.cache_clear()
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(2, 5),
-    st.integers(1, 2),
-    st.integers(0, 3),
-    st.integers(0, 3),
-    st.integers(0, 2**32 - 1),
-)
-def test_run_suffixes_runs_every_word_in_counting_order(n, k, length, rows, seed):
-    rng = np.random.default_rng(seed)
-    automaton = Semiautomaton(n, k, rng.random(k * n * (n - 1) // 2) < 0.5)
-    starts = rng.integers(0, n, size=(rows, 2))
-    states = run_suffixes(automaton, starts, length)
-    words = list(itertools.product(range(automaton.alphabet_size), repeat=length))
-    assert states.shape == (rows, 2, len(words))
-    for (row, column), start in np.ndenumerate(starts):
-        assert states[row, column].tolist() == [run_word(automaton, w, int(start)) for w in words]
-
-
-@pytest.mark.parametrize("start", [-1, 4])
-def test_run_suffixes_range_checked_like_run_word(start):
-    automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]
-    with pytest.raises(ValueError) as expected:
-        run_word(automaton, [], start)
-    with pytest.raises(ValueError) as raised:
-        run_suffixes(automaton, np.array([[0, start], [3, 2]]), 1)
-    assert str(raised.value) == str(expected.value)
+def test_the_kept_class_stack_is_matched_by_identity():
+    rng = np.random.default_rng(4)
+    words, starts = rng.integers(0, 12, size=(30, 5)), rng.integers(0, 4, 30)
+    for seed in range(20):  # a dropped automaton's id is often the next one's
+        machine = Semiautomaton(4, 2, np.random.default_rng(seed).random(12) < 0.5)
+        expected = [run_word(machine, list(w), int(s)) for w, s in zip(words, starts)]
+        for _ in range(2):  # built, then kept
+            assert np.array_equal(run_words(machine, words, starts), expected)
+        del machine
+    (kept, _), = automata._KEPT_CLASSES.values()
+    assert len(kept) == 1  # the last automaton, held with its stack
 
 
 @settings(max_examples=30)

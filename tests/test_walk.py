@@ -383,6 +383,31 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     assert max(sizes) <= budget
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.sampled_from([4, 40, 1 << 16]),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=1, others=3, t=3, budget=1 << 16, seed=0)  # every symbol left out: two successor levels
+def test_brute_count_of_several_others_equals_product_enumeration(n, k, others, t, budget, seed):
+    family = build_family(FamilyConfig(n, k, 1 + others, 0.5, seed))
+    reference, rest = family.members[0], family.members[1:]
+    words = list(itertools.product(range(reference.alphabet_size), repeat=t))
+    expected = [
+        sum(run_word(reference, w, s) == run_word(other, w, s) for w in words for s in range(n))
+        for other in rest
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "RUN_ELEMENTS", budget)  # how many last symbols a run leaves out
+        runs = WordDistribution(n, reference.alphabet_size, t).blocks()
+        for jobs in (1, 2):
+            assert walk._count_agreements(reference, rest, runs, jobs).tolist() == expected
+
+
 def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
     dist = WordDistribution(3, 5, 4)
     monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum runs alone
@@ -431,13 +456,13 @@ def row_major_strata(n, symbols, length, samples, seed, key):
     key=st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple),
 )
 @example(n=2, symbols=1, length=0, samples=1, seed=0, key=())
-def test_strata_draw_the_row_major_int64_inputs_time_major(n, symbols, length, samples, seed, key):
+def test_strata_draw_the_row_major_int64_inputs_as_drawn(n, symbols, length, samples, seed, key):
     words, starts = row_major_strata(n, symbols, length, samples, seed, key)
     low = 0
     for run in WordDistribution(n, symbols, length).strata(samples, seed, key):
         drawn, drawn_starts, suffix = run()
         high = low + drawn_starts.shape[0]
-        assert suffix == 0 and drawn.T.flags.c_contiguous
+        assert suffix == 0 and drawn.flags.c_contiguous  # row-major, no time-major copy
         assert drawn.dtype == drawn_starts.dtype == np.int32
         assert np.array_equal(drawn, words[low:high])
         assert np.array_equal(drawn_starts, starts[low:high])
@@ -466,14 +491,35 @@ def test_merged_draws_change_no_count(monkeypatch):
     assert merged[0] == merged[1]
 
 
-def test_a_count_stacks_its_tables_once():
-    # a stack may outgrow a run: at n = 8 each machine stacks 175 168 codes, a run 65 536
+def test_a_count_stacks_its_tables_once(monkeypatch):
+    # each pair's classes are built once per count, not once per run, and the kept
+    # class stack is matched by identity: no mask is hashed or compared
     family = build_family(FamilyConfig(4, 2, 5, 0.5, 3))
-    runs = WordDistribution(4, 12, 6).strata(20_000, 1)
-    assert len(runs) > 1
-    automata._stacked_table.cache_clear()
-    walk._count_agreements(family.members[0], family.members[1:], runs, jobs=1)
-    assert automata._stacked_table.cache_info().misses == 1
+    reference, others = family.members[0], family.members[1:]
+    position = {id(member): i for i, member in enumerate(family.members)}
+    original, built, joint = automata._symbol_classes, [], walk._joint_codes(4)
+
+    def classes(a, b):
+        built.append((position[id(a)], position[id(b)]))
+        return original(a, b)
+
+    def refuse(self, *args):
+        raise AssertionError("a mask was hashed or compared")
+
+    monkeypatch.setattr(automata, "_symbol_classes", classes)
+    monkeypatch.setattr(walk, "_symbol_classes", classes)
+    monkeypatch.setattr(Semiautomaton, "__hash__", refuse)
+    monkeypatch.setattr(Semiautomaton, "__eq__", refuse)
+    strata, blocks = WordDistribution(4, 12, 6).strata(20_000, 1), WordDistribution(4, 12, 5).blocks()
+    assert len(strata) > 1 and len(blocks) > 1
+    # the walk pairs (0, 1), (2, 3) and (4, 4); brute force adds each (reference, other)
+    for runs, pairs in ((strata, []), (blocks, [(0, i) for i in range(1, 5)])):
+        for jobs in (1, 2):
+            automata._KEPT_CLASSES.clear()
+            built.clear()
+            walk._count_agreements(reference, others, runs, jobs=jobs)
+            assert built == [(0, 1), (2, 3), (4, 4)] + pairs
+    assert walk._joint_codes(4) is joint  # one joint table per n
 
 
 def test_agreement_monte_carlo_identical_pair():
