@@ -13,23 +13,20 @@ The stream's uniform doubles are drawn in fixed-size chunks into one
 buffer, which gives the same doubles as one call: a build holds its masks
 plus one chunk, not eight bytes per symbol.
 
-A semiautomaton runs a word from one flat, read-only step table of
-``n * A`` coded states, ``A`` the alphabet size: a state ``s`` is coded as
-``s * A``, and entry ``s * A + symbol`` holds the code of the state that
-``symbol`` leads to.  Codes are int32 while ``n * A < 2**31`` and int64
-beyond (:func:`index_dtype`).
-
-A batch of words runs on the joint chain of pairs of machines instead.
-For a pair ``(a, b)`` every symbol has a class that says what it does to
-the pair: class 0 moves neither machine, and class ``1 + 3i + kind``
-applies transposition ``i`` to ``a`` only (kind 0), to ``b`` only (kind 1)
-or to both (kind 2).  One table of ``n * n * K`` codes, ``K = 1 + 3 C(n, 2)``,
-maps a joint state ``s_a * n + s_b`` (coded as its ``K`` multiple) and a
-class to the next joint state, for every pair of every shape-``n`` family;
-what is particular to a pair is only its ``A`` symbol classes.  A batch
-gathers each pair's class of every symbol it reads in one pass, and one
-step of it is then one add and one ``take`` from that small table, for
-every pair at once.
+A symbol acts on a state through one of the moves that every shape-``n``
+machine shares: class 0 is the identity and class ``1 + i`` transposition
+``i``, so what is particular to a machine is only the class of each of
+its ``A`` symbols.  A batch of words walks
+the machines two at a time on their joint chain where that chain's
+table is small.  For a pair ``(a, b)`` class 0 then moves neither
+machine, and class ``1 + 3i + kind`` applies transposition ``i`` to
+``a`` only (kind 0), to ``b`` only (kind 1) or to both (kind 2); its
+table holds ``n * n * K`` codes, ``K = 1 + 3 C(n, 2)``, about ``1.5 n**4``.
+Past :data:`JOINT_TABLE_ENTRIES` (from n = 25) machines walk alone, on
+the ``n * (1 + C(n, 2))`` moves.  Either way a batch gathers each walker's
+class of every symbol it reads in one pass, and one step of it is then one
+add and one ``take`` from a table of at most a few MB, for every walker at
+once.
 
 Family file format (little-endian), version 1:
 
@@ -52,8 +49,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,6 +69,7 @@ __all__ = [
     "run_word",
     "run_words",
     "serialize_family",
+    "suffix_agreements",
 ]
 
 FAMILY_MAGIC = b"SQSA"
@@ -80,10 +77,14 @@ FAMILY_VERSION = 1
 _HEADER = struct.Struct("<4sHHIIdQ")
 MASK_DRAW_CHUNK = 1 << 20  # uniform doubles drawn at once by build_family (8 MB)
 GATHER_CHUNK = 1 << 16  # symbol classes gathered at once by run_words (512 kB)
+# largest joint table (4 MB, reached at n = 24) that run_words walks pairs on: a joint step
+# beats two steps on the moves up to about n = 28 and loses past it (n = 50: 1.5-1.9x, 70 MB)
+JOINT_TABLE_ENTRIES = 1 << 19
 
 
 def index_dtype(count: int) -> np.dtype:
-    """int32 when every index below ``count`` fits it (``count < 2**31``), else int64."""
+    """int32 when every index below ``count`` fits it (``count < 2**31``), else int64:
+    the dtype of a batch's words and starts."""
     return np.dtype(np.int32 if count < 2**31 else np.int64)
 
 
@@ -148,22 +149,6 @@ class Semiautomaton:
     def n_transpositions(self) -> int:
         return self.n_states * (self.n_states - 1) // 2
 
-    @cached_property
-    def step_table(self) -> np.ndarray:
-        """Coded transitions, shape (n_states * alphabet,): entry ``s * A + symbol``
-        holds ``next_state * A`` (``A`` the alphabet size), in
-        ``index_dtype(n_states * A)``."""
-        size = self.alphabet_size
-        codes = np.arange(self.n_states, dtype=index_dtype(self.n_states * size)) * size
-        table = np.repeat(codes, size)  # every symbol fixes every state
-        ends = np.array(np.triu_indices(self.n_states, 1))  # all_transpositions order
-        active = np.flatnonzero(self.mask)
-        low, high = ends[:, active % self.n_transpositions]
-        table[codes[low] + active] = codes[high]
-        table[codes[high] + active] = codes[low]
-        table.setflags(write=False)
-        return table
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Semiautomaton):
             return NotImplemented
@@ -193,16 +178,24 @@ class ShuffleFamily:
 
 
 def run_word(automaton: Semiautomaton, word: Sequence[int], start: int) -> int:
-    """Final state after processing ``word`` from ``start`` (first symbol first)."""
-    if not 0 <= start < automaton.n_states:
-        raise ValueError(f"start state {start} out of range for {automaton.n_states} states")
-    size, table = automaton.alphabet_size, automaton.step_table
-    code = start * size
+    """Final state after processing ``word`` from ``start`` (first symbol first).
+
+    The scalar reference for :func:`run_words`: a symbol whose mask bit is
+    set swaps the two ends of its transposition.
+    """
+    n, size = automaton.n_states, automaton.alphabet_size
+    if not 0 <= start < n:
+        raise ValueError(f"start state {start} out of range for {n} states")
+    low, high = (ends.tolist() for ends in np.triu_indices(n, 1))  # all_transpositions order
+    state = start
     for symbol in word:
         if not 0 <= symbol < size:
             raise ValueError(f"symbol {symbol} out of range for alphabet {size}")
-        code = int(table[code + symbol])
-    return code // size
+        if automaton.mask[symbol]:
+            pair = symbol % automaton.n_transpositions
+            if state in (low[pair], high[pair]):
+                state = low[pair] + high[pair] - state
+    return state
 
 
 def _check_range(values: np.ndarray, bound: int, message: str) -> None:
@@ -226,53 +219,81 @@ def _check_compatible(*automata: Semiautomaton) -> None:
             raise SizeMismatchError(f"automata shapes differ: {shapes[0]} vs {shape}")
 
 
-@functools.cache
-def _joint_codes(n: int) -> np.ndarray:
-    """The joint chain's step table of shape-``n`` pairs: entry ``s * K + c`` holds
-    ``t * K``, ``t`` the joint state that class ``c`` leads joint state ``s``
-    to, ``K = 1 + 3 C(n, 2)``.  Read-only intp, the index type ``take`` reads
-    without a cast."""
+def _moves(n: int) -> np.ndarray:
+    """The ``(n, 1 + C(n, 2))`` intp moves of shape-``n`` machines: entry ``[s, c]`` is
+    the state that class ``c`` takes ``s`` to, class 0 the identity and class
+    ``1 + i`` transposition ``i`` (all_transpositions order)."""
     count = n * (n - 1) // 2
-    low, high = np.triu_indices(n, 1)  # all_transpositions order
+    low, high = np.triu_indices(n, 1)
     swaps = np.arange(1, count + 1)
-    moves = np.tile(np.arange(n), (count + 1, 1))  # row 0 the identity, row 1 + i transposition i
-    moves[swaps, low], moves[swaps, high] = high, low
-    on_a = np.concatenate([[0], np.repeat(swaps, 3) * np.tile([1, 0, 1], count)])  # kinds a, b, both
-    on_b = np.concatenate([[0], np.repeat(swaps, 3) * np.tile([0, 1, 1], count)])
-    joint = np.arange(n * n)
-    table = (moves[on_a][:, joint // n] * n + moves[on_b][:, joint % n]).T * (1 + 3 * count)
-    table = np.ascontiguousarray(table, dtype=np.intp).reshape(-1)
+    moves = np.repeat(np.arange(n, dtype=np.intp)[:, None], count + 1, axis=1)
+    moves[low, swaps], moves[high, swaps] = high, low
+    return moves
+
+
+def _walks_pairs(n: int) -> bool:
+    """Whether :func:`run_words` walks shape-``n`` machines in pairs: their joint
+    table holds at most :data:`JOINT_TABLE_ENTRIES` codes."""
+    return n * n * (1 + 3 * (n * (n - 1) // 2)) <= JOINT_TABLE_ENTRIES
+
+
+@functools.lru_cache(maxsize=1)
+def _step_codes(n: int, paired: bool) -> np.ndarray:
+    """The step table of one machine, or with ``paired`` of a pair's joint chain:
+    entry ``s * K + c`` holds ``t * K``, ``t`` the state (joint state
+    ``s_a * n + s_b``) that class ``c`` leads ``s`` to, ``K`` the class count.
+    Read-only intp, the index type ``take`` reads without a cast."""
+    moves = _moves(n)
+    if paired:
+        count = moves.shape[1] - 1
+        swaps = np.repeat(np.arange(1, count + 1), 3)
+        on_a = np.concatenate([[0], swaps * np.tile([1, 0, 1], count)])  # kinds a, b, both
+        on_b = np.concatenate([[0], swaps * np.tile([0, 1, 1], count)])
+        moves = ((moves[:, on_a] * n)[:, None] + moves[:, on_b][None]).reshape(n * n, -1)
+    moves *= moves.shape[1]  # built in place: the one table-sized array
+    table = moves.reshape(-1)
     table.setflags(write=False)
     return table
 
 
-def _symbol_classes(a: Semiautomaton, b: Semiautomaton) -> np.ndarray:
-    """The joint chain's class of each symbol for the pair ``(a, b)``, shape ``(A,)`` intp."""
+def _symbol_classes(a: Semiautomaton, b: Semiautomaton | None = None) -> np.ndarray:
+    """The class of each symbol, shape ``(A,)`` intp: its column of the moves for
+    ``a`` alone, or its joint-chain class for the pair ``(a, b)``."""
+    if b is None:
+        return np.where(a.mask, np.tile(np.arange(1, a.n_transpositions + 1), a.n_copies), 0)
     kind = a.mask + 2 * b.mask  # 1: a only, 2: b only, 3: both, as kinds 0, 1, 2 of class 1 + 3i + kind
     swaps = np.tile(np.arange(0, 3 * a.n_transpositions, 3, dtype=np.intp), a.n_copies)
     return np.where(kind > 0, swaps + kind, 0)
 
 
-# automata ids -> (the automata, their class stack); holding the automata keeps their ids from reuse
-_KEPT_CLASSES: dict[tuple[int, ...], tuple[tuple[Semiautomaton, ...], np.ndarray]] = {}
-_KEPT_LOCK = threading.Lock()  # the threads of one count build its stack once
+# tag -> (the automata, what was built for them); holding the automata keeps their ids from reuse
+_KEPT: dict[object, tuple[tuple[Semiautomaton, ...], object]] = {}
+_KEPT_LOCK = threading.Lock()  # the threads of one count build its tables once
 
 
-def _class_stack(machines: Sequence[Semiautomaton]) -> np.ndarray:
-    """The ``(A, P)`` symbol classes of ``machines`` taken two at a time, an odd last
-    machine paired with itself.  The last stack is kept, for a count walks the
-    same machines over every run; it is matched by identity, since a hash or an
-    equality test would read every mask."""
-    key = tuple(map(id, machines))
+def _kept(tag: object, machines: Sequence[Semiautomaton], build: Callable[[], object]) -> object:
+    """``build()``, kept under ``tag`` while later calls pass the same automata.
+
+    A count reads the same machines over every run.  They are matched by
+    identity, since a hash or an equality test would read every mask; the
+    last value of each tag is kept.
+    """
     with _KEPT_LOCK:
-        kept = _KEPT_CLASSES.get(key)
-        if kept is None:
-            last = len(machines) - 1
-            pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
-            kept = (tuple(machines), np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1))
-            _KEPT_CLASSES.clear()
-            _KEPT_CLASSES[key] = kept
-    return kept[1]
+        held, value = _KEPT.get(tag, ((), None))
+        if len(held) != len(machines) or any(h is not m for h, m in zip(held, machines)):
+            value = build()
+            _KEPT[tag] = (tuple(machines), value)
+    return value
+
+
+def _class_stack(machines: Sequence[Semiautomaton], paired: bool) -> np.ndarray:
+    """The ``(A, W)`` symbol classes of ``machines``, each alone or, with ``paired``,
+    two at a time with an odd last machine paired with itself."""
+    if not paired:
+        return np.stack([_symbol_classes(a) for a in machines], axis=1)
+    last = len(machines) - 1
+    pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
+    return np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1)
 
 
 def run_words(
@@ -287,10 +308,11 @@ def run_words(
     shapes ``SizeMismatchError``.  Symbols and starts are range-checked once
     with :func:`run_word`'s messages.  The automata walk two at a time on
     their joint chain, an odd last one (or a lone automaton) paired with
-    itself.  One pass over the words gathers each pair's class of every
-    symbol, :data:`GATHER_CHUNK` classes at a time; each symbol position
-    then costs one add and one ``take`` from the joint table, for every pair
-    at once, and the final joint states are decoded once.
+    itself, or alone past :data:`JOINT_TABLE_ENTRIES`.  One pass over the
+    words gathers each walker's class of every symbol, :data:`GATHER_CHUNK`
+    classes at a time; each symbol position then costs one add and one
+    ``take`` from the step table, for every walker at once, and the final
+    states are decoded once.
     """
     machines = [automata] if isinstance(automata, Semiautomaton) else list(automata)
     if not machines:
@@ -302,18 +324,59 @@ def run_words(
         raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
     _check_range(starts, n, f"start state {{}} out of range for {n} states")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
-    table, classes = _joint_codes(n), _class_stack(machines)
-    width = table.shape[0] // (n * n)
-    # every pair starts at joint state (s, s); codes are (B, P), and each step's classes too
-    codes = np.repeat(starts.astype(np.intp)[:, None] * ((n + 1) * width), classes.shape[1], axis=1)
+    paired = _walks_pairs(n)
+    table = _step_codes(n, paired)
+    classes = _kept(("classes", paired), machines, lambda: _class_stack(machines, paired))
+    width = table.shape[0] // n ** (1 + paired)
+    # a pair starts at joint state (s, s); codes are (B, W), and each step's classes too
+    codes = np.repeat(starts.astype(np.intp)[:, None] * ((n + 1 if paired else 1) * width),
+                      classes.shape[1], axis=1)
     span = max(1, GATHER_CHUNK // max(1, codes.size))
     for low in range(0, words.shape[1], span):
         for step in classes.take(words[:, low : low + span].T, axis=0):
             np.add(codes, step, out=codes)
             codes = table.take(codes)
-    joint = (codes // width).T
-    states = np.stack(np.divmod(joint, n), axis=1).reshape(2 * joint.shape[0], -1)[: len(machines)]
+    states = (codes // width).T
+    if paired:
+        states = np.stack(np.divmod(states, n), axis=1).reshape(2 * states.shape[0], -1)[: len(machines)]
     return states[0] if isinstance(automata, Semiautomaton) else states
+
+
+def _suffix_tables(machines: Sequence[Semiautomaton], successors: bool) -> tuple:
+    """Each (reference, other) pair's joint state after each symbol, offset by
+    ``i * n * n`` for pair ``i`` (only with ``successors``), and whether the
+    machines then agree; stacked ``(P * n * n, A)``."""
+    n, moves = machines[0].n_states, _moves(machines[0].n_states)
+    after = [moves[:, _symbol_classes(machine)] for machine in machines]  # (n, A) each
+    reference, others = after[0][:, None], [states[None] for states in after[1:]]
+    agree = np.concatenate([(reference == other).reshape(n * n, -1) for other in others])
+    if not successors:
+        return None, agree
+    joint = [(reference * n + other).reshape(n * n, -1) + i * n * n for i, other in enumerate(others)]
+    return np.concatenate(joint), agree
+
+
+def suffix_agreements(machines: Sequence[Semiautomaton], finals: np.ndarray, suffix: int) -> np.ndarray:
+    """How many inputs each of ``machines[1:]`` ends on where ``machines[0]`` does.
+
+    Column ``i`` of ``finals`` (M, B), as :func:`run_words` gives them, holds
+    the machines' states after a batch's row ``i``, which stands for every
+    word of ``suffix`` more symbols: ``B * A**suffix`` inputs.  Each
+    (``machines[0]``, other) pair's joint state runs ``suffix - 1`` of them
+    row-wise on the pair's ``(n * n, A)`` successor table, then reads the last
+    from its agreement table, so each input yields one bool.  The result is
+    ``(M - 1,)`` integer counts.
+    """
+    finals = np.asarray(finals)
+    if not suffix:
+        return np.array([np.count_nonzero(states == finals[0]) for states in finals[1:]])
+    deep = suffix > 1  # one left-out symbol needs no successor table
+    successors, agree = _kept(("suffix", deep), machines, lambda: _suffix_tables(machines, deep))
+    n, others = machines[0].n_states, len(machines) - 1
+    joint = finals[0] * n + finals[1:] + np.arange(others)[:, None] * (n * n)
+    for _ in range(suffix - 1):
+        joint = successors.take(joint, axis=0).reshape(others, -1)
+    return np.array([np.count_nonzero(agree.take(row, axis=0)) for row in joint])
 
 
 def mask_stream(seed: int, member_index: int) -> np.random.Generator:

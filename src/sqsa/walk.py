@@ -29,11 +29,12 @@ largest array holds more than :data:`RUN_ELEMENTS` entries.  A run is one
 word and one start per row, plus the number of last symbols it leaves out;
 its words are int32 below ``2**31`` symbols.  Every machine of a count
 walks a run in one ``run_words`` call, two machines at a time on their
-joint chain.  Brute force runs each word prefix once per start; each
-(reference, other) pair's joint state then runs every word of the left-out
-symbols on the pair's own ``(n * n, A)`` successor table, and reads the
-last symbol from its agreement table, one bool per input.  Counts are
-integers, so neither the run sizes nor their order changes a result.
+joint chain while its table is small.  Brute force runs each word prefix
+once per start; ``automata.suffix_agreements`` then runs each
+(reference, other) pair's joint state over every word of the left-out
+symbols and reads the last symbol as agreement, one bool per input.
+Counts are integers, so neither the run sizes nor their order changes a
+result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -79,7 +80,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,8 +87,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, _check_compatible, _joint_codes, _symbol_classes
-from .automata import index_dtype, run_words
+from .automata import Semiautomaton, _check_compatible, index_dtype, run_words, suffix_agreements
 from .perm import Permutation, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
@@ -560,34 +559,15 @@ def _count_agreements(
 
     Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
     is made and counted on one of ``jobs`` threads, in one ``run_words`` walk
-    of ``reference`` and ``others`` together.  A run's words stop ``j``
-    symbols short, ``j`` its suffix.  Each (reference, other) pair's joint
-    state ``s_ref * n + s_other`` then runs every word of those symbols:
-    ``j - 1`` row-wise ``take``s from the pair's successor table, then one
-    from its agreement table, so each input yields one bool.
+    of ``reference`` and ``others`` together; a run's words stop ``j``
+    symbols short, ``j`` its suffix, and ``automata.suffix_agreements``
+    counts every word of those symbols from the walk's final states.
     """
-    automata, n, lock = [reference, *others], reference.n_states, threading.Lock()
-
-    @functools.cache  # strata runs never leave symbols out, nor need the (n * n, A) tables
-    def last_symbols() -> tuple[np.ndarray, np.ndarray]:
-        """Each pair's joint state after each symbol, offset by ``i * n * n`` for
-        pair ``i``, and whether the machines then agree; stacked ``(P * n * n, A)``."""
-        table = _joint_codes(n).reshape(n * n, -1)
-        after = [table[:, _symbol_classes(reference, other)] // table.shape[1] for other in others]
-        agree = np.concatenate([joint % (n + 1) == 0 for joint in after])
-        return np.concatenate([joint + i * n * n for i, joint in enumerate(after)]), agree
+    automata = [reference, *others]
 
     def count(run: Run) -> np.ndarray:
         words, starts, suffix = run()
-        finals = run_words(automata, words, starts)
-        if not suffix:
-            return np.array([np.count_nonzero(states == finals[0]) for states in finals[1:]])
-        with lock:  # built once, by the first run that needs them
-            successors, agree = last_symbols()
-        joint = finals[0] * n + finals[1:] + np.arange(len(others))[:, None] * (n * n)
-        for _ in range(suffix - 1):
-            joint = successors.take(joint, axis=0).reshape(len(others), -1)
-        return np.array([np.count_nonzero(agree.take(row, axis=0)) for row in joint])
+        return suffix_agreements(automata, run_words(automata, words, starts), suffix)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqsa import automata
+from sqsa import automata, walk
 from sqsa.automata import (
     FamilyConfig,
     FamilyFormatError,
@@ -25,6 +26,7 @@ from sqsa.automata import (
     _copies_prefactor,
 )
 from sqsa.perm import Permutation, SizeMismatchError, all_transpositions, compose
+from sqsa.walk import WordDistribution
 
 
 def all_ones(n, k=1):
@@ -173,11 +175,13 @@ def test_run_words_range_checks_narrow_integers_with_run_words_messages(dtype, w
     st.integers(0, 6),
     st.integers(0, 12),
     st.booleans(),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=1, fills=["ones", "zeros", "same"], length=4, rows=3, time_major=False, seed=0)
+@example(n=3, k=1, fills=["ones", "zeros", "same"], length=4, rows=3, time_major=False,
+         alone=False, seed=0)
 def test_run_words_on_a_sequence_stacks_each_automatons_states(
-    n, k, fills, length, rows, time_major, seed
+    n, k, fills, length, rows, time_major, alone, seed
 ):
     rng = np.random.default_rng(seed)
     size, machines = k * n * (n - 1) // 2, []
@@ -194,7 +198,11 @@ def test_run_words_on_a_sequence_stacks_each_automatons_states(
     if time_major:
         words = np.ascontiguousarray(words.T, dtype=np.int32).T
     starts = rng.integers(0, n, size=rows)
-    states = run_words(machines, words, starts)
+    # alone: no joint table fits, so every machine walks on the moves by itself
+    budget = 0 if alone else automata.JOINT_TABLE_ENTRIES
+    with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", budget):
+        assert automata._walks_pairs(n) is not alone
+        states = run_words(machines, words, starts)
     assert states.shape == (len(machines), rows)
     assert np.array_equal(states, np.stack([run_words(m, words, starts) for m in machines]))
     expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
@@ -224,49 +232,70 @@ def test_run_words_refuses_a_sequence_of_mixed_shapes():
     st.sampled_from(["random", "ones", "zeros"]),
     st.integers(0, 2**32 - 1),
 )
-def test_joint_table_steps_both_machines_by_each_symbols_class(n, k, fill, seed):
+def test_step_tables_move_machines_by_each_symbols_class(n, k, fill, seed):
     rng = np.random.default_rng(seed)
     size = k * n * (n - 1) // 2
     a = Semiautomaton(n, k, rng.random(size) < 0.5)
     b = Semiautomaton(n, k, {"ones": np.ones(size), "zeros": np.zeros(size)}.get(
         fill, rng.random(size) < 0.5).astype(bool))
-    table, classes = automata._joint_codes(n), automata._symbol_classes(a, b)
-    width = 1 + 3 * n * (n - 1) // 2  # K classes
-    assert table.shape == (n * n * width,) and table.dtype == np.intp and not table.flags.writeable
-    assert classes.shape == (size,) and 0 <= classes.min() and classes.max() < width
-    for s_a, s_b, symbol in itertools.product(range(n), range(n), range(size)):
-        after = table[(s_a * n + s_b) * width + classes[symbol]]
-        assert after == (run_word(a, [symbol], s_a) * n + run_word(b, [symbol], s_b)) * width
+    for paired, width in ((True, 1 + 3 * n * (n - 1) // 2), (False, 1 + n * (n - 1) // 2)):
+        table = automata._step_codes(n, paired)
+        classes = automata._symbol_classes(a, b) if paired else automata._symbol_classes(b)
+        size_of = n * n if paired else n  # joint states (s_a, s_b), or b's states
+        assert table.shape == (size_of * width,) and table.dtype == np.intp
+        assert not table.flags.writeable
+        assert classes.shape == (size,) and 0 <= classes.min() and classes.max() < width
+        for state, symbol in itertools.product(range(size_of), range(size)):
+            after = table[state * width + classes[symbol]]
+            s_a, s_b = divmod(state, n) if paired else (None, state)
+            expected = run_word(b, [symbol], s_b)
+            if paired:
+                expected += run_word(a, [symbol], s_a) * n
+            assert after == expected * width
 
 
-def test_one_index_dtype_rule_for_step_tables(monkeypatch):
+def test_one_index_dtype_rule_for_words_and_starts(monkeypatch):
     assert index_dtype(2**31 - 1) == np.int32 and index_dtype(2**31) == np.int64
-    rule, asked = automata.index_dtype, []
+    asked = []
 
     def spy(count):
         asked.append(count)
-        return rule(count)
+        return index_dtype(count)
 
     monkeypatch.setattr(automata, "index_dtype", spy)
-    machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # n * A = 48
-    rng = np.random.default_rng(6)
-    words, starts = rng.integers(0, 12, size=(20, 7), dtype=np.int32), rng.integers(0, 4, 20)
+    monkeypatch.setattr(walk, "index_dtype", spy)
+    machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # A = 12
+    (run,) = WordDistribution(4, 12, 7).strata(20, 6)
+    words, starts, _ = run()
+    assert sorted(asked) == [4, 12]  # the inputs' dtypes: n states, A symbols
+    assert words.dtype == starts.dtype == np.int32
+    asked.clear()
     states = run_words(machines, words, starts)
-    assert asked == []  # the joint chain reads no step table
+    assert asked == []  # the walk reads its tables in intp
     expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
     assert np.array_equal(states, expected)
-    assert sorted(asked) == [48, 48, 48]  # each step table, once
-    # int64 step tables (n * A >= 2**31) run to the same states
-    monkeypatch.setattr(automata, "index_dtype", lambda count: np.dtype(np.int64))
-    wide = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members
-    assert wide[0].step_table.dtype == np.int64
-    assert np.array_equal(
-        [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in wide], states
-    )
-    assert np.array_equal(run_words(wide, words, starts), states)
+    # int64 inputs (past 2**31 symbols or states) run to the same states
+    assert np.array_equal(run_words(machines, words.astype(np.int64), starts.astype(np.int64)), states)
 
 
-def test_the_kept_class_stack_is_matched_by_identity():
+def test_past_the_joint_table_budget_machines_walk_alone_in_little_memory():
+    # n = 50: a joint table would hold 9.2M codes (74 MB); the moves hold 61k
+    assert automata._walks_pairs(24) and not automata._walks_pairs(25)
+    machines = build_family(FamilyConfig(50, 1, 3, 0.5, 8)).members
+    rng = np.random.default_rng(8)
+    words, starts = rng.integers(0, 1225, size=(40, 30)), rng.integers(0, 50, 40)
+    tracemalloc.start()
+    try:
+        states = run_words(machines, words, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
+    assert np.array_equal(states, expected)
+
+
+def test_kept_tables_are_matched_by_identity():
     rng = np.random.default_rng(4)
     words, starts = rng.integers(0, 12, size=(30, 5)), rng.integers(0, 4, 30)
     for seed in range(20):  # a dropped automaton's id is often the next one's
@@ -275,7 +304,7 @@ def test_the_kept_class_stack_is_matched_by_identity():
         for _ in range(2):  # built, then kept
             assert np.array_equal(run_words(machine, words, starts), expected)
         del machine
-    (kept, _), = automata._KEPT_CLASSES.values()
+    kept, _ = automata._KEPT["classes", True]
     assert len(kept) == 1  # the last automaton, held with its stack
 
 
@@ -289,16 +318,16 @@ def test_symbol_actions_are_involutions(seed, symbol):
 
 
 def transposition_step_table(automaton):
-    """The step table built from ``Transposition`` objects: the reference for
-    :attr:`Semiautomaton.step_table`, which reads the ends from ``np.triu_indices``."""
+    """The one-symbol steps built from ``Transposition`` objects, entry
+    ``s * A + symbol`` the state that ``symbol`` leads ``s`` to: the reference
+    for :func:`run_word`, which reads the ends from ``np.triu_indices``."""
     size = automaton.alphabet_size
-    codes = np.arange(automaton.n_states, dtype=np.int64) * size
-    table = np.repeat(codes, size)
+    table = np.repeat(np.arange(automaton.n_states), size)
     pairs = np.array([(t.a, t.b) for t in all_transpositions(automaton.n_states)])
     active = np.flatnonzero(automaton.mask)
     low, high = pairs[active % automaton.n_transpositions].T
-    table[codes[low] + active] = codes[high]
-    table[codes[high] + active] = codes[low]
+    table[low * size + active] = high
+    table[high * size + active] = low
     return table
 
 
@@ -310,6 +339,7 @@ def transposition_step_table(automaton):
     seed=st.integers(0, 2**32),
 )
 def test_step_table_equals_the_transposition_object_table(n, k, fill, seed):
+    # run_word's step table: every state's step under every symbol
     size = k * n * (n - 1) // 2
     mask = {
         "random": np.random.default_rng(seed).random(size) < 0.5,
@@ -317,8 +347,8 @@ def test_step_table_equals_the_transposition_object_table(n, k, fill, seed):
         "zeros": np.zeros(size, dtype=bool),
     }[fill]
     automaton = Semiautomaton(n, k, mask)
-    table = automaton.step_table
-    assert table.dtype == np.int32 and not table.flags.writeable  # n * A < 2**31
+    table = [run_word(automaton, [symbol], state) for state in range(n) for symbol in range(size)]
+    assert all(type(state) is int for state in table)
     assert np.array_equal(table, transposition_step_table(automaton))
 
 

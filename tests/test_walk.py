@@ -492,34 +492,33 @@ def test_merged_draws_change_no_count(monkeypatch):
 
 
 def test_a_count_stacks_its_tables_once(monkeypatch):
-    # each pair's classes are built once per count, not once per run, and the kept
-    # class stack is matched by identity: no mask is hashed or compared
+    # each walker's classes are built once per count, not once per run, and the kept
+    # tables are matched by identity: no mask is hashed or compared
     family = build_family(FamilyConfig(4, 2, 5, 0.5, 3))
     reference, others = family.members[0], family.members[1:]
     position = {id(member): i for i, member in enumerate(family.members)}
-    original, built, joint = automata._symbol_classes, [], walk._joint_codes(4)
+    original, built, joint = automata._symbol_classes, [], automata._step_codes(4, True)
 
-    def classes(a, b):
-        built.append((position[id(a)], position[id(b)]))
-        return original(a, b)
+    def classes(*machines):
+        built.append(tuple(position[id(machine)] for machine in machines))
+        return original(*machines)
 
     def refuse(self, *args):
         raise AssertionError("a mask was hashed or compared")
 
     monkeypatch.setattr(automata, "_symbol_classes", classes)
-    monkeypatch.setattr(walk, "_symbol_classes", classes)
     monkeypatch.setattr(Semiautomaton, "__hash__", refuse)
     monkeypatch.setattr(Semiautomaton, "__eq__", refuse)
     strata, blocks = WordDistribution(4, 12, 6).strata(20_000, 1), WordDistribution(4, 12, 5).blocks()
     assert len(strata) > 1 and len(blocks) > 1
-    # the walk pairs (0, 1), (2, 3) and (4, 4); brute force adds each (reference, other)
-    for runs, pairs in ((strata, []), (blocks, [(0, i) for i in range(1, 5)])):
+    # the walk pairs (0, 1), (2, 3) and (4, 4); brute force adds each machine's moves
+    for runs, alone in ((strata, []), (blocks, [(i,) for i in range(5)])):
         for jobs in (1, 2):
-            automata._KEPT_CLASSES.clear()
+            automata._KEPT.clear()
             built.clear()
             walk._count_agreements(reference, others, runs, jobs=jobs)
-            assert built == [(0, 1), (2, 3), (4, 4)] + pairs
-    assert walk._joint_codes(4) is joint  # one joint table per n
+            assert built == [(0, 1), (2, 3), (4, 4)] + alone
+    assert automata._step_codes(4, True) is joint  # one joint table per n
 
 
 def test_agreement_monte_carlo_identical_pair():
