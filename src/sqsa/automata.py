@@ -28,6 +28,11 @@ class of every symbol it reads in one pass, and one step of it is then one
 add and one ``take`` from a table of at most a few MB, for every walker at
 once.
 
+Brute force (:func:`agreeing_inputs`) reads no words.  One pair's joint
+state walks the prefix tree of every word on the pair's own C-ordered
+``(n * n, A)`` successor table, from each joint start ``(s, s)``, and reads
+each input's last symbol from the pair's agreement table.
+
 Family file format (little-endian), version 1:
 
     magic    4 bytes   b"SQSA"
@@ -49,7 +54,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,6 +65,7 @@ __all__ = [
     "FamilyFormatError",
     "Semiautomaton",
     "ShuffleFamily",
+    "agreeing_inputs",
     "build_family",
     "deserialize_family",
     "index_dtype",
@@ -69,7 +75,6 @@ __all__ = [
     "run_word",
     "run_words",
     "serialize_family",
-    "suffix_agreements",
 ]
 
 FAMILY_MAGIC = b"SQSA"
@@ -249,8 +254,9 @@ def _step_codes(n: int, paired: bool) -> np.ndarray:
         swaps = np.repeat(np.arange(1, count + 1), 3)
         on_a = np.concatenate([[0], swaps * np.tile([1, 0, 1], count)])  # kinds a, b, both
         on_b = np.concatenate([[0], swaps * np.tile([0, 1, 1], count)])
-        moves = ((moves[:, on_a] * n)[:, None] + moves[:, on_b][None]).reshape(n * n, -1)
-    moves *= moves.shape[1]  # built in place: the one table-sized array
+        after_a, after_b = moves.take(on_a, axis=1), moves.take(on_b, axis=1)  # C order, as take gives
+        moves = (after_a[:, None] * n + after_b[None]).reshape(n * n, -1)  # a view of the sum
+    moves *= moves.shape[1]  # in place: the one table-sized array
     table = moves.reshape(-1)
     table.setflags(write=False)
     return table
@@ -266,34 +272,33 @@ def _symbol_classes(a: Semiautomaton, b: Semiautomaton | None = None) -> np.ndar
     return np.where(kind > 0, swaps + kind, 0)
 
 
-# tag -> (the automata, what was built for them); holding the automata keeps their ids from reuse
-_KEPT: dict[object, tuple[tuple[Semiautomaton, ...], object]] = {}
-_KEPT_LOCK = threading.Lock()  # the threads of one count build its tables once
-
-
-def _kept(tag: object, machines: Sequence[Semiautomaton], build: Callable[[], object]) -> object:
-    """``build()``, kept under ``tag`` while later calls pass the same automata.
-
-    A count reads the same machines over every run.  They are matched by
-    identity, since a hash or an equality test would read every mask; the
-    last value of each tag is kept.
-    """
-    with _KEPT_LOCK:
-        held, value = _KEPT.get(tag, ((), None))
-        if len(held) != len(machines) or any(h is not m for h, m in zip(held, machines)):
-            value = build()
-            _KEPT[tag] = (tuple(machines), value)
-    return value
+# (the automata, paired, their class stack); holding the automata keeps their ids from reuse
+_KEPT: tuple[tuple[Semiautomaton, ...], bool, np.ndarray | None] = ((), False, None)
+_KEPT_LOCK = threading.Lock()  # the threads of one count build its stack once
 
 
 def _class_stack(machines: Sequence[Semiautomaton], paired: bool) -> np.ndarray:
     """The ``(A, W)`` symbol classes of ``machines``, each alone or, with ``paired``,
-    two at a time with an odd last machine paired with itself."""
-    if not paired:
-        return np.stack([_symbol_classes(a) for a in machines], axis=1)
-    last = len(machines) - 1
-    pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
-    return np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1)
+    two at a time with an odd last machine paired with itself.
+
+    A count reads the same machines over every run, so the last stack is
+    kept while later calls pass the same automata, walked the same way.
+    They are matched by identity, since a hash or an equality test would
+    read every mask.
+    """
+    global _KEPT
+    with _KEPT_LOCK:
+        held, held_paired, classes = _KEPT
+        if (held_paired != paired or len(held) != len(machines)
+                or any(h is not m for h, m in zip(held, machines))):
+            if paired:
+                last = len(machines) - 1
+                pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
+                classes = np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1)
+            else:
+                classes = np.stack([_symbol_classes(a) for a in machines], axis=1)
+            _KEPT = (tuple(machines), paired, classes)
+    return classes
 
 
 def run_words(
@@ -326,7 +331,7 @@ def run_words(
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
     paired = _walks_pairs(n)
     table = _step_codes(n, paired)
-    classes = _kept(("classes", paired), machines, lambda: _class_stack(machines, paired))
+    classes = _class_stack(machines, paired)
     width = table.shape[0] // n ** (1 + paired)
     # a pair starts at joint state (s, s); codes are (B, W), and each step's classes too
     codes = np.repeat(starts.astype(np.intp)[:, None] * ((n + 1 if paired else 1) * width),
@@ -342,41 +347,58 @@ def run_words(
     return states[0] if isinstance(automata, Semiautomaton) else states
 
 
-def _suffix_tables(machines: Sequence[Semiautomaton], successors: bool) -> tuple:
-    """Each (reference, other) pair's joint state after each symbol, offset by
-    ``i * n * n`` for pair ``i`` (only with ``successors``), and whether the
-    machines then agree; stacked ``(P * n * n, A)``."""
-    n, moves = machines[0].n_states, _moves(machines[0].n_states)
-    after = [moves[:, _symbol_classes(machine)] for machine in machines]  # (n, A) each
-    reference, others = after[0][:, None], [states[None] for states in after[1:]]
-    agree = np.concatenate([(reference == other).reshape(n * n, -1) for other in others])
-    if not successors:
+def _pair_tables(a: Semiautomaton, b: Semiautomaton, deep: bool) -> tuple:
+    """The pair's successor table (only with ``deep``) and agreement table, both
+    C-ordered ``(n * n, A)``: row ``s_a * n + s_b`` holds, for each symbol, the
+    joint state ``t_a * n + t_b`` that it leads the pair to (intp), and whether
+    ``t_a == t_b``."""
+    n, moves = a.n_states, _moves(a.n_states)
+    after_a, after_b = (moves.take(_symbol_classes(m), axis=1) for m in (a, b))  # (n, A), C order
+    agree = (after_a[:, None] == after_b[None]).reshape(n * n, -1)
+    if not deep:
         return None, agree
-    joint = [(reference * n + other).reshape(n * n, -1) + i * n * n for i, other in enumerate(others)]
-    return np.concatenate(joint), agree
+    return (after_a[:, None] * n + after_b[None]).reshape(n * n, -1), agree
 
 
-def suffix_agreements(machines: Sequence[Semiautomaton], finals: np.ndarray, suffix: int) -> np.ndarray:
-    """How many inputs each of ``machines[1:]`` ends on where ``machines[0]`` does.
+def _count_leaves(successors: np.ndarray, agree: np.ndarray, nodes: np.ndarray, depth: int) -> int:
+    """Inputs below ``nodes``, joint states with ``depth`` symbols left, on which
+    the pair ends on one state: every word of ``depth - 1`` symbols breadth-first
+    on the successor table, then the last symbol as one agreement bool per input."""
+    for _ in range(depth - 1):
+        nodes = successors.take(nodes, axis=0).reshape(-1)
+    return np.count_nonzero(agree.take(nodes, axis=0))
 
-    Column ``i`` of ``finals`` (M, B), as :func:`run_words` gives them, holds
-    the machines' states after a batch's row ``i``, which stands for every
-    word of ``suffix`` more symbols: ``B * A**suffix`` inputs.  Each
-    (``machines[0]``, other) pair's joint state runs ``suffix - 1`` of them
-    row-wise on the pair's ``(n * n, A)`` successor table, then reads the last
-    from its agreement table, so each input yields one bool.  The result is
-    ``(M - 1,)`` integer counts.
+
+def agreeing_inputs(a: Semiautomaton, b: Semiautomaton, word_length: int, budget: int) -> int:
+    """How many of the ``A**T * n`` (word, start) inputs of ``T = word_length``
+    symbols leave ``a`` and ``b`` on one state: the literal enumeration of
+    every input.
+
+    The pair's joint state walks the prefix tree of every word depth-first
+    from each joint start ``(s, s)``, on the pair's tables
+    (:func:`_pair_tables`, built once).  A chunk of nodes is expanded
+    breadth-first (:func:`_count_leaves`) once its leaves, the inputs below
+    it, number at most ``budget``; a single node over the budget is
+    expanded one level, down to a node with one symbol left, whose ``A``
+    leaves are read together whatever the budget.  Shapes that differ raise
+    ``SizeMismatchError``.
     """
-    finals = np.asarray(finals)
-    if not suffix:
-        return np.array([np.count_nonzero(states == finals[0]) for states in finals[1:]])
-    deep = suffix > 1  # one left-out symbol needs no successor table
-    successors, agree = _kept(("suffix", deep), machines, lambda: _suffix_tables(machines, deep))
-    n, others = machines[0].n_states, len(machines) - 1
-    joint = finals[0] * n + finals[1:] + np.arange(others)[:, None] * (n * n)
-    for _ in range(suffix - 1):
-        joint = successors.take(joint, axis=0).reshape(others, -1)
-    return np.array([np.count_nonzero(agree.take(row, axis=0)) for row in joint])
+    _check_compatible(a, b)
+    n, size = a.n_states, a.alphabet_size
+    if not word_length:
+        return n  # the empty word leaves each machine where it starts
+    successors, agree = _pair_tables(a, b, word_length > 1)
+
+    def count(nodes: np.ndarray, depth: int) -> int:
+        leaves = size**depth  # below each node
+        if nodes.size * leaves <= budget or (nodes.size == 1 and depth == 1):
+            return _count_leaves(successors, agree, nodes, depth)
+        if nodes.size == 1:
+            return count(successors[nodes[0]], depth - 1)
+        chunk = max(1, budget // leaves)
+        return sum(count(nodes[low : low + chunk], depth) for low in range(0, nodes.size, chunk))
+
+    return int(count(np.arange(n) * (n + 1), word_length))
 
 
 def mask_stream(seed: int, member_index: int) -> np.random.Generator:

@@ -17,24 +17,23 @@ agreement probability three ways.
 report names its route with a label:
 
 - ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
-- ``brute`` (label ``brute-force``): every (word, start) input, from the
-  prefix tree of :meth:`WordDistribution.blocks`, giving an exact rational;
+- ``brute`` (label ``brute-force``): every (word, start) input, on the
+  pair's prefix tree (``automata.agreeing_inputs``), giving an exact rational;
 - ``mc`` (label ``monte-carlo``): the stratified samples of
   :meth:`WordDistribution.strata`, with a standard error.
 
-Both input routes count agreements as integers over ``run_words``
-(:func:`_count_agreements`, which the sampled oracle also calls), on the
-runs that :class:`WordDistribution` sizes itself: per machine, no run's
-largest array holds more than :data:`RUN_ELEMENTS` entries.  A run is one
-word and one start per row, plus the number of last symbols it leaves out;
-its words are int32 below ``2**31`` symbols.  Every machine of a count
-walks a run in one ``run_words`` call, two machines at a time on their
-joint chain while its table is small.  Brute force runs each word prefix
-once per start; ``automata.suffix_agreements`` then runs each
-(reference, other) pair's joint state over every word of the left-out
-symbols and reads the last symbol as agreement, one bool per input.
-Counts are integers, so neither the run sizes nor their order changes a
-result.
+Both input routes count agreements as integers, under one budget,
+:data:`RUN_ELEMENTS`.  Brute force walks the pair's joint state down the
+prefix tree of every word from each start, depth-first, and expands a chunk
+of tree nodes breadth-first once the inputs below it fit the budget; the
+last symbol is read as one agreement bool per input.  Monte Carlo (and the
+sampled oracle) count over ``run_words`` (:func:`_count_agreements`): a
+run of strata is one word and one start per row, its words int32 below
+``2**31`` symbols and at most :data:`RUN_ELEMENTS` entries, and every
+machine of a count walks it in one ``run_words`` call, two machines at a
+time on their joint chain while its table is small.  Runs are counted on
+``jobs`` threads; brute force runs on one.  Counts are integers, so
+neither the chunk or run sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -87,7 +86,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, _check_compatible, index_dtype, run_words, suffix_agreements
+from .automata import Semiautomaton, _check_compatible, agreeing_inputs, index_dtype, run_words
 from .perm import Permutation, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
@@ -118,8 +117,8 @@ __all__ = [
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-RUN_ELEMENTS = 1 << 16  # per machine, entries of a run's largest array: block finals, strata words
-KRYLOV_ELEMENTS = 1 << 20  # Lanczos basis entries (pairs x steps x n^2) per chunk of pairs
+RUN_ELEMENTS = 1 << 16  # per machine, entries of a run's largest array: strata words, brute leaves
+KRYLOV_ELEMENTS = 1 << 20  # first Lanczos basis entries (pairs x min(steps, 16) x n^2) per chunk
 COUNT_ELEMENTS = 1 << 24  # mask bits, over all members, of one block of copies in _pair_counts
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
 _AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
@@ -141,9 +140,8 @@ class BruteForceGuardError(ValueError):
         )
 
 
-# () -> (words (B, T - j), starts (B,), j): row i runs from starts[i], then
-# every word of the j symbols left out (j = 0 on strata runs)
-Run = Callable[[], tuple[np.ndarray, np.ndarray, int]]
+# () -> (words (B, T), starts (B,)): row i runs from starts[i]
+Run = Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -161,33 +159,6 @@ class WordDistribution:
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
 
-    def blocks(self) -> list[Run]:
-        """Every input once, as a prefix tree in runs of at most :data:`RUN_ELEMENTS` final states.
-
-        A run's suffix ``j`` is the most last symbols, up to the word length,
-        whose ``A**j`` words from every start fit the budget.  Its words
-        ``(B * n, T - j)`` are ``B`` prefixes in counting order, each repeated
-        for every start (column-major, as each symbol position is written), and
-        its starts ``(B * n,)`` tile every start, both in :func:`index_dtype`.
-        Each row stands for its ``A**j`` words, so a run ends in
-        ``B * n * A**j`` final states for each machine.
-        """
-        n, base, suffix = self.n_states, self.n_symbols, 0
-        while suffix < self.word_length and n * base ** (suffix + 1) <= RUN_ELEMENTS:
-            suffix += 1
-        length, leaves = self.word_length - suffix, base**suffix
-        total, size = base**length, max(1, RUN_ELEMENTS // n // leaves)
-
-        def run(low: int) -> tuple[np.ndarray, np.ndarray, int]:
-            index = np.arange(low, min(low + size, total), dtype=np.int64).repeat(n)
-            words = np.empty((length, index.shape[0]), dtype=index_dtype(base)).T
-            for t in range(length - 1, -1, -1):
-                words[:, t] = index % base
-                index //= base
-            return words, np.tile(np.arange(n, dtype=index_dtype(n)), words.shape[0] // n), suffix
-
-        return [functools.partial(run, low) for low in range(0, total, size)]
-
     def strata(self, samples: int, seed: int, key: tuple[int, ...] = ()) -> list[Run]:
         """``samples`` inputs over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
 
@@ -195,8 +166,8 @@ class WordDistribution:
         or rows when T = 0); a stratum over that runs alone.  Stratum ``s``
         draws its words, then its starts, from its own Philox substream,
         spawn key ``key + (s,)``, so no run depends on which worker makes
-        it.  A run returns its strata's words and starts in stratum order,
-        and suffix 0: its words ``(B, T)`` are the strata's row-major draws
+        it.  A run returns its strata's words and starts in stratum order:
+        its words ``(B, T)`` are the strata's row-major draws
         as drawn (one stratum's own arrays, or their concatenation), in
         ``index_dtype(n_symbols)``; its starts are in ``index_dtype(n_states)``.
         numpy draws bounded int32 and int64 alike below 2**32, so the dtype
@@ -210,7 +181,7 @@ class WordDistribution:
 
         symbol, state = index_dtype(self.n_symbols), index_dtype(self.n_states)
 
-        def run(strata: range) -> tuple[np.ndarray, np.ndarray, int]:
+        def run(strata: range) -> tuple[np.ndarray, np.ndarray]:
             words, starts = [], []
             for stratum in strata:
                 sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
@@ -219,8 +190,8 @@ class WordDistribution:
                 words.append(rng.integers(0, self.n_symbols, shape, dtype=symbol))
                 starts.append(rng.integers(0, self.n_states, counts[stratum], dtype=state))
             if len(strata) == 1:
-                return words[0], starts[0], 0
-            return np.concatenate(words), np.concatenate(starts), 0
+                return words[0], starts[0]
+            return np.concatenate(words), np.concatenate(starts)
 
         firsts, inputs = [], 0
         for stratum, count in enumerate(counts):
@@ -485,13 +456,15 @@ def _gauss_residuals(
 ) -> np.ndarray:
     """``p_agree - 1/n`` of each pair at each word length (``T = 0`` gives exactly
     ``(n-1)/n``).  The mask counts of all pairs come from one :func:`_pair_counts`
-    pass; the pairs then run in chunks whose Lanczos basis holds at most
-    :data:`KRYLOV_ELEMENTS` entries at the largest step they may need."""
+    pass; the pairs then run in chunks whose first Lanczos basis holds at most
+    :data:`KRYLOV_ELEMENTS` entries.  Runs stop after a few steps at any ``T``,
+    so a chunk is sized by that first basis, ``min(steps, 16)`` columns, not by
+    the most steps it may need; its basis grows only while its pairs go on."""
     n, lengths = pairs[0][0].n_states, np.asarray(word_lengths, dtype=np.int64)
     counts, alphabet = _pair_counts(pairs), pairs[0][0].alphabet_size
     # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
     steps = min((n - 1) ** 2, int(lengths.max()) // 2 + 1)
-    chunk = max(1, KRYLOV_ELEMENTS // (steps * n * n))
+    chunk = max(1, KRYLOV_ELEMENTS // (min(steps, 16) * n * n))  # the basis _gauss_chunk starts with
     residuals = np.concatenate(
         [_gauss_chunk(counts[:, low : low + chunk], n, alphabet, lengths, steps)
          for low in range(0, len(pairs), chunk)]
@@ -555,19 +528,17 @@ def _gauss_chunk(
 def _count_agreements(
     reference: Semiautomaton, others: Sequence[Semiautomaton], runs: Sequence[Run], jobs: int
 ) -> np.ndarray:
-    """Inputs of ``runs`` on which each of ``others`` agrees with ``reference``.
+    """Inputs of ``runs`` on which each of ``others`` ends where ``reference`` does.
 
-    Each run of :meth:`WordDistribution.blocks` or :meth:`WordDistribution.strata`
-    is made and counted on one of ``jobs`` threads, in one ``run_words`` walk
-    of ``reference`` and ``others`` together; a run's words stop ``j``
-    symbols short, ``j`` its suffix, and ``automata.suffix_agreements``
-    counts every word of those symbols from the walk's final states.
+    Each run of :meth:`WordDistribution.strata` is made and counted on one of
+    ``jobs`` threads, in one ``run_words`` walk of ``reference`` and
+    ``others`` together.
     """
     automata = [reference, *others]
 
     def count(run: Run) -> np.ndarray:
-        words, starts, suffix = run()
-        return suffix_agreements(automata, run_words(automata, words, starts), suffix)
+        states = run_words(automata, *run())
+        return np.count_nonzero(states[1:] == states[0], axis=1)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -575,27 +546,22 @@ def _count_agreements(
     return sum(map(count, runs))
 
 
-def agreement_brute_force(
-    a: Semiautomaton, b: Semiautomaton, word_length: int, jobs: int = 1
-) -> AgreementReport:
+def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
     """Literal enumeration of every word and start; the independent oracle.
 
-    Both automata run every distinct prefix of :meth:`WordDistribution.blocks`
-    from every start on their joint chain; the pair's joint state then runs
-    every word of the last symbols that each run leaves out, the last one
-    read as agreement.  Exact by construction:
-    agreement is counted as an integer and the probability is a rational
-    number.  Refuses when ``alphabet**word_length * n`` exceeds
-    :data:`BRUTE_FORCE_LIMIT`.
+    The pair's joint state walks the prefix tree of every word from every
+    start (``automata.agreeing_inputs``), in chunks of at most
+    :data:`RUN_ELEMENTS` inputs, and reads each input's last symbol as
+    agreement.  Exact by construction: agreement is counted as an integer
+    and the probability is a rational number.  Refuses when
+    ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
     """
     _check_compatible(a, b)
     n = a.n_states
-    dist = WordDistribution(n, a.alphabet_size, word_length)
-    cost = dist.n_inputs()
+    cost = WordDistribution(n, a.alphabet_size, word_length).n_inputs()
     if cost > BRUTE_FORCE_LIMIT:
         raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
-    agreed = _count_agreements(a, [b], dist.blocks(), jobs)[0]
-    exact = Fraction(int(agreed), cost)
+    exact = Fraction(agreeing_inputs(a, b, word_length, RUN_ELEMENTS), cost)
     p_agree = float(exact)
     return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact)
 
@@ -628,7 +594,7 @@ def agreement_monte_carlo(
 # look each function up at call time, so a wrapped module attribute is seen.
 AGREEMENT_METHODS: dict[str, Callable[..., AgreementReport]] = {
     "spectral": lambda a, b, t, samples, seed, jobs: agreement_exact(a, b, t),
-    "brute": lambda a, b, t, samples, seed, jobs: agreement_brute_force(a, b, t, jobs),
+    "brute": lambda a, b, t, samples, seed, jobs: agreement_brute_force(a, b, t),
     "mc": lambda a, b, t, samples, seed, jobs: agreement_monte_carlo(a, b, t, samples, seed, jobs),
 }
 
@@ -644,7 +610,7 @@ def agreement(
 ) -> AgreementReport:
     """Agreement by the route that :data:`AGREEMENT_METHODS` lists under ``method``.
 
-    ``samples`` and ``seed`` are read by ``mc`` only, ``jobs`` by ``brute`` and ``mc``.
+    ``samples``, ``seed`` and ``jobs`` are read by ``mc`` only.
     """
     if method not in AGREEMENT_METHODS:
         raise ValueError(

@@ -254,6 +254,31 @@ def test_step_tables_move_machines_by_each_symbols_class(n, k, fill, seed):
             assert after == expected * width
 
 
+def test_tables_are_c_ordered_and_built_in_one_table_sized_array():
+    # each pair table row is one contiguous run of A entries, so a row gather copies whole rows
+    a, b = build_family(FamilyConfig(6, 2, 2, 0.5, 11)).members
+    successors, agree = automata._pair_tables(a, b, True)
+    assert successors.shape == agree.shape == (36, 30)
+    for (s_a, s_b), symbol in itertools.product(itertools.product(range(6), repeat=2), range(30)):
+        t_a, t_b = run_word(a, [symbol], s_a), run_word(b, [symbol], s_b)
+        assert successors[s_a * 6 + s_b, symbol] == t_a * 6 + t_b
+        assert agree[s_a * 6 + s_b, symbol] == (t_a == t_b)
+    a, b = build_family(FamilyConfig(50, 1, 2, 0.5, 11)).members  # A = 1225
+    successors, agree = automata._pair_tables(a, b, True)
+    assert successors.flags.c_contiguous and agree.flags.c_contiguous
+    assert successors.dtype == np.intp and agree.dtype == bool
+    assert automata._pair_tables(a, b, False)[0] is None  # one symbol left reads agreement only
+    # the joint step table at n = 24 (3.6 MB): one table-sized array, no reshaped copy
+    automata._step_codes.cache_clear()
+    tracemalloc.start()
+    try:
+        table = automata._step_codes(24, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.flags.c_contiguous and peak < 1.25 * table.nbytes
+
+
 def test_one_index_dtype_rule_for_words_and_starts(monkeypatch):
     assert index_dtype(2**31 - 1) == np.int32 and index_dtype(2**31) == np.int64
     asked = []
@@ -266,7 +291,7 @@ def test_one_index_dtype_rule_for_words_and_starts(monkeypatch):
     monkeypatch.setattr(walk, "index_dtype", spy)
     machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # A = 12
     (run,) = WordDistribution(4, 12, 7).strata(20, 6)
-    words, starts, _ = run()
+    words, starts = run()
     assert sorted(asked) == [4, 12]  # the inputs' dtypes: n states, A symbols
     assert words.dtype == starts.dtype == np.int32
     asked.clear()
@@ -304,7 +329,7 @@ def test_kept_tables_are_matched_by_identity():
         for _ in range(2):  # built, then kept
             assert np.array_equal(run_words(machine, words, starts), expected)
         del machine
-    kept, _ = automata._KEPT["classes", True]
+    kept, _, _ = automata._KEPT
     assert len(kept) == 1  # the last automaton, held with its stack
 
 

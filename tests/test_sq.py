@@ -425,7 +425,6 @@ def test_exact_session_reads_no_input(monkeypatch):
 
     monkeypatch.setattr(automata, "run_words", refuse)
     monkeypatch.setattr(walk, "run_words", refuse)
-    monkeypatch.setattr(WordDistribution, "blocks", refuse)
     monkeypatch.setattr(WordDistribution, "strata", refuse)
     family = family_pair(5, 1, 21, m=6)
     session = make_session(family, 10**6, tolerance=0.5)

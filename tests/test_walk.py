@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import time
@@ -244,7 +243,6 @@ def test_agreement_routes_agree_on_random_pairs(n, k, t, seed):
     brute = agreement_brute_force(a, b, t)
     assert abs(exact.p_agree - brute.p_agree) < 1e-10
     assert exact.residual == pytest.approx(brute.residual, abs=1e-10)
-    assert agreement_brute_force(a, b, t, jobs=2).exact == brute.exact
     sampled = agreement_monte_carlo(a, b, t, samples=4000, seed=seed)
     assert abs(sampled.p_agree - exact.p_agree) <= 5 * sampled.stderr + 1e-12
 
@@ -315,35 +313,6 @@ def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
         agreement_exact(a, b, 1000)  # (n-1)^2 = 25 steps, neither exact nor agreeing
 
 
-def test_blocks_enumerate_every_input_once(monkeypatch):
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 54)  # two prefixes of nine suffixes, three starts
-    runs = [run() for run in WordDistribution(3, 3, 4).blocks()]
-    assert len(runs) == 5  # 9 prefixes, two per block
-    assert {suffix for _, _, suffix in runs} == {2}
-    assert all(words.shape[0] * 3**suffix <= 54 for words, _, suffix in runs)
-    inputs = [
-        (list(prefix) + list(last), start)
-        for words, starts, suffix in runs
-        for prefix, start in zip(words, starts)
-        for last in itertools.product(range(3), repeat=suffix)
-    ]
-    # every prefix from every start in turn, each then ending in every suffix
-    expected = [
-        (list(word), start)
-        for prefix in itertools.product(range(3), repeat=2)
-        for start in range(3)
-        for word in itertools.product(range(3), repeat=4)
-        if word[:2] == prefix
-    ]
-    assert inputs == expected
-    # T < j: the empty prefix from every start, every word a suffix
-    ((words, starts, suffix),) = [run() for run in WordDistribution(3, 3, 1).blocks()]
-    assert words.shape == (3, 0) and starts.tolist() == [0, 1, 2] and suffix == 1
-    # T=0: the one empty word, run from every start
-    ((words, starts, suffix),) = [run() for run in WordDistribution(5, 4, 0).blocks()]
-    assert words.shape == (5, 0) and starts.tolist() == [0, 1, 2, 3, 4] and suffix == 0
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 4),
@@ -352,35 +321,31 @@ def test_blocks_enumerate_every_input_once(monkeypatch):
     st.sampled_from([4, 7, 40, 200]),
     st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=1, t=0, budget=40, seed=0)  # suffix 0
-@example(n=3, k=1, t=1, budget=40, seed=0)  # T < j = 2
-@example(n=3, k=1, t=2, budget=40, seed=0)  # T = j
-@example(n=2, k=1, t=4, budget=4, seed=0)  # one symbol: the whole word is suffix
+@example(n=3, k=1, t=0, budget=40, seed=0)  # the empty word: no tree to walk
+@example(n=3, k=1, t=1, budget=40, seed=0)  # the starts' own agreement rows, one chunk
+@example(n=3, k=1, t=2, budget=40, seed=0)  # one chunk over both levels
+@example(n=2, k=1, t=4, budget=4, seed=0)  # one symbol: a chain, not a tree
+@example(n=3, k=1, t=4, budget=7, seed=0)  # a node of 81 leaves, expanded level by level
+@example(n=4, k=2, t=2, budget=4, seed=0)  # a node of 12 leaves over the budget, read whole
 def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     assume(k == 1 or t <= 3)  # at most 6912 inputs to run one by one
     a, b = random_pair(n, k, seed)
     words = list(itertools.product(range(a.alphabet_size), repeat=t))
     expected = sum(run_word(a, w, s) == run_word(b, w, s) for w in words for s in range(n))
     sizes = []
-    count = walk._count_agreements
+    count = automata._count_leaves
 
-    def sized(reference, others, runs, jobs):
-        def measured(run):
-            prefixes, starts, suffix = run()
-            sizes.append(starts.size * a.alphabet_size**suffix)
-            return prefixes, starts, suffix
-
-        runs = [functools.partial(measured, run) for run in runs]
-        return count(reference, others, runs, jobs)
+    def sized(successors, agree, nodes, depth):
+        sizes.append(nodes.size * a.alphabet_size**depth)
+        return count(successors, agree, nodes, depth)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "RUN_ELEMENTS", budget)  # blocks of both prefix and suffix parts
-        patch.setattr(walk, "_count_agreements", sized)
-        reports = [agreement_brute_force(a, b, t, jobs=jobs) for jobs in (1, 2)]
-    assert reports[0] == reports[1]
-    assert reports[0].exact == Fraction(expected, len(words) * n)
-    assert sum(sizes) == 2 * len(words) * n
-    assert max(sizes) <= budget
+        patch.setattr(walk, "RUN_ELEMENTS", budget)  # leaves of a breadth-first chunk
+        patch.setattr(automata, "_count_leaves", sized)
+        report = agreement_brute_force(a, b, t)
+    assert report.exact == Fraction(expected, len(words) * n)
+    assert sum(sizes) == (len(words) * n if t else 0)  # each input read once
+    assert max(sizes, default=0) <= max(budget, a.alphabet_size)
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,22 +353,21 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     st.integers(2, 4),
     st.integers(1, 2),
     st.integers(1, 3),
-    st.integers(0, 3),
-    st.sampled_from([4, 40, 1 << 16]),
+    st.integers(0, 5),
+    st.integers(1, 300),
+    st.sampled_from([0, 12, 1 << 16]),
     st.integers(0, 2**32 - 1),
 )
-@example(n=3, k=1, others=3, t=3, budget=1 << 16, seed=0)  # every symbol left out: two successor levels
-def test_brute_count_of_several_others_equals_product_enumeration(n, k, others, t, budget, seed):
+def test_strata_count_of_several_others_equals_run_word(n, k, others, t, samples, budget, seed):
     family = build_family(FamilyConfig(n, k, 1 + others, 0.5, seed))
     reference, rest = family.members[0], family.members[1:]
-    words = list(itertools.product(range(reference.alphabet_size), repeat=t))
-    expected = [
-        sum(run_word(reference, w, s) == run_word(other, w, s) for w in words for s in range(n))
-        for other in rest
-    ]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "RUN_ELEMENTS", budget)  # how many last symbols a run leaves out
-        runs = WordDistribution(n, reference.alphabet_size, t).blocks()
+        patch.setattr(walk, "RUN_ELEMENTS", budget)  # strata per run
+        runs = WordDistribution(n, reference.alphabet_size, t).strata(samples, seed)
+        inputs = [(list(w), int(s)) for run in runs for w, s in zip(*run())]
+        assert len(inputs) == samples
+        expected = [sum(run_word(reference, w, s) == run_word(other, w, s) for w, s in inputs)
+                    for other in rest]
         for jobs in (1, 2):
             assert walk._count_agreements(reference, rest, runs, jobs).tolist() == expected
 
@@ -416,8 +380,8 @@ def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
     monkeypatch.setattr(walk, "RUN_ELEMENTS", 20)  # five words of T=4 per run
     runs = [run() for run in dist.strata(100, 7)]
     assert 1 < len(runs) < len(alone)
-    for words, starts, suffix in runs:
-        assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1] and suffix == 0
+    for words, starts in runs:
+        assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1]
     for column in (0, 1):  # words, then starts
         merged, single = ([run[column] for run in r] for r in (runs, alone))
         assert np.array_equal(np.concatenate(merged), np.concatenate(single))
@@ -427,9 +391,9 @@ def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
     # T=0: a run's words are its rows
     monkeypatch.setattr(walk, "RUN_ELEMENTS", 5)
     runs = [run() for run in WordDistribution(3, 5, 0).strata(100, 7)]
-    assert all(words.shape == (starts.shape[0], 0) for words, starts, _ in runs)
-    assert max(starts.shape[0] for _, starts, _ in runs) == 5
-    assert sum(starts.shape[0] for _, starts, _ in runs) == 100
+    assert all(words.shape == (starts.shape[0], 0) for words, starts in runs)
+    assert max(starts.shape[0] for _, starts in runs) == 5
+    assert sum(starts.shape[0] for _, starts in runs) == 100
 
 
 def row_major_strata(n, symbols, length, samples, seed, key):
@@ -460,9 +424,9 @@ def test_strata_draw_the_row_major_int64_inputs_as_drawn(n, symbols, length, sam
     words, starts = row_major_strata(n, symbols, length, samples, seed, key)
     low = 0
     for run in WordDistribution(n, symbols, length).strata(samples, seed, key):
-        drawn, drawn_starts, suffix = run()
+        drawn, drawn_starts = run()
         high = low + drawn_starts.shape[0]
-        assert suffix == 0 and drawn.flags.c_contiguous  # row-major, no time-major copy
+        assert drawn.flags.c_contiguous  # row-major, no time-major copy
         assert drawn.dtype == drawn_starts.dtype == np.int32
         assert np.array_equal(drawn, words[low:high])
         assert np.array_equal(drawn_starts, starts[low:high])
@@ -476,19 +440,14 @@ def test_merged_draws_change_no_count(monkeypatch):
     assert len(strata) == 1  # 64 small strata, one run
 
     def counts():
-        return [
-            (
-                agreement_monte_carlo(a, b, 6, samples=4000, seed=9, jobs=jobs).p_agree,
-                agreement_brute_force(a, b, 4, jobs=jobs).exact,
-            )
-            for jobs in (1, 2)
-        ]
+        sampled = [agreement_monte_carlo(a, b, 6, samples=4000, seed=9, jobs=jobs).p_agree for jobs in (1, 2)]
+        return sampled, agreement_brute_force(a, b, 4).exact
 
     merged = counts()
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum and every prefix runs alone
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum and every tree node runs alone
     assert len(WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)) == 64
     assert counts() == merged
-    assert merged[0] == merged[1]
+    assert merged[0][0] == merged[0][1]
 
 
 def test_a_count_stacks_its_tables_once(monkeypatch):
@@ -509,15 +468,13 @@ def test_a_count_stacks_its_tables_once(monkeypatch):
     monkeypatch.setattr(automata, "_symbol_classes", classes)
     monkeypatch.setattr(Semiautomaton, "__hash__", refuse)
     monkeypatch.setattr(Semiautomaton, "__eq__", refuse)
-    strata, blocks = WordDistribution(4, 12, 6).strata(20_000, 1), WordDistribution(4, 12, 5).blocks()
-    assert len(strata) > 1 and len(blocks) > 1
-    # the walk pairs (0, 1), (2, 3) and (4, 4); brute force adds each machine's moves
-    for runs, alone in ((strata, []), (blocks, [(i,) for i in range(5)])):
-        for jobs in (1, 2):
-            automata._KEPT.clear()
-            built.clear()
-            walk._count_agreements(reference, others, runs, jobs=jobs)
-            assert built == [(0, 1), (2, 3), (4, 4)] + alone
+    runs = WordDistribution(4, 12, 6).strata(20_000, 1)
+    assert len(runs) > 1
+    for jobs in (1, 2):
+        monkeypatch.setattr(automata, "_KEPT", ((), False, None))
+        built.clear()
+        walk._count_agreements(reference, others, runs, jobs=jobs)
+        assert built == [(0, 1), (2, 3), (4, 4)]  # the walk's pairs, an odd last one with itself
     assert automata._step_codes(4, True) is joint  # one joint table per n
 
 
