@@ -28,10 +28,10 @@ class of every symbol it reads in one pass, and one step of it is then one
 add and one ``take`` from a table of at most a few MB, for every walker at
 once.
 
-Brute force (:func:`agreeing_inputs`) reads no words.  One pair's joint
-state walks the prefix tree of every word on the pair's own C-ordered
-``(n * n, A)`` successor table, from each joint start ``(s, s)``, and reads
-each input's last symbol from the pair's agreement table.
+Brute force (:func:`agreeing_inputs`) reads no words.  A pair's states walk
+the prefix tree of every word from each start ``(s, s)``, each machine on
+its own C-ordered ``(n, A)`` successor table, and each input's last symbol
+is read as one agreement bool.
 
 Family file format (little-endian), version 1:
 
@@ -347,26 +347,29 @@ def run_words(
     return states[0] if isinstance(automata, Semiautomaton) else states
 
 
-def _pair_tables(a: Semiautomaton, b: Semiautomaton, deep: bool) -> tuple:
-    """The pair's successor table (only with ``deep``) and agreement table, both
-    C-ordered ``(n * n, A)``: row ``s_a * n + s_b`` holds, for each symbol, the
-    joint state ``t_a * n + t_b`` that it leads the pair to (intp), and whether
-    ``t_a == t_b``."""
-    n, moves = a.n_states, _moves(a.n_states)
-    after_a, after_b = (moves.take(_symbol_classes(m), axis=1) for m in (a, b))  # (n, A), C order
-    agree = (after_a[:, None] == after_b[None]).reshape(n * n, -1)
-    if not deep:
-        return None, agree
-    return (after_a[:, None] * n + after_b[None]).reshape(n * n, -1), agree
+def _successors(machine: Semiautomaton, low: int = 0, high: int | None = None) -> np.ndarray:
+    """The machine's C-ordered ``(n, S)`` successor table of symbols ``low`` to ``high``
+    (all by default): entry ``[s, j]`` is the state that symbol ``low + j`` takes
+    ``s`` to, in the smallest unsigned dtype that holds a state (a byte to n = 256)."""
+    n, mask = machine.n_states, machine.mask[low:high]
+    table = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None], mask.size, axis=1)
+    swaps = np.flatnonzero(mask)
+    pairs = (low + swaps) % machine.n_transpositions
+    first, second = (ends[pairs] for ends in np.triu_indices(n, 1))  # all_transpositions order
+    table[first, swaps], table[second, swaps] = second, first
+    return table
 
 
-def _count_leaves(successors: np.ndarray, agree: np.ndarray, nodes: np.ndarray, depth: int) -> int:
-    """Inputs below ``nodes``, joint states with ``depth`` symbols left, on which
-    the pair ends on one state: every word of ``depth - 1`` symbols breadth-first
-    on the successor table, then the last symbol as one agreement bool per input."""
-    for _ in range(depth - 1):
-        nodes = successors.take(nodes, axis=0).reshape(-1)
-    return np.count_nonzero(agree.take(nodes, axis=0))
+def _count_leaves(tables: tuple, states_a: np.ndarray, states_b: np.ndarray, depth: int) -> int:
+    """Inputs below the nodes ``(states_a[i], states_b[i])``, the two machines'
+    states with ``depth`` symbols left, on which they end on one state: every
+    word of ``depth`` symbols breadth-first on each machine's ``(n, S)``
+    successor table, then one agreement bool per input."""
+    table_a, table_b = tables
+    for _ in range(depth):
+        states_a = table_a.take(states_a, axis=0).reshape(-1)
+        states_b = table_b.take(states_b, axis=0).reshape(-1)
+    return np.count_nonzero(states_a == states_b)
 
 
 def agreeing_inputs(a: Semiautomaton, b: Semiautomaton, word_length: int, budget: int) -> int:
@@ -374,31 +377,37 @@ def agreeing_inputs(a: Semiautomaton, b: Semiautomaton, word_length: int, budget
     symbols leave ``a`` and ``b`` on one state: the literal enumeration of
     every input.
 
-    The pair's joint state walks the prefix tree of every word depth-first
-    from each joint start ``(s, s)``, on the pair's tables
-    (:func:`_pair_tables`, built once).  A chunk of nodes is expanded
-    breadth-first (:func:`_count_leaves`) once its leaves, the inputs below
-    it, number at most ``budget``; a single node over the budget is
-    expanded one level, down to a node with one symbol left, whose ``A``
-    leaves are read together whatever the budget.  Shapes that differ raise
+    The pair's states walk the prefix tree of every word depth-first from
+    each start ``(s, s)``, each machine on its ``(n, A)`` successor table
+    (:func:`_successors`).  A chunk of nodes is expanded breadth-first
+    (:func:`_count_leaves`) once its leaves, the inputs below it, number at
+    most ``budget``, and a single node over the budget is expanded one
+    level.  At ``T = 1`` the tables would hold every input, so the tree is
+    walked for ``budget // n`` first symbols (at least one) at a time, on
+    tables of those symbols only.  Shapes that differ raise
     ``SizeMismatchError``.
     """
     _check_compatible(a, b)
     n, size = a.n_states, a.alphabet_size
     if not word_length:
         return n  # the empty word leaves each machine where it starts
-    successors, agree = _pair_tables(a, b, word_length > 1)
+    width = size if word_length > 1 else max(1, budget // n)
 
-    def count(nodes: np.ndarray, depth: int) -> int:
-        leaves = size**depth  # below each node
-        if nodes.size * leaves <= budget or (nodes.size == 1 and depth == 1):
-            return _count_leaves(successors, agree, nodes, depth)
-        if nodes.size == 1:
-            return count(successors[nodes[0]], depth - 1)
+    def count(states_a: np.ndarray, states_b: np.ndarray, depth: int) -> int:
+        nodes, leaves = states_a.size, tables[0].shape[1] ** depth  # leaves below each node
+        if nodes * leaves <= max(budget, 1):  # one input is read whatever the budget
+            return _count_leaves(tables, states_a, states_b, depth)
+        if nodes == 1:
+            return count(tables[0][states_a[0]], tables[1][states_b[0]], depth - 1)
         chunk = max(1, budget // leaves)
-        return sum(count(nodes[low : low + chunk], depth) for low in range(0, nodes.size, chunk))
+        return sum(count(states_a[low : low + chunk], states_b[low : low + chunk], depth)
+                   for low in range(0, nodes, chunk))
 
-    return int(count(np.arange(n) * (n + 1), word_length))
+    agreed, starts = 0, np.arange(n)
+    for low in range(0, size, width):  # the first symbols, all of them from T = 2
+        tables = _successors(a, low, low + width), _successors(b, low, low + width)
+        agreed += count(starts, starts, word_length)
+    return int(agreed)
 
 
 def mask_stream(seed: int, member_index: int) -> np.random.Generator:

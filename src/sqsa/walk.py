@@ -23,17 +23,17 @@ report names its route with a label:
   :meth:`WordDistribution.strata`, with a standard error.
 
 Both input routes count agreements as integers, under one budget,
-:data:`RUN_ELEMENTS`.  Brute force walks the pair's joint state down the
-prefix tree of every word from each start, depth-first, and expands a chunk
-of tree nodes breadth-first once the inputs below it fit the budget; the
-last symbol is read as one agreement bool per input.  Monte Carlo (and the
-sampled oracle) count over ``run_words`` (:func:`_count_agreements`): a
-run of strata is one word and one start per row, its words int32 below
-``2**31`` symbols and at most :data:`RUN_ELEMENTS` entries, and every
-machine of a count walks it in one ``run_words`` call, two machines at a
-time on their joint chain while its table is small.  Runs are counted on
-``jobs`` threads; brute force runs on one.  Counts are integers, so
-neither the chunk or run sizes nor their order changes a result.
+:data:`RUN_ELEMENTS`.  Brute force walks the pair's states down the prefix
+tree of every word, depth-first, each machine on its own successor table,
+and expands a chunk of nodes breadth-first once the inputs below it fit the
+budget; the last symbol is read as one agreement bool per input.  Monte
+Carlo (and the sampled oracle) count over ``run_words``
+(:func:`_count_agreements`): a run of strata is one word and one start per
+row, its words int32 below ``2**31`` symbols and at most
+:data:`RUN_ELEMENTS` entries, and every machine of a count walks it in one
+``run_words`` call.  Runs are counted on ``jobs`` threads; brute force runs
+on one.  Counts are integers, so neither chunk or run sizes nor their
+order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -118,7 +118,8 @@ MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
 RUN_ELEMENTS = 1 << 16  # per machine, entries of a run's largest array: strata words, brute leaves
-KRYLOV_ELEMENTS = 1 << 20  # first Lanczos basis entries (pairs x min(steps, 16) x n^2) per chunk
+KRYLOV_ELEMENTS = 1 << 20  # first Lanczos basis entries (pairs x min(steps, 16) x n^2) per chunk;
+# past 16 steps the basis doubles over the pairs still running only: running x steps x n^2 at most
 COUNT_ELEMENTS = 1 << 24  # mask bits, over all members, of one block of copies in _pair_counts
 _BREAKDOWN = 1e-12  # next Lanczos norm at which the Krylov space counts as closed (||I - M|| <= 2)
 _AGREE_RTOL = 1e-12  # successive Gauss estimates this close (relative) are converged
@@ -459,7 +460,7 @@ def _gauss_residuals(
     pass; the pairs then run in chunks whose first Lanczos basis holds at most
     :data:`KRYLOV_ELEMENTS` entries.  Runs stop after a few steps at any ``T``,
     so a chunk is sized by that first basis, ``min(steps, 16)`` columns, not by
-    the most steps it may need; its basis grows only while its pairs go on."""
+    the most steps it may need (:func:`_gauss_chunk` grows it for running pairs)."""
     n, lengths = pairs[0][0].n_states, np.asarray(word_lengths, dtype=np.int64)
     counts, alphabet = _pair_counts(pairs), pairs[0][0].alphabet_size
     # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
@@ -478,28 +479,29 @@ def _gauss_chunk(
 ) -> np.ndarray:
     """Lanczos on ``I - M`` from ``Y_0 = I - J/n`` for every pair of ``counts`` at once.
 
-    The residual is ``||Y_0||^2 / n`` times the Gauss rule.  A pair stops
-    at the first ``k`` where the rule is exact (``2k - 1 >= max T``, or the
-    Krylov space closed) or agrees with the one at ``k - 1`` at every ``T``:
-    within :data:`_AGREE_RTOL` relative or, where both are subnormal (0.0 at
-    both steps before a slow mode is found), in log magnitude to ``_AGREE_RTOL * max(1, |log|)``.
-    Each vector is fully reorthogonalised, then re-centred: rounding that
+    The residual is ``||Y_0||^2 / n`` times the Gauss rule.  A pair stops at the first ``k``
+    where the rule is exact (``2k - 1 >= max T``, or the Krylov space closed) or agrees with
+    the one at ``k - 1`` at every ``T``: within :data:`_AGREE_RTOL` relative or, where both are
+    subnormal (0.0 at both steps before a slow mode is found), in log magnitude to
+    ``_AGREE_RTOL * max(1, |log|)``; it then leaves the chunk, so the basis holds and grows for
+    running pairs only.  Each vector is fully reorthogonalised, then re-centred: rounding that
     leaves the centred space grows each step and shows up as spurious Ritz values.
     """
     count, step = counts.shape[1], _pair_chain(counts, n, alphabet_size)
+    live = np.arange(count)  # the running pairs, which the arrays below hold in chunk order
     basis = np.empty((count, min(steps, 16), n * n))
     basis[:, 0] = ((np.eye(n) - 1.0 / n) / math.sqrt(n - 1)).reshape(-1)
     alpha, beta = np.zeros((count, steps)), np.zeros((count, steps))
-    residuals, active = np.zeros((count, word_lengths.size)), np.ones(count, dtype=bool)
+    residuals = np.zeros((count, word_lengths.size))
     previous = previous_size = np.full_like(residuals, np.nan)
     for k in range(1, steps + 1):
         vector = basis[:, k - 1]
-        product = step(vector.reshape(count, n, n)).reshape(count, n * n)
+        product = step(vector.reshape(-1, n, n)).reshape(-1, n * n)
         alpha[:, k - 1] = np.einsum("pi,pi->p", vector, product)
         for _ in range(2):  # classical Gram-Schmidt twice against the whole basis
             weights = np.einsum("pji,pi->pj", basis[:, :k], product)
             product -= np.einsum("pji,pj->pi", basis[:, :k], weights)
-        product = _centred(product.reshape(count, n, n)).reshape(count, n * n)
+        product = _centred(product.reshape(-1, n, n)).reshape(-1, n * n)
         beta[:, k - 1] = np.linalg.norm(product, axis=1)
         estimate, size = _gauss_rule(alpha[:, :k], beta[:, : k - 1], word_lengths)
         closed = beta[:, k - 1] <= _BREAKDOWN
@@ -508,18 +510,19 @@ def _gauss_chunk(
         close = np.abs(size - previous_size) <= _AGREE_RTOL * np.maximum(1.0, np.abs(size))
         agree[tail] = close[tail]
         done = closed | agree.all(axis=1) | (2 * k - 1 >= word_lengths.max())
-        residuals[active & done] = estimate[active & done]
-        active &= ~done
-        if not active.any():
+        residuals[live[done]] = estimate[done]
+        if done.all():
             return residuals * (n - 1) / n
         if k == steps:
             break
+        if done.any():  # finished pairs (closed spaces among them) leave the chunk
+            live, basis, alpha, beta, product, estimate, size = (
+                held[~done] for held in (live, basis, alpha, beta, product, estimate, size))
+            step = _pair_chain(counts[:, live], n, alphabet_size)
         previous, previous_size = estimate, size
         if k == basis.shape[1]:
-            grown = np.empty((count, min(k, steps - k), n * n))
-            basis = np.concatenate([basis, grown], axis=1)
-        # a closed space goes on with zero vectors, which leave its rule as it is
-        basis[:, k] = product / np.where(closed, np.inf, beta[:, k - 1])[:, None]
+            basis = np.concatenate([basis, np.empty((live.size, min(k, steps - k), n * n))], axis=1)
+        basis[:, k] = product / beta[:, k - 1, None]
     raise ArithmeticError(
         f"Lanczos-Gauss residual did not converge in {steps} steps (n={n}, T={word_lengths.max()})"
     )
@@ -549,14 +552,13 @@ def _count_agreements(
 def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
     """Literal enumeration of every word and start; the independent oracle.
 
-    The pair's joint state walks the prefix tree of every word from every
-    start (``automata.agreeing_inputs``), in chunks of at most
-    :data:`RUN_ELEMENTS` inputs, and reads each input's last symbol as
+    The pair's states walk the prefix tree of every word from every start
+    (``automata.agreeing_inputs``), in chunks of at most
+    :data:`RUN_ELEMENTS` inputs, and read each input's last symbol as
     agreement.  Exact by construction: agreement is counted as an integer
     and the probability is a rational number.  Refuses when
     ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
     """
-    _check_compatible(a, b)
     n = a.n_states
     cost = WordDistribution(n, a.alphabet_size, word_length).n_inputs()
     if cost > BRUTE_FORCE_LIMIT:

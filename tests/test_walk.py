@@ -303,6 +303,28 @@ def test_gauss_residuals_do_not_depend_on_chunking(monkeypatch):
     assert singles == pytest.approx(together, rel=1e-12, abs=0.0)
 
 
+def test_a_growing_krylov_basis_holds_the_running_pairs_only(monkeypatch):
+    a, b = random_pair(6, 2, 17)
+    c, _ = random_pair(6, 2, 18)
+    pairs = [(a, b), (b, c), (a, a), (c, a)]  # (a, a) closes its Krylov space at one step
+    held, chains, rule, chain = [], [], walk._gauss_rule, walk._pair_chain
+
+    def counted_rule(alpha, beta, t):
+        held.append(alpha.shape)
+        return rule(alpha, beta, t)
+
+    def counted_chain(counts, *rest):
+        chains.append(counts.shape[1])
+        return chain(counts, *rest)
+
+    monkeypatch.setattr(walk, "_gauss_rule", counted_rule)
+    monkeypatch.setattr(walk, "_pair_chain", counted_chain)
+    together = walk._gauss_residuals(pairs, [90])[:, 0]
+    # (a, a) leaves the chunk at its first step; the basis then grows past 16 columns for the rest
+    assert chains == [4, 3] and held[:2] == [(4, 1), (3, 2)] and held[-1] == (3, 17)
+    assert together.tolist() == [walk._gauss_residuals([pair], [90])[0, 0] for pair in pairs]
+
+
 def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
     a, b = random_pair(6, 2, 19)
     monkeypatch.setattr(walk, "_AGREE_RTOL", -1.0)
@@ -322,11 +344,12 @@ def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
     st.integers(0, 2**32 - 1),
 )
 @example(n=3, k=1, t=0, budget=40, seed=0)  # the empty word: no tree to walk
-@example(n=3, k=1, t=1, budget=40, seed=0)  # the starts' own agreement rows, one chunk
+@example(n=3, k=1, t=1, budget=40, seed=0)  # the starts' rows of every symbol, one chunk
+@example(n=4, k=2, t=1, budget=7, seed=0)  # the starts read 7 // 4 = 1 symbol at a time
 @example(n=3, k=1, t=2, budget=40, seed=0)  # one chunk over both levels
 @example(n=2, k=1, t=4, budget=4, seed=0)  # one symbol: a chain, not a tree
 @example(n=3, k=1, t=4, budget=7, seed=0)  # a node of 81 leaves, expanded level by level
-@example(n=4, k=2, t=2, budget=4, seed=0)  # a node of 12 leaves over the budget, read whole
+@example(n=4, k=2, t=2, budget=4, seed=0)  # a node's 12 leaves over the budget, read 4 at a time
 def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     assume(k == 1 or t <= 3)  # at most 6912 inputs to run one by one
     a, b = random_pair(n, k, seed)
@@ -335,9 +358,9 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     sizes = []
     count = automata._count_leaves
 
-    def sized(successors, agree, nodes, depth):
-        sizes.append(nodes.size * a.alphabet_size**depth)
-        return count(successors, agree, nodes, depth)
+    def sized(tables, states_a, states_b, depth):
+        sizes.append(states_a.size * tables[0].shape[1] ** depth)
+        return count(tables, states_a, states_b, depth)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "RUN_ELEMENTS", budget)  # leaves of a breadth-first chunk
@@ -345,7 +368,7 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
         report = agreement_brute_force(a, b, t)
     assert report.exact == Fraction(expected, len(words) * n)
     assert sum(sizes) == (len(words) * n if t else 0)  # each input read once
-    assert max(sizes, default=0) <= max(budget, a.alphabet_size)
+    assert max(sizes, default=0) <= budget
 
 
 @settings(max_examples=40, deadline=None)
