@@ -118,6 +118,8 @@ class FamilyConfig:
             raise ValueError(f"mask parameter must be in (0, 1), got {self.p}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if not (self.n_states < 2**16 and self.n_copies < 2**32 and self.n_members < 2**32):
+            raise ValueError("the family header stores n in 16 bits and k and m in 32 bits")
 
     @property
     def n_transpositions(self) -> int:

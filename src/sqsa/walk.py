@@ -69,9 +69,9 @@ millions of bits (18 million at n = 60), so ``certify`` pays one read of
 each member's mask, not one per pair.
 
 The rule is a sum of exponentials in ``T``, so one run also gives
-:func:`mixing_scan` its whole series.  The dense ``M``
-(:func:`fourier_matrix`) serves only the realized spectrum and a mixing
-scan's norm and smallest eigenvalue.
+:func:`mixing_scan` its whole series.  The same counts give the dense ``M``
+(:func:`fourier_matrix`, built only for the realized spectrum and a mixing
+scan's extreme eigenvalues) by the weights that :func:`expected_operator` uses.
 """
 
 from __future__ import annotations
@@ -204,35 +204,21 @@ class WordDistribution:
         return [functools.partial(run, range(low, high)) for low, high in bounds]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepDistribution:
-    """One joint step as integer ``(left, right, count)`` triples over the alphabet.
+    """One joint step as a pair's read-only ``(3, C(n,2))`` int64 counts (:func:`_pair_counts`).
 
-    An action indexes the factor stack: 0 is the identity and ``1 + i`` the
-    transposition ``all_transpositions(n_states)[i]``.  The pair of actions
-    ``(left, right)`` is taken by ``count`` of the ``alphabet_size`` symbols,
-    so its probability is ``count / alphabet_size``; the counts are positive
-    and sum exactly to ``alphabet_size``.
+    Per transposition, ``entries`` holds the symbols of ``alphabet_size`` acting on
+    both machines, on ``a`` only and on ``b`` only; the rest act on neither.  The same
+    counts drive the Lanczos step (:func:`_pair_chain`) and the dense ``M`` (:func:`fourier_matrix`).
     """
 
     n_states: int
     alphabet_size: int
-    entries: tuple[tuple[int, int, int], ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        total = sum(count for _, _, count in self.entries)
-        if total != self.alphabet_size:
-            raise ValueError(f"counts sum to {total}, expected exactly {self.alphabet_size}")
-        n_actions = 1 + self.n_states * (self.n_states - 1) // 2
-        seen = set()
-        for left, right, count in self.entries:
-            if count <= 0:
-                raise ValueError("counts must be positive")
-            if not (0 <= left < n_actions and 0 <= right < n_actions):
-                raise ValueError(f"actions ({left}, {right}) outside 0..{n_actions - 1}")
-            if (left, right) in seen:
-                raise ValueError(f"actions ({left}, {right}) repeated")
-            seen.add((left, right))
+        self.entries.setflags(write=False)
 
 
 def _packed_copies(blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -288,21 +274,8 @@ def _pair_counts(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]]) -> np.nda
 
 
 def step_distribution(a: Semiautomaton, b: Semiautomaton) -> StepDistribution:
-    """Symbol count of each distinct pair of one-symbol actions.
-
-    Both automata read the same symbol, so the support consists of
-    ``(identity, identity)`` plus per-transposition combinations of
-    ``(tau, tau)``, ``(tau, identity)`` and ``(identity, tau)``, counted
-    straight from the two masks.
-    """
-    counts = _pair_counts([(a, b)])[:, 0]
-    neither = a.alphabet_size - int(counts.sum())
-    entries = [(0, 0, neither)] if neither else []
-    for swap, (both, only_a, only_b) in enumerate(counts.T, start=1):
-        for left, right, count in ((swap, swap, both), (swap, 0, only_a), (0, swap, only_b)):
-            if count:
-                entries.append((left, right, int(count)))
-    return StepDistribution(a.n_states, a.alphabet_size, tuple(entries))
+    """The pair's mask counts, straight from the two masks (:func:`_pair_counts`)."""
+    return StepDistribution(a.n_states, a.alphabet_size, _pair_counts([(a, b)])[:, 0])
 
 
 def _factor_stack(n_states: int) -> np.ndarray:
@@ -320,21 +293,30 @@ def _kron_sum(factors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def _step_weights(neither, both, only_a, only_b, count: int) -> np.ndarray:
+    """:func:`_kron_sum`'s weights over ``count`` transpositions ``S``: ``neither`` on
+    ``I (x) I``; ``both``, ``only_a``, ``only_b`` (a scalar, or one value per ``S``) on
+    ``S (x) S``, ``S (x) I`` and ``I (x) S``."""
+    weights, swaps = np.zeros((count + 1, count + 1)), np.arange(1, count + 1)
+    weights[0, 0], weights[swaps, swaps] = neither, both
+    weights[swaps, 0], weights[0, swaps] = only_a, only_b
+    return weights
+
+
 def fourier_matrix(dist: StepDistribution) -> np.ndarray:
     """Probability-weighted sum of Kronecker products of standard-representation matrices.
 
-    Pair ``(left, right, count)`` contributes ``count / alphabet_size``
-    times ``std(left) (x) std(right)``; all pairs go through one product
-    (:func:`_kron_sum`).  Symmetric (all support actions are involutions
-    and the representation is orthogonal) with spectral norm at most 1
-    (convex combination of orthogonal matrices).  Built only for the realized
-    spectrum and the norm and smallest eigenvalue of :func:`mixing_scan`.
+    Each count of ``dist.entries`` over ``alphabet_size`` weighs its ``std(left) (x)
+    std(right)`` (:func:`_step_weights`), all in one product (:func:`_kron_sum`).
+    Symmetric (all support actions are involutions and the representation is
+    orthogonal) with spectral norm at most 1 (convex combination of orthogonal
+    matrices).  Built only for the realized spectrum and the norm and smallest
+    eigenvalue of :func:`mixing_scan`.
     """
-    factors = _factor_stack(dist.n_states)
-    weights = np.zeros((factors.shape[0], factors.shape[0]))
-    for left, right, count in dist.entries:
-        weights[left, right] = count / dist.alphabet_size
-    return _kron_sum(factors, weights)
+    size, counts = dist.alphabet_size, dist.entries
+    both, only_a, only_b = counts / size
+    weights = _step_weights((size - int(counts.sum())) / size, both, only_a, only_b, counts.shape[1])
+    return _kron_sum(_factor_stack(dist.n_states), weights)
 
 
 def diagonal_vector(n_states: int) -> np.ndarray:
@@ -648,18 +630,16 @@ def expected_operator(n_states: int, p: float = 0.5) -> np.ndarray:
     Averages ``(p*S + (1-p)*I) (x) (p*S + (1-p)*I)`` over all ``C``
     transposition matrices ``S``: the weights are ``(1-p)^2`` on
     ``I (x) I``, ``p(1-p)/C`` on each ``S (x) I`` and ``I (x) S``, and
-    ``p^2/C`` on each ``S (x) S``, summed in one product (:func:`_kron_sum`).
+    ``p^2/C`` on each ``S (x) S`` (:func:`_step_weights`, as for
+    :func:`fourier_matrix`), summed in one product (:func:`_kron_sum`).
     """
     if n_states < 2:
         raise ValueError("need at least 2 states")
     if not 0.0 < p < 1.0:
         raise ValueError(f"mask parameter must be in (0, 1), got {p}")
-    factors = _factor_stack(n_states)
-    n_swaps = factors.shape[0] - 1
-    weights = np.diag(np.full(n_swaps + 1, p * p / n_swaps))
-    weights[0, 1:] = weights[1:, 0] = p * (1.0 - p) / n_swaps
-    weights[0, 0] = (1.0 - p) ** 2
-    return _kron_sum(factors, weights)
+    n_swaps, mixed = n_states * (n_states - 1) // 2, p * (1.0 - p)
+    weights = _step_weights((1.0 - p) ** 2, p * p / n_swaps, mixed / n_swaps, mixed / n_swaps, n_swaps)
+    return _kron_sum(_factor_stack(n_states), weights)
 
 
 def expected_spectrum(n_states: int, p: Fraction = Fraction(1, 2)) -> list[tuple[Fraction, int]]:

@@ -52,6 +52,14 @@ def test_config_validation():
         FamilyConfig(3, 1, 1, seed=-1)
 
 
+@pytest.mark.parametrize("n, k, m", [(2**16, 1, 1), (2, 2**32, 1), (2, 1, 2**32)])
+def test_config_refuses_what_the_family_header_cannot_store(n, k, m):
+    # the header holds n as u16 and k and m as u32; the largest storable values are accepted
+    FamilyConfig(2**16 - 1, 2**32 - 1, 2**32 - 1)
+    with pytest.raises(ValueError, match="family header stores n in 16 bits"):
+        FamilyConfig(n, k, m)
+
+
 def test_mask_length_validation():
     with pytest.raises(ValueError):
         Semiautomaton(3, 1, np.ones(4, dtype=bool))

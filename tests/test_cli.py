@@ -45,6 +45,21 @@ def test_family_requires_out(capsys):
     assert "binary" in error["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "flags", [["--n", 65536, "--k", 1, "--m", 1], ["--n", 2, "--k", 1, "--m", 2**32]]
+)
+def test_family_refuses_sizes_the_header_cannot_store_before_drawing(tmp_path, capsys, flags):
+    # checked by the config: no 2 GB mask or 2**32 member draws before the header fails
+    path = tmp_path / "f.sqsa"
+    started = time.perf_counter()
+    assert run_cli(["family", *flags, "--out", path]) == 1
+    assert time.perf_counter() - started < 5.0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["type"] == "ValueError"
+    assert "family header stores n in 16 bits" in json.loads(lines[0])["error"]["message"]
+    assert not path.exists()
+
+
 def test_family_default_copies_uses_threshold(tmp_path):
     path = tmp_path / "t.sqsa"
     assert run_cli(["family", "--n", 4, "--m", 2, "--out", path]) == 0

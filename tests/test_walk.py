@@ -50,8 +50,8 @@ def test_step_distribution_identical_all_ones():
     a = automaton(3, 1, [1, 1, 1])
     dist = step_distribution(a, a)
     assert dist.alphabet_size == 3
-    # action 1 + i is transposition i, taken by both machines on one symbol each
-    assert dist.entries == ((1, 1, 1), (2, 2, 1), (3, 3, 1))
+    # rows: symbols acting on both machines, on a only, on b only; one column per transposition
+    assert dist.entries.tolist() == [[1, 1, 1], [0, 0, 0], [0, 0, 0]]
 
 
 def test_step_distribution_ones_vs_zeros():
@@ -59,37 +59,24 @@ def test_step_distribution_ones_vs_zeros():
     b = automaton(3, 1, [0, 0, 0])
     dist = step_distribution(a, b)
     assert dist.alphabet_size == 3
-    assert dist.entries == ((1, 0, 1), (2, 0, 1), (3, 0, 1))
+    assert dist.entries.tolist() == [[0, 0, 0], [1, 1, 1], [0, 0, 0]]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_step_distribution_masses_sum_to_one(seed):
+    # the counts cover the symbols acting on either machine, so the rest act on neither
     a, b = random_pair(4, 3, seed)
     dist = step_distribution(a, b)
-    assert sum(count for _, _, count in dist.entries) == dist.alphabet_size == 18
-    assert all(type(count) is int and count > 0 for _, _, count in dist.entries)
+    assert dist.entries.shape == (3, 6) and dist.entries.dtype == np.int64
+    assert (dist.entries >= 0).all() and dist.alphabet_size == 18
+    assert dist.entries.sum() == np.count_nonzero(a.mask | b.mask) <= dist.alphabet_size
+    with pytest.raises(ValueError, match="read-only"):
+        dist.entries[0, 0] = 1
 
 
 def test_step_distribution_mismatch_rejected():
     with pytest.raises(SizeMismatchError):
         step_distribution(automaton(3, 1, [1, 1, 1]), automaton(4, 1, [1] * 6))
-
-
-def test_step_distribution_rejects_bad_masses():
-    with pytest.raises(ValueError, match="sum to 2, expected exactly 3"):
-        StepDistribution(3, 3, ((0, 0, 2),))
-    with pytest.raises(ValueError, match="positive"):
-        StepDistribution(3, 3, ((0, 0, 3), (1, 1, 0)))
-    with pytest.raises(ValueError, match="outside 0..3"):
-        StepDistribution(3, 3, ((0, 4, 3),))
-
-
-def test_step_distribution_rejects_repeated_pairs():
-    # fourier_matrix would keep only the last count: 0.5 I instead of I
-    with pytest.raises(ValueError, match=r"actions \(0, 0\) repeated"):
-        StepDistribution(3, 4, ((0, 0, 2), (0, 0, 2)))
-    with pytest.raises(ValueError, match=r"actions \(2, 0\) repeated"):
-        StepDistribution(3, 4, ((2, 0, 1), (1, 1, 2), (2, 0, 1)))
 
 
 def three_product_counts(a, b):
@@ -141,8 +128,19 @@ def test_mask_counts_refuse_members_of_another_shape():
 
 
 def test_fourier_matrix_identity_distribution():
-    dist = StepDistribution(4, 5, ((0, 0, 5),))
+    # no symbol acts on either machine: every symbol is the identity pair
+    dist = StepDistribution(4, 5, np.zeros((3, 6), dtype=np.int64))
     assert np.abs(fourier_matrix(dist) - np.eye(9)).max() < 1e-14
+
+
+def count_triples(dist):
+    """``(left, right, count)`` per nonzero count, action 0 the identity and ``1 + i``
+    transposition ``i``, ``(0, 0)`` taking the symbols that act on neither machine."""
+    neither = dist.alphabet_size - int(dist.entries.sum())
+    triples = [(0, 0, neither)] if neither else []
+    for swap, (both, only_a, only_b) in enumerate(dist.entries.T.tolist(), start=1):
+        triples += [t for t in ((swap, swap, both), (swap, 0, only_a), (0, swap, only_b)) if t[2]]
+    return triples
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,13 +151,19 @@ def test_fourier_matrix_equals_literal_kron_sum(data):
     size = k * n * (n - 1) // 2
     masks = [data.draw(st.lists(st.booleans(), min_size=size, max_size=size)) for _ in range(2)]
     dist = step_distribution(automaton(n, k, masks[0]), automaton(n, k, masks[1]))
-    assert sum(count for _, _, count in dist.entries) == dist.alphabet_size == size
+    triples = count_triples(dist)
+    assert sum(count for _, _, count in triples) == dist.alphabet_size == size
     actions = [Permutation.identity(n)] + [t.as_permutation(n) for t in all_transpositions(n)]
     reference = sum(
         count / size * np.kron(std_matrix(actions[left]), std_matrix(actions[right]))
-        for left, right, count in dist.entries
+        for left, right, count in triples
     )
     assert np.abs(fourier_matrix(dist) - reference).max() <= 1e-12
+    # reference weights filled one triple at a time: the count form keeps every bit
+    weights = np.zeros((len(actions), len(actions)))
+    for left, right, count in triples:
+        weights[left, right] = count / size
+    assert np.array_equal(fourier_matrix(dist), walk._kron_sum(walk._factor_stack(n), weights))
 
 
 def test_fourier_matrix_hand_computation_n3():
@@ -569,6 +573,17 @@ def test_expected_operator_equals_transposition_average(n, p):
     blends = [p * std_matrix(t.as_permutation(n)) + (1.0 - p) * eye for t in all_transpositions(n)]
     reference = sum(np.kron(blend, blend) for blend in blends) / len(blends)
     assert np.abs(expected_operator(n, p) - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3, 1e-3, 0.999])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_expected_operator_keeps_the_hand_built_weights(n, p):
+    # reference weights filled by hand: the shared builder keeps every bit
+    n_swaps = n * (n - 1) // 2
+    weights = np.diag(np.full(n_swaps + 1, p * p / n_swaps))
+    weights[0, 1:] = weights[1:, 0] = p * (1.0 - p) / n_swaps
+    weights[0, 0] = (1.0 - p) ** 2
+    assert np.array_equal(expected_operator(n, p), walk._kron_sum(walk._factor_stack(n), weights))
 
 
 def test_expected_operator_norm_n4():
