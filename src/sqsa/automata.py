@@ -510,10 +510,9 @@ def deserialize_family(data: bytes) -> ShuffleFamily:
         raise FamilyFormatError(f"expected {expected} bytes, got {len(data)}")
     members = []
     for index in range(n_members):
-        low = _HEADER.size + index * mask_bytes
-        raw = np.frombuffer(data[low : low + mask_bytes], dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        if bits[n_bits:].any():
+        raw = np.frombuffer(data, np.uint8, mask_bytes, _HEADER.size + index * mask_bytes)
+        if raw[-1] >> (n_bits - 8 * (mask_bytes - 1)):  # the last byte's high bits pad
             raise FamilyFormatError(f"member {index} has nonzero padding bits")
-        members.append(Semiautomaton(n_states, n_copies, bits[:n_bits].astype(bool)))
+        mask = np.unpackbits(raw, count=n_bits, bitorder="little").view(bool)  # viewed, not copied
+        members.append(Semiautomaton(n_states, n_copies, mask))
     return ShuffleFamily(config, tuple(members))

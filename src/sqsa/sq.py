@@ -14,9 +14,10 @@ the tolerance in magnitude, and with pairwise-uncorrelated candidate
 families that number is provably small per query.  Sessions keep a
 ledger of every answer and elimination.
 
-Queries are named built-ins with declared integer parameters (``value``
-may be any number), not arbitrary code, so transcripts are reproducible.
-Each built-in's answer is a closed form:
+Queries are a closed set of named built-ins, not arbitrary code, so
+transcripts are reproducible.  :data:`BUILTIN_PARAMS` declares their
+integer parameters (``value`` may be any number), and ``_closed_form``
+answers each in closed form:
 
 - ``label-indicator``     h(x, y) = 1 if y equals ``label``; answer ``1/n``
 - ``state-agreement``     h(x, y) = 1 if y equals the output of reference
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .walk import WordDistribution, _count_agreements, _gauss_residuals, agreeme
 
 __all__ = [
     "BUILTIN_PARAMS",
-    "BUILTIN_QUERIES",
     "CertificateReport",
     "CorrelationEstimate",
     "OracleSession",
@@ -240,53 +240,32 @@ def make_session(
     return OracleSession(concepts, distribution, tolerance, seed, mc_samples)
 
 
-# (closed-form answer, reference member or None).  A survivor's centered
-# statistic is its agreement residual with the reference, or exactly 0 when
-# there is none (a statistic of the final state alone).
-Answer = tuple[float, Semiautomaton | None]
-Builtin = Callable[[Mapping[str, float], OracleSession], Answer]
-
-BUILTIN_QUERIES: dict[str, Builtin] = {}
-BUILTIN_PARAMS: dict[str, dict[str, str]] = {}  # builtin -> {param: kind}
+# builtin -> {param: kind}: the closed set of built-ins that _closed_form answers
+BUILTIN_PARAMS: dict[str, dict[str, str]] = {
+    "label-indicator": {"label": "integer"},
+    "state-agreement": {"member": "integer"},
+    "final-state-parity": {},
+    "constant": {"value": "number"},
+}
 _PARAM_TYPES = {"integer": int, "number": (int, float)}  # bools are neither
 
 
-def _builtin(name: str, **params: str) -> Callable[[Builtin], Builtin]:
-    """Register a built-in query under ``name`` with its declared params."""
-
-    def register(builtin: Builtin) -> Builtin:
-        BUILTIN_QUERIES[name] = builtin
-        BUILTIN_PARAMS[name] = params
-        return builtin
-
-    return register
-
-
-@_builtin("label-indicator", label="integer")
-def _builtin_label_indicator(params: Mapping[str, int], session: OracleSession) -> Answer:
-    n = session.distribution.n_states
-    if not 0 <= params["label"] < n:
-        raise ValueError(f"label {params['label']} out of range")
-    return 1.0 / n, None
-
-
-@_builtin("state-agreement", member="integer")
-def _builtin_state_agreement(params: Mapping[str, int], session: OracleSession) -> Answer:
-    member = params["member"]
-    if not 0 <= member < len(session.concepts):
-        raise ValueError(f"member {member} out of range")
-    return 1.0 / session.distribution.n_states, session.concepts[member]
-
-
-@_builtin("final-state-parity")
-def _builtin_final_state_parity(params: Mapping[str, int], session: OracleSession) -> Answer:
-    n = session.distribution.n_states
-    return (n % 2) / n, None
-
-
-@_builtin("constant", value="number")
-def _builtin_constant(params: Mapping[str, float], session: OracleSession) -> Answer:
-    value = float(params["value"])
+def _closed_form(query: StatQuery, session: OracleSession) -> tuple[float, Semiautomaton | None]:
+    """Answer and reference member, None for a statistic of the final state alone
+    (its centered value is exactly 0); an out-of-range value raises ``ValueError``."""
+    params, n = query.params, session.distribution.n_states
+    if query.builtin == "label-indicator":
+        if not 0 <= params["label"] < n:
+            raise ValueError(f"label {params['label']} out of range")
+        return 1.0 / n, None
+    if query.builtin == "state-agreement":
+        member = params["member"]
+        if not 0 <= member < len(session.concepts):
+            raise ValueError(f"member {member} out of range")
+        return 1.0 / n, session.concepts[member]
+    if query.builtin == "final-state-parity":
+        return (n % 2) / n, None
+    value = float(params["value"])  # constant
     if not -1.0 <= value <= 1.0:
         raise ValueError(f"constant value {value} outside [-1, 1]")
     return value, None
@@ -322,10 +301,10 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     tolerance are kept, never eliminated.  Params that are missing,
     unknown or of the wrong type raise ``ValueError``.
     """
-    if query.builtin not in BUILTIN_QUERIES:
+    if query.builtin not in BUILTIN_PARAMS:
         raise ValueError(f"unknown built-in query {query.builtin!r}")
     _check_params(query)
-    answer, reference = BUILTIN_QUERIES[query.builtin](query.params, session)
+    answer, reference = _closed_form(query, session)
     dist, samples = session.distribution, session.mc_samples
     survivors = [session.concepts[i] for i in session.survivors]
     residuals, stderr = np.zeros(len(survivors)), None

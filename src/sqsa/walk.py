@@ -562,9 +562,9 @@ def agreement_monte_carlo(
 
     Samples are split over a fixed number of strata with independent
     counter-based substreams, so the result depends on ``(seed, samples)``
-    but not on ``jobs``.
+    but not on ``jobs``.  Shapes that differ raise ``SizeMismatchError`` in
+    ``run_words``.
     """
-    _check_compatible(a, b)
     n = a.n_states
     runs = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
     p_agree = int(_count_agreements(a, [b], runs, jobs)[0]) / samples

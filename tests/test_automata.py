@@ -550,10 +550,35 @@ def test_bad_magic_and_version_rejected():
 
 
 def test_nonzero_padding_rejected():
-    data = bytearray(serialize_family(build_family(FamilyConfig(3, 1, 1, 0.5, 1))))
-    data[-1] |= 0x80  # 3 mask bits, so the high bits of the last byte are padding
-    with pytest.raises(FamilyFormatError):
-        deserialize_family(bytes(data))
+    # n=3 has 3 symbols a copy: k=1..7 leaves 3k % 8 = 1..7 mask bits in a member's last
+    # byte and k=8 leaves no padding. Each padding bit fails alone; the last mask bit loads.
+    for k in range(1, 9):
+        family = build_family(FamilyConfig(3, k, 2, 0.5, 1))
+        clean, mask_bytes, last = serialize_family(family), (3 * k + 7) // 8, (3 * k - 1) % 8
+        for member, bit in itertools.product(range(2), range(last + 1, 8)):
+            data = bytearray(clean)
+            data[len(clean) - 1 - (1 - member) * mask_bytes] |= 1 << bit
+            with pytest.raises(FamilyFormatError, match=f"member {member} has nonzero padding"):
+                deserialize_family(bytes(data))
+        data = bytearray(clean)
+        data[-1] |= 1 << last
+        loaded = deserialize_family(bytes(data)).members[1].mask
+        assert loaded[-1] and np.array_equal(loaded[:-1], family.members[1].mask[:-1])
+
+
+def test_load_makes_no_mask_sized_copy():
+    # each member unpacks once into its bool mask: the masks plus one packed mask at most
+    family = build_family(FamilyConfig(60, 200, 4, 0.5, 3))
+    data = serialize_family(family)
+    masks = 4 * family.config.alphabet_size
+    tracemalloc.start()
+    try:
+        loaded = deserialize_family(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == family
+    assert peak < masks + family.config.alphabet_size // 2
 
 
 @settings(max_examples=25, deadline=None)

@@ -195,30 +195,35 @@ def test_state_agreement_answer_is_baseline():
     assert 1 in session.ledger[-1].eliminated_ids
 
 
-def test_exact_elimination_matches_independent_computation():
-    family = family_pair(3, 1, 12, m=6)
+@pytest.mark.parametrize("n", [3, 4])
+def test_exact_elimination_matches_independent_computation(n):
+    # all four built-ins; at even n the parity answer (n mod 2)/n is 0
+    family = family_pair(n, 1, 12, m=6)
     tolerance = 0.3
     word_length = 2
     queries = [
         StatQuery("state-agreement", {"member": 0}),
         StatQuery("label-indicator", {"label": 2}),
         StatQuery("final-state-parity"),
+        StatQuery("constant", {"value": -0.375}),
         StatQuery("state-agreement", {"member": 3}),
     ]
     session = make_session(family, word_length, tolerance)
     vectors = [centered_label_vectors(member, word_length) for member in family.members]
-    inputs = list(enumerate_inputs(family.config.alphabet_size, word_length, 3))
+    inputs = list(enumerate_inputs(family.config.alphabet_size, word_length, n))
 
     def statistic_table(query):
         # H(x) per input, one value per label
-        table = np.zeros((len(inputs), 3))
+        table = np.zeros((len(inputs), n))
         for row, (word, start) in enumerate(inputs):
-            for label in range(3):
+            for label in range(n):
                 if query.builtin == "state-agreement":
                     reference = run_word(family.members[query.params["member"]], word, start)
                     table[row, label] = 1.0 if label == reference else 0.0
                 elif query.builtin == "label-indicator":
                     table[row, label] = 1.0 if label == query.params["label"] else 0.0
+                elif query.builtin == "constant":
+                    table[row, label] = query.params["value"]
                 else:
                     table[row, label] = 1.0 if label % 2 == 0 else -1.0
         return table

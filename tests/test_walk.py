@@ -74,6 +74,13 @@ def test_step_distribution_masses_sum_to_one(seed):
         dist.entries[0, 0] = 1
 
 
+@pytest.mark.parametrize("method", list(walk.AGREEMENT_METHODS))
+def test_every_agreement_method_rejects_members_of_different_shapes(method):
+    small, large = automaton(3, 1, [1, 0, 1]), automaton(4, 1, [1] * 6)
+    with pytest.raises(SizeMismatchError, match=r"shapes differ: \(3, 1\) vs \(4, 1\)"):
+        walk.agreement(method, small, large, 2, samples=10, seed=0)
+
+
 def test_step_distribution_mismatch_rejected():
     with pytest.raises(SizeMismatchError):
         step_distribution(automaton(3, 1, [1, 1, 1]), automaton(4, 1, [1] * 6))
