@@ -81,7 +81,7 @@ FAMILY_MAGIC = b"SQSA"
 FAMILY_VERSION = 1
 _HEADER = struct.Struct("<4sHHIIdQ")
 MASK_DRAW_CHUNK = 1 << 20  # uniform doubles drawn at once by build_family (8 MB)
-GATHER_CHUNK = 1 << 16  # symbol classes gathered at once by run_words (512 kB)
+GATHER_CHUNK = 1 << 14  # symbol classes gathered at once by run_words (128 kB)
 # largest joint table (4 MB, reached at n = 24) that run_words walks pairs on: a joint step
 # beats two steps on the moves up to about n = 28 and loses past it (n = 50: 1.5-1.9x, 70 MB)
 JOINT_TABLE_ENTRIES = 1 << 19
@@ -89,7 +89,7 @@ JOINT_TABLE_ENTRIES = 1 << 19
 
 def index_dtype(count: int) -> np.dtype:
     """int32 when every index below ``count`` fits it (``count < 2**31``), else int64:
-    the dtype of a batch's words and starts."""
+    the dtype that sampled words and starts are drawn in (a run stores them narrower)."""
     return np.dtype(np.int32 if count < 2**31 else np.int64)
 
 

@@ -394,7 +394,7 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
     for index, entry in enumerate(scripted):
         if not isinstance(entry, dict) or not isinstance(entry.get("builtin"), str):
             raise ValueError(f"query {index} must be an object with a 'builtin' key, got {entry!r}")
-        oracle_answer(session, StatQuery(entry["builtin"], entry.get("params", {})))
+        oracle_answer(session, StatQuery(entry["builtin"], entry.get("params", {})), jobs)
     lines = [_json_text(item) for item in (_meta("oracle", config, sha1), *session.ledger)]
     return ("\n".join(lines) + "\n").encode()
 

@@ -287,7 +287,7 @@ def _check_params(query: StatQuery) -> None:
         raise ValueError(f"bad params for {query.builtin}: {'; '.join(problems)}")
 
 
-def oracle_answer(session: OracleSession, query: StatQuery) -> float:
+def oracle_answer(session: OracleSession, query: StatQuery, jobs: int = 1) -> float:
     """Answer a query adversarially and eliminate over-correlated survivors.
 
     The answer is the closed-form label-average projection of the
@@ -296,10 +296,11 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
     ``state-agreement`` an exact session (``mc_samples=None``) takes each
     survivor's agreement residual with the reference from one batched
     Lanczos-Gauss run; a sampled session counts agreements on
-    ``mc_samples`` stratified inputs (substream key ``(query_id,)``) and
-    eliminates conservatively, at ``tolerance + 4 * stderr``.  Ties at the
-    tolerance are kept, never eliminated.  Params that are missing,
-    unknown or of the wrong type raise ``ValueError``.
+    ``mc_samples`` stratified inputs (substream key ``(query_id,)``) on
+    ``jobs`` threads, which change no count, and eliminates conservatively,
+    at ``tolerance + 4 * stderr``.  Ties at the tolerance are kept, never
+    eliminated.  Params that are missing, unknown or of the wrong type
+    raise ``ValueError``.
     """
     if query.builtin not in BUILTIN_PARAMS:
         raise ValueError(f"unknown built-in query {query.builtin!r}")
@@ -314,7 +315,7 @@ def oracle_answer(session: OracleSession, query: StatQuery) -> float:
             residuals = _gauss_residuals(pairs, [dist.word_length])[:, 0]
         else:
             runs = dist.strata(samples, session.seed, (len(session.ledger),))
-            p_agree = _count_agreements(reference, survivors, runs, jobs=1) / samples
+            p_agree = _count_agreements(reference, survivors, runs, jobs) / samples
             residuals = p_agree - 1.0 / dist.n_states
             stderr = np.sqrt(p_agree * (1.0 - p_agree) / samples)
     slack = 0.0 if stderr is None else 4.0 * stderr

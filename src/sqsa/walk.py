@@ -22,18 +22,18 @@ report names its route with a label:
 - ``mc`` (label ``monte-carlo``): the stratified samples of
   :meth:`WordDistribution.strata`, with a standard error.
 
-Both input routes count agreements as integers, under one budget,
-:data:`RUN_ELEMENTS`.  Brute force walks the pair's states down the prefix
-tree of every word, depth-first, each machine on its own successor table,
-and expands a chunk of nodes breadth-first once the inputs below it fit the
-budget; the last symbol is read as one agreement bool per input.  Monte
-Carlo (and the sampled oracle) count over ``run_words``
-(:func:`_count_agreements`): a run of strata is one word and one start per
-row, its words int32 below ``2**31`` symbols and at most
-:data:`RUN_ELEMENTS` entries, and every machine of a count walks it in one
-``run_words`` call.  Runs are counted on ``jobs`` threads; brute force runs
-on one.  Counts are integers, so neither chunk or run sizes nor their
-order changes a result.
+Both input routes count agreements as integers.  Brute force walks the
+pair's states down the prefix tree of every word, depth-first, each machine
+on its own successor table, and expands a chunk of nodes breadth-first once
+the inputs below it number at most :data:`RUN_ELEMENTS`; the last symbol is
+read as one agreement bool per input.  Monte Carlo (and the sampled oracle)
+count over ``run_words`` (:func:`_count_agreements`): a run of consecutive
+strata is one word and one start per row, its words drawn int32 (below
+``2**31`` symbols), :data:`RUN_ELEMENTS` at a time, and stored in the
+narrowest unsigned dtype, at most :data:`RUN_BYTES` of them; every machine
+of a count walks a run in one ``run_words`` call.  Runs are counted on
+``jobs`` threads; brute force runs on one.  Counts are integers, so neither
+chunk or run sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -117,7 +117,8 @@ __all__ = [
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-RUN_ELEMENTS = 1 << 16  # per machine, entries of a run's largest array: strata words, brute leaves
+RUN_ELEMENTS = 1 << 16  # per machine, entries of brute force's largest array; words of one strata draw
+RUN_BYTES = 3 << 19  # bytes (1.5 MB) of a strata run's stored words
 KRYLOV_ELEMENTS = 1 << 20  # first Lanczos basis entries (pairs x min(steps, 16) x n^2) per chunk;
 # past 16 steps the basis doubles over the pairs still running only: running x steps x n^2 at most
 COUNT_ELEMENTS = 1 << 24  # mask bits, over all members, of one block of copies in _pair_counts
@@ -163,41 +164,46 @@ class WordDistribution:
     def strata(self, samples: int, seed: int, key: tuple[int, ...] = ()) -> list[Run]:
         """``samples`` inputs over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
 
-        A run's words hold at most :data:`RUN_ELEMENTS` entries (rows x T,
-        or rows when T = 0); a stratum over that runs alone.  Stratum ``s``
-        draws its words, then its starts, from its own Philox substream,
-        spawn key ``key + (s,)``, so no run depends on which worker makes
-        it.  A run returns its strata's words and starts in stratum order:
-        its words ``(B, T)`` are the strata's row-major draws
-        as drawn (one stratum's own arrays, or their concatenation), in
-        ``index_dtype(n_symbols)``; its starts are in ``index_dtype(n_states)``.
-        numpy draws bounded int32 and int64 alike below 2**32, so the dtype
-        changes no input.
+        A run's words take at most :data:`RUN_BYTES` (rows x T, or rows when
+        T = 0, in their dtype); a stratum over that runs alone.  Stratum ``s``
+        draws its words, then its starts, from its own Philox substream, spawn
+        key ``key + (s,)``, so no run depends on which worker makes it.  Words
+        are drawn row-major in ``index_dtype(n_symbols)``, at most
+        :data:`RUN_ELEMENTS` at a time, and starts in ``index_dtype(n_states)``;
+        a run stores both in the narrowest unsigned dtype that holds a value,
+        words ``(B, T)`` and starts ``(B,)`` in stratum order, one array each.
+        A stream gives the same values in pieces as in one call, and numpy
+        draws bounded int32 and int64 alike below 2**32, so neither the pieces
+        nor the dtypes change an input.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
         base, extra = divmod(samples, SAMPLE_STRATA)
         # strata past the first ``samples`` would draw nothing
         counts = [base + (1 if s < extra else 0) for s in range(min(samples, SAMPLE_STRATA))]
-
         symbol, state = index_dtype(self.n_symbols), index_dtype(self.n_states)
+        stored = np.min_scalar_type(self.n_symbols - 1)
+        piece = max(1, RUN_ELEMENTS // max(1, self.word_length))  # rows of one word draw
 
         def run(strata: range) -> tuple[np.ndarray, np.ndarray]:
-            words, starts = [], []
+            rows = sum(counts[stratum] for stratum in strata)
+            words = np.empty((rows, self.word_length), stored)
+            starts = np.empty(rows, np.min_scalar_type(self.n_states - 1))
+            high = 0
             for stratum in strata:
                 sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
                 rng = np.random.Generator(np.random.Philox(sequence))
-                shape = (counts[stratum], self.word_length)
-                words.append(rng.integers(0, self.n_symbols, shape, dtype=symbol))
-                starts.append(rng.integers(0, self.n_states, counts[stratum], dtype=state))
-            if len(strata) == 1:
-                return words[0], starts[0]
-            return np.concatenate(words), np.concatenate(starts)
+                low, high = high, high + counts[stratum]
+                for first in range(low, high, piece):
+                    drawn = words[first : min(first + piece, high)]
+                    drawn[...] = rng.integers(0, self.n_symbols, drawn.shape, dtype=symbol)
+                starts[low:high] = rng.integers(0, self.n_states, high - low, dtype=state)
+            return words, starts
 
         firsts, inputs = [], 0
         for stratum, count in enumerate(counts):
             inputs += count
-            if not firsts or inputs * max(1, self.word_length) > RUN_ELEMENTS:
+            if not firsts or inputs * max(1, self.word_length) * stored.itemsize > RUN_BYTES:
                 firsts.append(stratum)
                 inputs = count
         bounds = itertools.pairwise(firsts + [len(counts)])
@@ -516,8 +522,8 @@ def _count_agreements(
     """Inputs of ``runs`` on which each of ``others`` ends where ``reference`` does.
 
     Each run of :meth:`WordDistribution.strata` is made and counted on one of
-    ``jobs`` threads, in one ``run_words`` walk of ``reference`` and
-    ``others`` together.
+    ``jobs`` threads (a lone run on the calling thread), in one ``run_words``
+    walk of ``reference`` and ``others`` together.
     """
     automata = [reference, *others]
 
@@ -525,7 +531,7 @@ def _count_agreements(
         states = run_words(automata, *run())
         return np.count_nonzero(states[1:] == states[0], axis=1)
 
-    if jobs > 1:
+    if jobs > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return sum(pool.map(count, runs))
     return sum(map(count, runs))

@@ -332,15 +332,16 @@ def test_one_index_dtype_rule_for_words_and_starts(monkeypatch):
     machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # A = 12
     (run,) = WordDistribution(4, 12, 7).strata(20, 6)
     words, starts = run()
-    assert sorted(asked) == [4, 12]  # the inputs' dtypes: n states, A symbols
-    assert words.dtype == starts.dtype == np.int32
+    assert sorted(asked) == [4, 12]  # the drawn dtypes: n states, A symbols
+    assert words.dtype == starts.dtype == np.uint8  # stored narrow once drawn
     asked.clear()
     states = run_words(machines, words, starts)
     assert asked == []  # the walk reads its tables in intp
     expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
     assert np.array_equal(states, expected)
-    # int64 inputs (past 2**31 symbols or states) run to the same states
-    assert np.array_equal(run_words(machines, words.astype(np.int64), starts.astype(np.int64)), states)
+    # drawn int32 inputs, and int64 ones (past 2**31 symbols or states), run to the same states
+    for dtype in (np.int32, np.int64):
+        assert np.array_equal(run_words(machines, words.astype(dtype), starts.astype(dtype)), states)
 
 
 def test_past_the_joint_table_budget_machines_walk_alone_in_little_memory():

@@ -365,19 +365,19 @@ def test_merged_draws_change_no_session(monkeypatch):
     script = [StatQuery("state-agreement", {"member": member}) for member in (3, 1, 6)]
     script += [StatQuery("label-indicator", {"label": 2}), StatQuery("final-state-parity")]
 
-    def outcome():
+    def outcome(jobs):
         session = make_session(family, 48, 0.2, seed=5, mc_samples=10_000)
         for query in script:
-            oracle_answer(session, query)
+            oracle_answer(session, query, jobs)
         return session.ledger, session.survivors
 
     dist = WordDistribution(5, family.config.alphabet_size, 48)
-    assert len(dist.strata(10_000, 5)) == 8  # 64 strata of 156 or 157 words
-    merged = outcome()
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum runs alone
+    assert len(dist.strata(10_000, 5)) == 1  # 64 strata of 156 or 157 words, 958 kB in all
+    merged = outcome(1)
+    monkeypatch.setattr(walk, "RUN_BYTES", 0)  # every stratum runs alone
     assert len(dist.strata(10_000, 5)) == 64
     # records (answers and max_stderr included) equal as floats, not approximately
-    assert outcome() == merged
+    assert outcome(1) == outcome(3) == merged
     assert any(record.eliminated_ids for record in merged[0]) and merged[1]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -382,36 +383,41 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     assert max(sizes, default=0) <= budget
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    st.integers(2, 4),
-    st.integers(1, 2),
-    st.integers(1, 3),
-    st.integers(0, 5),
-    st.integers(1, 300),
-    st.sampled_from([0, 12, 1 << 16]),
-    st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    k=st.integers(1, 2),
+    machines=st.integers(1, 5),
+    t=st.sampled_from([0, 1, 2, 7]),
+    samples=st.integers(0, 4).flatmap(lambda q: st.integers(64 * q + 1, 64 * q + 63)),
+    run_bytes=st.sampled_from([0, 10, 40, 1 << 21]),
+    alone=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_strata_count_of_several_others_equals_run_word(n, k, others, t, samples, budget, seed):
-    family = build_family(FamilyConfig(n, k, 1 + others, 0.5, seed))
+def test_batched_count_equals_run_word_per_input(n, k, machines, t, samples, run_bytes, alone, seed):
+    # every stratum over the budget (0), some over it (10 bytes: two words of T=7 are 14), runs
+    # of a few strata and of all of them; walkers in pairs or alone
+    family = build_family(FamilyConfig(n, k, machines, 0.5, seed))
     reference, rest = family.members[0], family.members[1:]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "RUN_ELEMENTS", budget)  # strata per run
+        patch.setattr(walk, "RUN_BYTES", run_bytes)
+        patch.setattr(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES)
+        assert automata._walks_pairs(n) is not alone
         runs = WordDistribution(n, reference.alphabet_size, t).strata(samples, seed)
         inputs = [(list(w), int(s)) for run in runs for w, s in zip(*run())]
         assert len(inputs) == samples
         expected = [sum(run_word(reference, w, s) == run_word(other, w, s) for w, s in inputs)
                     for other in rest]
-        for jobs in (1, 2):
+        for jobs in (1, 3):
             assert walk._count_agreements(reference, rest, runs, jobs).tolist() == expected
 
 
 def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
-    dist = WordDistribution(3, 5, 4)
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum runs alone
+    dist = WordDistribution(3, 5, 4)  # words stored a byte a symbol
+    monkeypatch.setattr(walk, "RUN_BYTES", 0)  # every stratum runs alone
     alone = [run() for run in dist.strata(100, 7)]  # 64 strata of one or two words
     assert len(alone) == 64
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 20)  # five words of T=4 per run
+    monkeypatch.setattr(walk, "RUN_BYTES", 20)  # five words of T=4 per run
     runs = [run() for run in dist.strata(100, 7)]
     assert 1 < len(runs) < len(alone)
     for words, starts in runs:
@@ -419,11 +425,16 @@ def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
     for column in (0, 1):  # words, then starts
         merged, single = ([run[column] for run in r] for r in (runs, alone))
         assert np.array_equal(np.concatenate(merged), np.concatenate(single))
-    # a stratum over the budget runs alone, its arrays as drawn
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 4)
+    # a stratum over the budget runs alone
+    monkeypatch.setattr(walk, "RUN_BYTES", 4)
     assert [run()[0].shape[0] for run in dist.strata(100, 7)] == [2] * 36 + [1] * 28
+    # two bytes a symbol past 256 symbols: the same budget holds half the words
+    monkeypatch.setattr(walk, "RUN_BYTES", 40)
+    wide = [run()[0] for run in WordDistribution(3, 300, 4).strata(100, 7)]
+    assert {words.dtype for words in wide} == {np.dtype(np.uint16)}
+    assert max(words.shape[0] for words in wide) == 5
     # T=0: a run's words are its rows
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 5)
+    monkeypatch.setattr(walk, "RUN_BYTES", 5)
     runs = [run() for run in WordDistribution(3, 5, 0).strata(100, 7)]
     assert all(words.shape == (starts.shape[0], 0) for words, starts in runs)
     assert max(starts.shape[0] for _, starts in runs) == 5
@@ -447,21 +458,28 @@ def row_major_strata(n, symbols, length, samples, seed, key):
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 9),
-    symbols=st.one_of(st.integers(1, 5000), st.sampled_from([2**i for i in range(13)])),
+    symbols=st.one_of(st.integers(1, 5000), st.sampled_from([2**i for i in range(13)]),
+                      st.sampled_from([65_535, 65_536, 65_537])),
     length=st.integers(0, 40),
     samples=st.integers(1, 3000),
     seed=st.integers(0, 2**64 - 1),
     key=st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple),
+    piece=st.sampled_from([0, 7, 1 << 16]),
 )
-@example(n=2, symbols=1, length=0, samples=1, seed=0, key=())
-def test_strata_draw_the_row_major_int64_inputs_as_drawn(n, symbols, length, samples, seed, key):
+@example(n=2, symbols=1, length=0, samples=1, seed=0, key=(), piece=0)
+def test_strata_draw_the_row_major_int64_inputs_as_drawn(n, symbols, length, samples, seed, key, piece):
     words, starts = row_major_strata(n, symbols, length, samples, seed, key)
     low = 0
-    for run in WordDistribution(n, symbols, length).strata(samples, seed, key):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "RUN_ELEMENTS", piece)  # entries of one word draw: a row at a time at 0
+        runs = WordDistribution(n, symbols, length).strata(samples, seed, key)
+    for run in runs:
         drawn, drawn_starts = run()
         high = low + drawn_starts.shape[0]
         assert drawn.flags.c_contiguous  # row-major, no time-major copy
-        assert drawn.dtype == drawn_starts.dtype == np.int32
+        # stored narrow: a byte a symbol to 256 symbols, two to 65 536, then four
+        assert drawn.dtype == np.min_scalar_type(symbols - 1)
+        assert drawn_starts.dtype == np.uint8
         assert np.array_equal(drawn, words[low:high])
         assert np.array_equal(drawn_starts, starts[low:high])
         low = high
@@ -478,7 +496,8 @@ def test_merged_draws_change_no_count(monkeypatch):
         return sampled, agreement_brute_force(a, b, 4).exact
 
     merged = counts()
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every stratum and every tree node runs alone
+    monkeypatch.setattr(walk, "RUN_BYTES", 0)  # every stratum runs alone
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every tree node runs alone, every word row drawn alone
     assert len(WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)) == 64
     assert counts() == merged
     assert merged[0][0] == merged[0][1]
@@ -502,14 +521,32 @@ def test_a_count_stacks_its_tables_once(monkeypatch):
     monkeypatch.setattr(automata, "_symbol_classes", classes)
     monkeypatch.setattr(Semiautomaton, "__hash__", refuse)
     monkeypatch.setattr(Semiautomaton, "__eq__", refuse)
+    monkeypatch.setattr(walk, "RUN_BYTES", 1 << 12)  # 20 000 words of 6 bytes: 32 runs
     runs = WordDistribution(4, 12, 6).strata(20_000, 1)
-    assert len(runs) > 1
+    assert len(runs) == 32
     for jobs in (1, 2):
         monkeypatch.setattr(automata, "_KEPT", ((), False, None))
         built.clear()
         walk._count_agreements(reference, others, runs, jobs=jobs)
         assert built == [(0, 1), (2, 3), (4, 4)]  # the walk's pairs, an odd last one with itself
     assert automata._step_codes(4, True) is joint  # one joint table per n
+
+
+def test_monte_carlo_peak_memory_at_the_benchmark_shape(monkeypatch):
+    # pagree --method mc in the benchmark: n=8 at the paper's copy count (A = 21 896),
+    # T = 170, 100 000 samples, one thread.  Stored a stratum's int32 draw to a run, the
+    # count peaked at 2 864 059 traced bytes (numpy 2.4.6); runs of several strata,
+    # stored two bytes a symbol, must not need more.
+    a, b = build_family(FamilyConfig(8, min_alphabet_copies(8), 2, 0.5, 0)).members
+    monkeypatch.setattr(automata, "_KEPT", ((), False, None))  # the count builds its classes
+    automata._step_codes.cache_clear()  # and its step table
+    tracemalloc.start()
+    try:
+        agreement_monte_carlo(a, b, 170, 100_000, 0, jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_864_059
 
 
 def test_agreement_monte_carlo_identical_pair():
