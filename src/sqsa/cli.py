@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -258,13 +259,13 @@ def _table_text(keys: list[str], values: list, depth: int) -> str:
     ``keys`` to numbers, ``values`` row after row, for a list ``depth`` levels deep.
 
     With ``indent`` set, ``json`` takes its pure-Python encoder; here every
-    value goes through the C encoder in one call and only the layout is written out.
+    value goes through the C encoder in one call, into one ``%`` template of the rows.
     """
     texts = json.dumps(values)[1:-1].split(", ")  # numbers never hold ", "
     pad = "  " * depth
-    row = "{{\n" + ",\n".join(f"{pad}    {json.dumps(key)}: {{}}" for key in keys) + f"\n{pad}  }}}}"
-    rows = (row.format(*texts[low : low + len(keys)]) for low in range(0, len(texts), len(keys)))
-    return f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
+    row = "{\n" + ",\n".join(f"{pad}    {json.dumps(key)}: %s" for key in keys) + f"\n{pad}  }}"
+    rows = f",\n{pad}  ".join([row] * (len(texts) // len(keys)))  # numbers never hold "%"
+    return f"[\n{pad}  " + rows % tuple(texts) + f"\n{pad}]"
 
 
 def _csv_payload(meta: dict, header: list[str], rows: list[list[str]]) -> bytes:
@@ -347,7 +348,8 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
         result["points"] = _TABLE
         fields = {"T" if name == "word_length" else name: name for name in vars(scan.points[0])}
         keys = sorted(fields)
-        values = [getattr(point, fields[key]) for point in scan.points for key in keys]
+        row = operator.attrgetter(*(fields[key] for key in keys))
+        values = [value for point in scan.points for value in row(point)]
         table = _table_text(keys, values, depth=2)
         return _json_payload(meta, result).replace(json.dumps(_TABLE).encode(), table.encode(), 1)
     rows = [

@@ -71,7 +71,8 @@ each member's mask, not one per pair.
 The rule is a sum of exponentials in ``T``, so one run also gives
 :func:`mixing_scan` its whole series.  The same counts give the dense ``M``
 (:func:`fourier_matrix`, built only for the realized spectrum and a mixing
-scan's extreme eigenvalues) by the weights that :func:`expected_operator` uses.
+scan's extreme eigenvalues: eigenvalues only, the extreme one bracketed within
+1e-8 by inertia) by the weights that :func:`expected_operator` uses.
 """
 
 from __future__ import annotations
@@ -440,23 +441,25 @@ def _gauss_rule(
     return estimate, log_size
 
 
-def _gauss_residuals(
-    pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_lengths: Sequence[int]
-) -> np.ndarray:
-    """``p_agree - 1/n`` of each pair at each word length (``T = 0`` gives exactly
-    ``(n-1)/n``).  The mask counts of all pairs come from one :func:`_pair_counts`
-    pass; the pairs then run in chunks whose first Lanczos basis holds at most
-    :data:`KRYLOV_ELEMENTS` entries.  Runs stop after a few steps at any ``T``,
+def _gauss_residuals(pairs: Sequence[tuple[Semiautomaton, Semiautomaton]], word_lengths) -> np.ndarray:
+    """``p_agree - 1/n`` of each pair at each word length, counted in one :func:`_pair_counts` pass."""
+    a = pairs[0][0]
+    return _counted_residuals(_pair_counts(pairs), a.n_states, a.alphabet_size, word_lengths)
+
+
+def _counted_residuals(counts: np.ndarray, n: int, alphabet_size: int, word_lengths) -> np.ndarray:
+    """``p_agree - 1/n`` of each pair of ``(3, P, C(n,2))`` ``counts`` at each word length
+    (``T = 0`` gives exactly ``(n-1)/n``).  The pairs run in chunks whose first Lanczos basis
+    holds at most :data:`KRYLOV_ELEMENTS` entries.  Runs stop after a few steps at any ``T``,
     so a chunk is sized by that first basis, ``min(steps, 16)`` columns, not by
     the most steps it may need (:func:`_gauss_chunk` grows it for running pairs)."""
-    n, lengths = pairs[0][0].n_states, np.asarray(word_lengths, dtype=np.int64)
-    counts, alphabet = _pair_counts(pairs), pairs[0][0].alphabet_size
+    lengths = np.asarray(word_lengths, dtype=np.int64)
     # the rule is exact at 2k - 1 >= T, and the Krylov space has at most (n-1)^2 dimensions
     steps = min((n - 1) ** 2, int(lengths.max()) // 2 + 1)
     chunk = max(1, KRYLOV_ELEMENTS // (min(steps, 16) * n * n))  # the basis _gauss_chunk starts with
     residuals = np.concatenate(
-        [_gauss_chunk(counts[:, low : low + chunk], n, alphabet, lengths, steps)
-         for low in range(0, len(pairs), chunk)]
+        [_gauss_chunk(counts[:, low : low + chunk], n, alphabet_size, lengths, steps)
+         for low in range(0, counts.shape[1], chunk)]
     )
     residuals[:, lengths == 0] = (n - 1) / n
     return residuals
@@ -610,23 +613,36 @@ def agreement(
 
 
 def _checked_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix, with a residual check on the largest."""
+    """Ascending eigenvalues (``eigvalsh`` only) of a finite symmetric matrix; the extreme one,
+    ``top`` of sign ``s``, is bracketed within 1e-8 by inertia: ``s((top + s 1e-8) I - M)`` must
+    have a Cholesky factor (no eigenvalue lies past it) and ``s((top - s 1e-8) I - M)`` must not
+    (one lies within 1e-8 of ``top``), else ``ArithmeticError`` (Sylvester's law of inertia)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(matrix - matrix.T)) > 1e-10:
         raise ValueError("matrix is not symmetric within tolerance")
     symmetric = (matrix + matrix.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-    index = int(np.argmax(np.abs(eigenvalues)))
-    top, vector = eigenvalues[index], eigenvectors[:, index]
-    if np.linalg.norm(symmetric @ vector - top * vector) > 1e-8:
-        raise ArithmeticError("eigenpair residual check failed")
+    eigenvalues = np.linalg.eigvalsh(symmetric)
+    top = eigenvalues[np.argmax(np.abs(eigenvalues))]
+    symmetric *= -np.copysign(1.0, top)  # in place: s (top I - M) off the diagonal
+    diagonal = symmetric.diagonal() + abs(top)
+    for shift, definite in ((1e-8, True), (-1e-8, False)):
+        np.fill_diagonal(symmetric, diagonal + shift)
+        try:
+            np.linalg.cholesky(symmetric)
+            factored = True
+        except np.linalg.LinAlgError:
+            factored = False
+        if factored != definite:
+            raise ArithmeticError(f"inertia bracket of the extreme eigenvalue {top!r} failed")
     return eigenvalues
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, with a residual check."""
+    """Largest absolute eigenvalue of a symmetric matrix, inertia-bracketed within 1e-8."""
     return float(np.max(np.abs(_checked_eigenvalues(matrix))))
 
 
@@ -732,11 +748,11 @@ class MixingPoint:
 class MixingScan:
     """Residual series of a pair with bound applicability flags and violations.
 
-    The series is the Lanczos-Gauss rule (:func:`_gauss_residuals`) and the two
-    eigenvalues come from the dense Fourier matrix.  The upper envelope
-    ``(1 - 1/(2n))^T`` binds whenever the Fourier
-    matrix norm is at most ``1 - 1/(2n)``; the lower envelope
-    ``(1/2)(1 - 3/n)^T`` binds whenever the matrix is positive definite
+    The series is the Lanczos-Gauss rule (:func:`_counted_residuals`) and the two eigenvalues
+    come from the dense Fourier matrix (eigenvalues only, with a 1e-8 inertia bracket:
+    :func:`_checked_eigenvalues`), both from one pass of the pair's mask counts.  The upper
+    envelope ``(1 - 1/(2n))^T`` binds whenever the Fourier matrix norm is at most ``1 - 1/(2n)``;
+    the lower envelope ``(1/2)(1 - 3/n)^T`` binds whenever the matrix is positive definite
     with smallest eigenvalue at least ``(n-3)/(n-1) - 1/(2n)``.
     """
 
@@ -755,26 +771,17 @@ def mixing_scan(a: Semiautomaton, b: Semiautomaton, t_max: int) -> MixingScan:
     checked against both envelopes."""
     if t_max < 1:
         raise ValueError("need t_max >= 1")
-    n = a.n_states
-    matrix = fourier_matrix(step_distribution(a, b))
-    eigenvalues = _checked_eigenvalues(matrix)
-    norm = float(np.max(np.abs(eigenvalues)))
-    min_eig = float(eigenvalues[0])
-    upper_applies = norm <= 1.0 - 1.0 / (2 * n)
+    n, dist = a.n_states, step_distribution(a, b)
+    eigenvalues = _checked_eigenvalues(fourier_matrix(dist))
+    norm, min_eig = float(np.max(np.abs(eigenvalues))), float(eigenvalues[0])
+    slow, fast = 1.0 - 1.0 / (2 * n), 1.0 - 3.0 / n  # the envelopes' bases
+    upper_applies = norm <= slow
     lower_applies = min_eig > 0.0 and min_eig >= (n - 3) / (n - 1) - 1.0 / (2 * n)
-    residuals = _gauss_residuals([(a, b)], np.arange(t_max + 1))[0].tolist()
-    points = []
-    for t, residual in enumerate(residuals):
-        upper = (1.0 - 1.0 / (2 * n)) ** t
-        lower = 0.5 * (1.0 - 3.0 / n) ** t
-        points.append(MixingPoint(t, 1.0 / n + residual, residual, upper, lower))
-    upper_violations = tuple(
-        p.word_length for p in points if upper_applies and abs(p.residual) > p.upper_bound
+    residuals = _counted_residuals(dist.entries[:, None], n, a.alphabet_size, np.arange(t_max + 1))
+    points = tuple(  # Python's float ** at each T: np.power differs in the last bit
+        MixingPoint(t, 1.0 / n + residual, residual, slow**t, 0.5 * fast**t)
+        for t, residual in enumerate(residuals[0].tolist())
     )
-    lower_violations = tuple(
-        p.word_length for p in points if lower_applies and p.residual < p.lower_bound
-    )
-    return MixingScan(
-        n, norm, min_eig, upper_applies, lower_applies, tuple(points), upper_violations,
-        lower_violations,
-    )
+    upper = tuple(p.word_length for p in points if upper_applies and abs(p.residual) > p.upper_bound)
+    lower = tuple(p.word_length for p in points if lower_applies and p.residual < p.lower_bound)
+    return MixingScan(n, norm, min_eig, upper_applies, lower_applies, points, upper, lower)

@@ -117,6 +117,22 @@ def test_mixing_json_format(family_file, capsys):
     assert "spectral_norm" in payload["result"]
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_mixing_norm_is_the_top_realized_eigenvalue_exactly(tmp_path, capsys, n):
+    # both read eigvalsh of the same symmetrised M; at the paper's copy count M is near PSD
+    family = tmp_path / "f.sqsa"
+    assert run_cli(["family", "--n", n, "--m", 2, "--seed", 5, "--out", family]) == 0
+    common = ["--family", family, "--members", "0,1", "--format", "json"]
+    assert run_cli(["mixing", *common, "--t-max", 3]) == 0
+    mixing = json.loads(capsys.readouterr().out)["result"]
+    assert run_cli(["spectrum", "--method", "realized", *common]) == 0
+    groups = json.loads(capsys.readouterr().out)["result"]
+    top, bottom = groups[0]["eigenvalue"], groups[-1]["eigenvalue"]
+    assert top > abs(bottom) and mixing["spectral_norm"] == top
+    # spectrum reports the largest value of its bottom cluster
+    assert abs(mixing["min_eigenvalue"] - bottom) <= 1e-12
+
+
 def test_spectrum_expected_matches_closed_form(capsys):
     assert run_cli(["spectrum", "--n", 5, "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["result"]

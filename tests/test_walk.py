@@ -15,6 +15,7 @@ from sqsa import automata, walk
 from sqsa.symrep import std_matrix
 from sqsa.walk import (
     BruteForceGuardError,
+    MixingPoint,
     StepDistribution,
     WordDistribution,
     agreement_brute_force,
@@ -610,6 +611,85 @@ def test_spectral_norm_matches_power_iteration():
     assert power_norm == pytest.approx(spectral_norm(matrix), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "place", ["nan on the diagonal", "inf off the diagonal", "asymmetric nan"]
+)
+@pytest.mark.parametrize("n", [3, 40])
+def test_spectral_norm_refuses_non_finite_entries(n, place):
+    # a comparison with NaN is False, so a tolerance test alone lets each of these through
+    matrix = 0.5 * np.eye(n)
+    if place == "nan on the diagonal":
+        matrix[1, 1] = np.nan
+    elif place == "inf off the diagonal":
+        matrix[0, 2] = matrix[2, 0] = np.inf
+    else:
+        matrix[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        spectral_norm(matrix)
+
+
+def spectrum_matrix(eigenvalues, seed):
+    """A symmetric matrix with the given spectrum, in a random orthonormal basis."""
+    n = len(eigenvalues)
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    matrix = basis @ np.diag(eigenvalues) @ basis.T
+    return (matrix + matrix.T) / 2.0
+
+
+def padded(head, n, rng, bound):
+    """``head`` cut to ``n`` values, then values uniform in ``(-bound, bound)`` up to ``n``."""
+    head = np.asarray(head, dtype=float)[:n]
+    return np.append(head, rng.uniform(-bound, bound, n - head.size))
+
+
+SPECTRA = {
+    "random": lambda n, rng: padded([], n, rng, 1.0),
+    "zero": lambda n, rng: np.zeros(n),
+    "identity": lambda n, rng: np.ones(n),
+    "negative-dominant": lambda n, rng: padded([-1.0], n, rng, 0.9),
+    "equal extremes": lambda n, rng: padded([1.0, -1.0], n, rng, 0.9),
+    "repeated extreme": lambda n, rng: padded([-0.75] * 3, n, rng, 0.7),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 40), st.sampled_from(sorted(SPECTRA)), st.integers(0, 2**32 - 1), st.booleans()
+)
+def test_checked_eigenvalues_are_eigvalsh_bit_for_bit(n, kind, seed, dense):
+    rng = np.random.default_rng(seed)
+    if dense and kind == "random":  # an unstructured matrix, not built from its spectrum
+        matrix = rng.uniform(-1.0, 1.0, (n, n))
+        matrix = matrix + matrix.T + rng.uniform(-1e-11, 1e-11, (n, n))
+    else:
+        matrix = spectrum_matrix(SPECTRA[kind](n, rng), seed)
+    eigenvalues = walk._checked_eigenvalues(matrix)
+    expected = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    assert eigenvalues.tobytes() == expected.tobytes()
+    reference = np.linalg.eigh((matrix + matrix.T) / 2.0)[0]
+    assert abs(eigenvalues[0] - reference[0]) <= 1e-12
+    assert abs(eigenvalues[-1] - reference[-1]) <= 1e-12
+    assert spectral_norm(matrix) == np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dominant", [1.0, -1.0])
+@pytest.mark.parametrize("move", [1e-6, -1e-6])
+def test_inertia_bracket_catches_a_moved_extreme_eigenvalue(monkeypatch, dominant, move):
+    matrix = spectrum_matrix(dominant * np.array([0.9, 0.6, 0.25, -0.1, -0.4, -0.7]), 3)
+    extremes = walk._checked_eigenvalues(matrix)[[0, -1]]
+    assert extremes == pytest.approx(sorted([-0.7 * dominant, 0.9 * dominant]), abs=1e-14)
+    eigvalsh = np.linalg.eigvalsh
+
+    def moved(symmetric):
+        eigenvalues = eigvalsh(symmetric)
+        eigenvalues[np.argmax(np.abs(eigenvalues))] += move
+        return eigenvalues
+
+    monkeypatch.setattr(walk.np.linalg, "eigvalsh", moved)
+    with pytest.raises(ArithmeticError, match="inertia"):
+        walk._checked_eigenvalues(matrix)
+
+
 @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_expected_operator_equals_transposition_average(n, p):
@@ -859,3 +939,39 @@ def test_mixing_scan_rejects_bad_t_max():
     a, b = random_pair(4, 1, 19)
     with pytest.raises(ValueError):
         mixing_scan(a, b, 0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 24), st.integers(1, 2000), st.integers(0, 2**32 - 1), st.booleans())
+@example(24, 2000, 5, False)
+@example(3, 1, 6, True)
+def test_mixing_scan_points_equal_a_per_point_reference(n, t_max, seed, same):
+    a, b = random_pair(n, 2, seed)
+    if same:
+        b = a
+    scan = mixing_scan(a, b, t_max)
+    residuals = walk._gauss_residuals([(a, b)], np.arange(t_max + 1))[0]
+    reference = []
+    for t, residual in enumerate(residuals.tolist()):
+        upper, lower = (1.0 - 1.0 / (2 * n)) ** t, 0.5 * (1.0 - 3.0 / n) ** t
+        reference.append(MixingPoint(t, 1.0 / n + residual, residual, upper, lower))
+    assert repr(scan.points) == repr(tuple(reference))  # repr tells -0.0 from 0.0
+    assert scan.upper_violations == tuple(
+        p.word_length for p in reference if scan.upper_applies and abs(p.residual) > p.upper_bound
+    )
+    assert scan.lower_violations == tuple(
+        p.word_length for p in reference if scan.lower_applies and p.residual < p.lower_bound
+    )
+
+
+def test_mixing_scan_counts_the_masks_once(monkeypatch):
+    a, b = random_pair(9, 2, 21)
+    calls, pair_counts = [], walk._pair_counts
+
+    def counted(pairs):
+        calls.append(len(pairs))
+        return pair_counts(pairs)
+
+    monkeypatch.setattr(walk, "_pair_counts", counted)
+    mixing_scan(a, b, 300)
+    assert calls == [1]
