@@ -26,7 +26,8 @@ Past :data:`JOINT_TABLE_ENTRIES` (from n = 25) machines walk alone, on
 the ``n * (1 + C(n, 2))`` moves.  Either way a batch gathers each walker's
 class of every symbol it reads in one pass, and one step of it is then one
 add and one ``take`` from a table of at most a few MB, for every walker at
-once.
+once.  A count of many batches prepares that table and every walker's
+classes once (:func:`_prepare_walk`) and walks each batch on them.
 
 Brute force (:func:`agreeing_inputs`) reads no words.  A pair's states walk
 the prefix tree of every word from each start ``(s, s)``, each machine on
@@ -52,9 +53,8 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,7 +68,6 @@ __all__ = [
     "agreeing_inputs",
     "build_family",
     "deserialize_family",
-    "index_dtype",
     "mask_stream",
     "min_alphabet_copies",
     "min_word_length",
@@ -85,12 +84,6 @@ GATHER_CHUNK = 1 << 14  # symbol classes gathered at once by run_words (128 kB)
 # largest joint table (4 MB, reached at n = 24) that run_words walks pairs on: a joint step
 # beats two steps on the moves up to about n = 28 and loses past it (n = 50: 1.5-1.9x, 70 MB)
 JOINT_TABLE_ENTRIES = 1 << 19
-
-
-def index_dtype(count: int) -> np.dtype:
-    """int32 when every index below ``count`` fits it (``count < 2**31``), else int64:
-    the dtype that sampled words and starts are drawn in (a run stores them narrower)."""
-    return np.dtype(np.int32 if count < 2**31 else np.int64)
 
 
 class FamilyFormatError(ValueError):
@@ -274,42 +267,46 @@ def _symbol_classes(a: Semiautomaton, b: Semiautomaton | None = None) -> np.ndar
     return np.where(kind > 0, swaps + kind, 0)
 
 
-# (the automata, paired, their class stack); holding the automata keeps their ids from reuse
-_KEPT: tuple[tuple[Semiautomaton, ...], bool, np.ndarray | None] = ((), False, None)
-_KEPT_LOCK = threading.Lock()  # the threads of one count build its stack once
+class _Walk(NamedTuple):
+    """A walk of ``count`` machines of one shape, prepared once (:func:`_prepare_walk`):
+    the step table and the read-only ``(A, W)`` class stack of its ``W`` walkers."""
+
+    n_states: int
+    alphabet_size: int
+    count: int
+    paired: bool
+    table: np.ndarray
+    classes: np.ndarray
 
 
-def _class_stack(machines: Sequence[Semiautomaton], paired: bool) -> np.ndarray:
-    """The ``(A, W)`` symbol classes of ``machines``, each alone or, with ``paired``,
-    two at a time with an odd last machine paired with itself.
-
-    A count reads the same machines over every run, so the last stack is
-    kept while later calls pass the same automata, walked the same way.
-    They are matched by identity, since a hash or an equality test would
-    read every mask.
-    """
-    global _KEPT
-    with _KEPT_LOCK:
-        held, held_paired, classes = _KEPT
-        if (held_paired != paired or len(held) != len(machines)
-                or any(h is not m for h, m in zip(held, machines))):
-            if paired:
-                last = len(machines) - 1
-                pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
-                classes = np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1)
-            else:
-                classes = np.stack([_symbol_classes(a) for a in machines], axis=1)
-            _KEPT = (tuple(machines), paired, classes)
-    return classes
+def _prepare_walk(machines: Sequence[Semiautomaton]) -> _Walk:
+    """The walk of ``machines``: each alone or, when :func:`_walks_pairs`, two at a time
+    with an odd last machine paired with itself.  Shapes that differ raise
+    ``SizeMismatchError``."""
+    if not machines:
+        raise ValueError("need at least one automaton")
+    _check_compatible(*machines)
+    n, size = machines[0].n_states, machines[0].alphabet_size
+    paired = _walks_pairs(n)
+    if paired:
+        last = len(machines) - 1
+        pairs = [(machines[i], machines[min(i + 1, last)]) for i in range(0, last + 1, 2)]
+        classes = np.stack([_symbol_classes(a, b) for a, b in pairs], axis=1)
+    else:
+        classes = np.stack([_symbol_classes(a) for a in machines], axis=1)
+    classes.setflags(write=False)
+    return _Walk(n, size, len(machines), paired, _step_codes(n, paired), classes)
 
 
 def run_words(
-    automata: Semiautomaton | Sequence[Semiautomaton], words: np.ndarray, starts: np.ndarray
+    automata: Semiautomaton | Sequence[Semiautomaton] | _Walk, words: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from
     ``starts[i]``, starts shaped (B,).  For one automaton the result is the
     (B,) final states; for a sequence of ``M`` automata of one shape it is
-    their (M, B) final states, row ``i`` the states of ``automata[i]``.
+    their (M, B) final states, row ``i`` the states of ``automata[i]``.  A
+    walk that :func:`_prepare_walk` made of such a sequence gives the same
+    states, without building its classes again.
 
     Starts of any other shape raise ``ValueError``, and automata of different
     shapes ``SizeMismatchError``.  Symbols and starts are range-checked once
@@ -321,19 +318,14 @@ def run_words(
     ``take`` from the step table, for every walker at once, and the final
     states are decoded once.
     """
-    machines = [automata] if isinstance(automata, Semiautomaton) else list(automata)
-    if not machines:
-        raise ValueError("need at least one automaton")
-    _check_compatible(*machines)
-    n, size = machines[0].n_states, machines[0].alphabet_size
+    walk = automata if isinstance(automata, _Walk) else _prepare_walk(
+        [automata] if isinstance(automata, Semiautomaton) else list(automata))
+    n, size, count, paired, table, classes = walk
     words, starts = np.asarray(words), np.asarray(starts)
     if starts.shape != words.shape[:1]:
         raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
     _check_range(starts, n, f"start state {{}} out of range for {n} states")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
-    paired = _walks_pairs(n)
-    table = _step_codes(n, paired)
-    classes = _class_stack(machines, paired)
     width = table.shape[0] // n ** (1 + paired)
     # a pair starts at joint state (s, s); codes are (B, W), and each step's classes too
     codes = np.repeat(starts.astype(np.intp)[:, None] * ((n + 1 if paired else 1) * width),
@@ -345,7 +337,7 @@ def run_words(
             codes = table.take(codes)
     states = (codes // width).T
     if paired:
-        states = np.stack(np.divmod(states, n), axis=1).reshape(2 * states.shape[0], -1)[: len(machines)]
+        states = np.stack(np.divmod(states, n), axis=1).reshape(2 * states.shape[0], -1)[:count]
     return states[0] if isinstance(automata, Semiautomaton) else states
 
 
@@ -440,16 +432,6 @@ def build_family(config: FamilyConfig) -> ShuffleFamily:
     return ShuffleFamily(config, tuple(members))
 
 
-def _copies_prefactor(n: int) -> float:
-    return 16 * (3 * n + 1) / (3 * (n - 1))
-
-
-def _copies_log_terms(n: int) -> float:
-    group_order = math.factorial(n)
-    pair_count = group_order * (group_order - 1) // 2
-    return n * math.log(n) + math.log(pair_count) + 2 * math.log(n - 1)
-
-
 def min_alphabet_copies(n: int) -> int:
     """Smallest alphabet-copy count meeting the spectral-gap guarantee.
 
@@ -458,7 +440,10 @@ def min_alphabet_copies(n: int) -> int:
     """
     if n < 4:
         raise ValueError(f"the copy threshold is defined for n >= 4, got {n}")
-    return math.ceil(_copies_prefactor(n) * _copies_log_terms(n))
+    group_order = math.factorial(n)
+    pair_count = group_order * (group_order - 1) // 2
+    log_terms = n * math.log(n) + math.log(pair_count) + 2 * math.log(n - 1)
+    return math.ceil(16 * (3 * n + 1) / (3 * (n - 1)) * log_terms)
 
 
 def min_word_length(n: int) -> int:

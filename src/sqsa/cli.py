@@ -46,6 +46,7 @@ from .automata import (
 from .sq import StatQuery, certify_sq_dimension, make_session, oracle_answer
 from .walk import (
     AGREEMENT_METHODS,
+    MixingPoint,
     agreement,
     expected_operator,
     expected_spectrum,
@@ -346,23 +347,13 @@ def _cmd_mixing(config: dict, jobs: int) -> bytes:
     if config["format"] == "json":
         result = {key: value for key, value in vars(scan).items() if key != "n_states"}
         result["points"] = _TABLE
-        fields = {"T" if name == "word_length" else name: name for name in vars(scan.points[0])}
+        fields = {"T" if name == "word_length" else name: name for name in MixingPoint._fields}
         keys = sorted(fields)
         row = operator.attrgetter(*(fields[key] for key in keys))
         values = [value for point in scan.points for value in row(point)]
         table = _table_text(keys, values, depth=2)
         return _json_payload(meta, result).replace(json.dumps(_TABLE).encode(), table.encode(), 1)
-    rows = [
-        [
-            str(point.word_length),
-            _float17(point.p_agree),
-            _float17(point.residual),
-            _float17(point.upper_bound),
-            _float17(point.lower_bound),
-            "spectral",
-        ]
-        for point in scan.points
-    ]
+    rows = [[str(t), *map(_float17, values), "spectral"] for t, *values in scan.points]
     header = ["T", "p_agree", "residual", "upper_bound", "lower_bound", "method"]
     return _csv_payload(meta, header, rows)
 

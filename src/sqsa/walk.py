@@ -28,12 +28,13 @@ on its own successor table, and expands a chunk of nodes breadth-first once
 the inputs below it number at most :data:`RUN_ELEMENTS`; the last symbol is
 read as one agreement bool per input.  Monte Carlo (and the sampled oracle)
 count over ``run_words`` (:func:`_count_agreements`): a run of consecutive
-strata is one word and one start per row, its words drawn int32 (below
-``2**31`` symbols), :data:`RUN_ELEMENTS` at a time, and stored in the
-narrowest unsigned dtype, at most :data:`RUN_BYTES` of them; every machine
-of a count walks a run in one ``run_words`` call.  Runs are counted on
-``jobs`` threads; brute force runs on one.  Counts are integers, so neither
-chunk or run sizes nor their order changes a result.
+strata is one word and one start per row, its words drawn int64,
+:data:`RUN_ELEMENTS` at a time, and stored in the narrowest unsigned dtype,
+at most :data:`RUN_BYTES` of them.  A count prepares the walk of all its
+machines once, on the calling thread, and every machine walks a run in one
+``run_words`` call on it.  Runs are counted on ``jobs`` threads; brute
+force runs on one.  Counts are integers, so neither chunk or run sizes nor
+their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -83,11 +84,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .automata import Semiautomaton, _check_compatible, agreeing_inputs, index_dtype, run_words
+from .automata import Semiautomaton, _check_compatible, _prepare_walk, agreeing_inputs, run_words
 from .perm import Permutation, all_transpositions
 from .symrep import Partition, char_ratio, irrep_dim, std_matrix
 
@@ -169,20 +170,17 @@ class WordDistribution:
         T = 0, in their dtype); a stratum over that runs alone.  Stratum ``s``
         draws its words, then its starts, from its own Philox substream, spawn
         key ``key + (s,)``, so no run depends on which worker makes it.  Words
-        are drawn row-major in ``index_dtype(n_symbols)``, at most
-        :data:`RUN_ELEMENTS` at a time, and starts in ``index_dtype(n_states)``;
-        a run stores both in the narrowest unsigned dtype that holds a value,
-        words ``(B, T)`` and starts ``(B,)`` in stratum order, one array each.
-        A stream gives the same values in pieces as in one call, and numpy
-        draws bounded int32 and int64 alike below 2**32, so neither the pieces
-        nor the dtypes change an input.
+        are drawn row-major in numpy's default int64, at most
+        :data:`RUN_ELEMENTS` at a time, and then starts; a run stores both in
+        the narrowest unsigned dtype that holds a value, words ``(B, T)`` and
+        starts ``(B,)`` in stratum order, one array each.  A stream gives the
+        same values in pieces as in one call, so the pieces change no input.
         """
         if samples < 1:
             raise ValueError("need at least one sample")
         base, extra = divmod(samples, SAMPLE_STRATA)
         # strata past the first ``samples`` would draw nothing
         counts = [base + (1 if s < extra else 0) for s in range(min(samples, SAMPLE_STRATA))]
-        symbol, state = index_dtype(self.n_symbols), index_dtype(self.n_states)
         stored = np.min_scalar_type(self.n_symbols - 1)
         piece = max(1, RUN_ELEMENTS // max(1, self.word_length))  # rows of one word draw
 
@@ -197,8 +195,8 @@ class WordDistribution:
                 low, high = high, high + counts[stratum]
                 for first in range(low, high, piece):
                     drawn = words[first : min(first + piece, high)]
-                    drawn[...] = rng.integers(0, self.n_symbols, drawn.shape, dtype=symbol)
-                starts[low:high] = rng.integers(0, self.n_states, high - low, dtype=state)
+                    drawn[...] = rng.integers(0, self.n_symbols, drawn.shape)
+                starts[low:high] = rng.integers(0, self.n_states, high - low)
             return words, starts
 
         firsts, inputs = [], 0
@@ -524,14 +522,16 @@ def _count_agreements(
 ) -> np.ndarray:
     """Inputs of ``runs`` on which each of ``others`` ends where ``reference`` does.
 
-    Each run of :meth:`WordDistribution.strata` is made and counted on one of
+    The walk of ``reference`` and ``others`` together is prepared once, on the
+    calling thread (shapes that differ raise ``SizeMismatchError`` here).  Each
+    run of :meth:`WordDistribution.strata` is then made and counted on one of
     ``jobs`` threads (a lone run on the calling thread), in one ``run_words``
-    walk of ``reference`` and ``others`` together.
+    call on that walk.
     """
-    automata = [reference, *others]
+    prepared = _prepare_walk([reference, *others])
 
     def count(run: Run) -> np.ndarray:
-        states = run_words(automata, *run())
+        states = run_words(prepared, *run())
         return np.count_nonzero(states[1:] == states[0], axis=1)
 
     if jobs > 1 and len(runs) > 1:
@@ -571,8 +571,8 @@ def agreement_monte_carlo(
 
     Samples are split over a fixed number of strata with independent
     counter-based substreams, so the result depends on ``(seed, samples)``
-    but not on ``jobs``.  Shapes that differ raise ``SizeMismatchError`` in
-    ``run_words``.
+    but not on ``jobs``.  Shapes that differ raise ``SizeMismatchError``
+    before the first run is drawn.
     """
     n = a.n_states
     runs = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
@@ -733,8 +733,7 @@ def fixed_point_fourier_check(n_states: int) -> FixedPointFourierReport:
     return FixedPointFourierReport(n_states, factor, rel_err, max_left, max_right, passed)
 
 
-@dataclass(frozen=True)
-class MixingPoint:
+class MixingPoint(NamedTuple):
     """One row of a mixing scan, with the closed-form decay envelopes."""
 
     word_length: int

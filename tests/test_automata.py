@@ -16,17 +16,14 @@ from sqsa.automata import (
     Semiautomaton,
     build_family,
     deserialize_family,
-    index_dtype,
     mask_stream,
     min_alphabet_copies,
     min_word_length,
     run_word,
     run_words,
     serialize_family,
-    _copies_prefactor,
 )
 from sqsa.perm import Permutation, SizeMismatchError, all_transpositions, compose
-from sqsa.walk import WordDistribution
 
 
 def all_ones(n, k=1):
@@ -184,12 +181,13 @@ def test_run_words_range_checks_narrow_integers_with_run_words_messages(dtype, w
     st.integers(0, 12),
     st.booleans(),
     st.booleans(),
+    st.sampled_from([np.int32, np.int64]),
     st.integers(0, 2**32 - 1),
 )
 @example(n=3, k=1, fills=["ones", "zeros", "same"], length=4, rows=3, time_major=False,
-         alone=False, seed=0)
+         alone=False, dtype=np.int64, seed=0)
 def test_run_words_on_a_sequence_stacks_each_automatons_states(
-    n, k, fills, length, rows, time_major, alone, seed
+    n, k, fills, length, rows, time_major, alone, dtype, seed
 ):
     rng = np.random.default_rng(seed)
     size, machines = k * n * (n - 1) // 2, []
@@ -202,10 +200,11 @@ def test_run_words_on_a_sequence_stacks_each_automatons_states(
         else:
             mask = {"ones": np.ones(size), "zeros": np.zeros(size)}.get(fill, rng.random(size) < 0.5)
         machines.append(Semiautomaton(n, k, mask.astype(bool)))
-    words = rng.integers(0, machines[0].alphabet_size, size=(rows, length))
+    # drawn int32 inputs, and int64 ones (past 2**31 symbols or states), run to the same states
+    words = rng.integers(0, machines[0].alphabet_size, size=(rows, length), dtype=dtype)
     if time_major:
-        words = np.ascontiguousarray(words.T, dtype=np.int32).T
-    starts = rng.integers(0, n, size=rows)
+        words = np.ascontiguousarray(words.T).T
+    starts = rng.integers(0, n, size=rows, dtype=dtype)
     # alone: no joint table fits, so every machine walks on the moves by itself
     budget = 0 if alone else automata.JOINT_TABLE_ENTRIES
     with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", budget):
@@ -231,6 +230,23 @@ def test_run_words_refuses_a_sequence_of_mixed_shapes():
     for starts in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64)):
         with pytest.raises(ValueError, match="shape"):
             run_words([a, b], words, starts)
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["paired", "alone"])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_a_prepared_walk_runs_like_its_machines(count, alone):
+    machines = build_family(FamilyConfig(5, 2, count, 0.5, 9)).members  # A = 20
+    rng = np.random.default_rng(count)
+    words, starts = rng.integers(0, 20, size=(50, 9)), rng.integers(0, 5, 50)
+    with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES):
+        prepared = automata._prepare_walk(machines)
+        assert prepared.paired is not alone and not prepared.classes.flags.writeable
+        states = run_words(prepared, words, starts)
+        assert np.array_equal(states, run_words(machines, words, starts))
+    assert states.shape == (count, 50)  # one row a machine, an odd last one paired with itself
+    words[3, 4] = 20
+    with pytest.raises(ValueError, match="symbol 20 out of range"):  # every run is range-checked
+        run_words(prepared, words, starts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,31 +335,6 @@ def test_one_symbol_brute_count_reads_its_symbols_in_budget_sized_slices():
     assert agreed == np.count_nonzero(states[0] == states[1])
 
 
-def test_one_index_dtype_rule_for_words_and_starts(monkeypatch):
-    assert index_dtype(2**31 - 1) == np.int32 and index_dtype(2**31) == np.int64
-    asked = []
-
-    def spy(count):
-        asked.append(count)
-        return index_dtype(count)
-
-    monkeypatch.setattr(automata, "index_dtype", spy)
-    monkeypatch.setattr(walk, "index_dtype", spy)
-    machines = build_family(FamilyConfig(4, 2, 3, 0.5, 6)).members  # A = 12
-    (run,) = WordDistribution(4, 12, 7).strata(20, 6)
-    words, starts = run()
-    assert sorted(asked) == [4, 12]  # the drawn dtypes: n states, A symbols
-    assert words.dtype == starts.dtype == np.uint8  # stored narrow once drawn
-    asked.clear()
-    states = run_words(machines, words, starts)
-    assert asked == []  # the walk reads its tables in intp
-    expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
-    assert np.array_equal(states, expected)
-    # drawn int32 inputs, and int64 ones (past 2**31 symbols or states), run to the same states
-    for dtype in (np.int32, np.int64):
-        assert np.array_equal(run_words(machines, words.astype(dtype), starts.astype(dtype)), states)
-
-
 def test_past_the_joint_table_budget_machines_walk_alone_in_little_memory():
     # n = 50: a joint table would hold 9.2M codes (74 MB); the moves hold 61k
     assert automata._walks_pairs(24) and not automata._walks_pairs(25)
@@ -359,19 +350,6 @@ def test_past_the_joint_table_budget_machines_walk_alone_in_little_memory():
     assert peak < 8 * 2**20
     expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
     assert np.array_equal(states, expected)
-
-
-def test_kept_tables_are_matched_by_identity():
-    rng = np.random.default_rng(4)
-    words, starts = rng.integers(0, 12, size=(30, 5)), rng.integers(0, 4, 30)
-    for seed in range(20):  # a dropped automaton's id is often the next one's
-        machine = Semiautomaton(4, 2, np.random.default_rng(seed).random(12) < 0.5)
-        expected = [run_word(machine, list(w), int(s)) for w, s in zip(words, starts)]
-        for _ in range(2):  # built, then kept
-            assert np.array_equal(run_words(machine, words, starts), expected)
-        del machine
-    kept, _, _ = automata._KEPT
-    assert len(kept) == 1  # the last automaton, held with its stack
 
 
 @settings(max_examples=30)
@@ -501,11 +479,6 @@ def test_min_copies_value_and_extended_precision():
 def test_min_copies_monotone():
     values = [min_alphabet_copies(n) for n in range(4, 9)]
     assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_min_copies_zero_bracket_wiring():
-    # the threshold is linear in the bracketed log terms
-    assert math.ceil(_copies_prefactor(4) * 0.0) == 0
 
 
 def test_min_copies_domain():

@@ -250,7 +250,7 @@ def test_mixing_json_points_keep_the_stdlib_bytes(tmp_path, family_file, monkeyp
     assert run_cli(argv) == 0
     result = {key: value for key, value in vars(scan).items() if key != "n_states"}
     result["points"] = [
-        {"T" if key == "word_length" else key: value for key, value in vars(point).items()}
+        {"T" if key == "word_length" else key: value for key, value in point._asdict().items()}
         for point in scan.points
     ]
     meta = json.loads(out.read_text())["meta"]

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +14,7 @@ from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabe
 from sqsa.perm import SizeMismatchError
 from sqsa.sq import (
     CorrelationEstimate,
+    OracleSession,
     StatQuery,
     certify_sq_dimension,
     elimination_bound,
@@ -20,7 +23,7 @@ from sqsa.sq import (
     pairwise_correlation,
     query_lower_bound,
 )
-from sqsa.walk import WordDistribution, agreement_brute_force, agreement_exact
+from sqsa.walk import WordDistribution, agreement_brute_force, agreement_exact, agreement_monte_carlo
 
 
 def family_pair(n, k, seed, m=2):
@@ -358,6 +361,29 @@ def test_sampled_query_with_no_survivors_left():
     record = session.ledger[-1]
     assert record.method == "monte-carlo"
     assert record.survivor_count == 0 and record.max_stderr is None
+
+
+def test_sampled_counts_keep_no_machine_alive(monkeypatch):
+    # two machines outside a family: once a Monte Carlo count and a sampled session are done
+    # with them and they are dropped, nothing in the package holds them or their class stacks
+    prepare, stacks = walk._prepare_walk, []
+
+    def spy(machines):
+        prepared = prepare(machines)
+        stacks.append(weakref.ref(prepared.classes))
+        return prepared
+
+    monkeypatch.setattr(walk, "_prepare_walk", spy)
+    rng = np.random.default_rng(12)
+    a, b = (Semiautomaton(4, 2, rng.random(12) < 0.5) for _ in range(2))
+    agreement_monte_carlo(a, b, 5, samples=300, seed=2)
+    session = OracleSession((a, b), WordDistribution(4, 12, 5), 0.3, seed=2, mc_samples=300)
+    oracle_answer(session, StatQuery("state-agreement", {"member": 0}))
+    assert session.ledger[-1].method == "monte-carlo" and len(stacks) == 2
+    held = [weakref.ref(a), weakref.ref(b), *stacks]
+    del a, b, session
+    gc.collect()
+    assert [ref() for ref in held] == [None] * 4
 
 
 def test_merged_draws_change_no_session(monkeypatch):

@@ -505,8 +505,8 @@ def test_merged_draws_change_no_count(monkeypatch):
 
 
 def test_a_count_stacks_its_tables_once(monkeypatch):
-    # each walker's classes are built once per count, not once per run, and the kept
-    # tables are matched by identity: no mask is hashed or compared
+    # each walker's classes are built once per count, not once per run, and no mask
+    # is hashed or compared
     family = build_family(FamilyConfig(4, 2, 5, 0.5, 3))
     reference, others = family.members[0], family.members[1:]
     position = {id(member): i for i, member in enumerate(family.members)}
@@ -526,7 +526,6 @@ def test_a_count_stacks_its_tables_once(monkeypatch):
     runs = WordDistribution(4, 12, 6).strata(20_000, 1)
     assert len(runs) == 32
     for jobs in (1, 2):
-        monkeypatch.setattr(automata, "_KEPT", ((), False, None))
         built.clear()
         walk._count_agreements(reference, others, runs, jobs=jobs)
         assert built == [(0, 1), (2, 3), (4, 4)]  # the walk's pairs, an odd last one with itself
@@ -539,8 +538,7 @@ def test_monte_carlo_peak_memory_at_the_benchmark_shape(monkeypatch):
     # count peaked at 2 864 059 traced bytes (numpy 2.4.6); runs of several strata,
     # stored two bytes a symbol, must not need more.
     a, b = build_family(FamilyConfig(8, min_alphabet_copies(8), 2, 0.5, 0)).members
-    monkeypatch.setattr(automata, "_KEPT", ((), False, None))  # the count builds its classes
-    automata._step_codes.cache_clear()  # and its step table
+    automata._step_codes.cache_clear()  # the count builds its step table
     tracemalloc.start()
     try:
         agreement_monte_carlo(a, b, 170, 100_000, 0, jobs=1)
