@@ -302,11 +302,11 @@ def run_words(
     automata: Semiautomaton | Sequence[Semiautomaton] | _Walk, words: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from
-    ``starts[i]``, starts shaped (B,).  For one automaton the result is the
-    (B,) final states; for a sequence of ``M`` automata of one shape it is
-    their (M, B) final states, row ``i`` the states of ``automata[i]``.  A
-    walk that :func:`_prepare_walk` made of such a sequence gives the same
-    states, without building its classes again.
+    ``starts[i]``, starts (B,), or from each of its S starts, (B, S).  One
+    automaton gives (B,) or (B, S) final states, a sequence of ``M`` of one
+    shape (M, B) or (M, B, S), row ``i`` those of ``automata[i]``; a walk that
+    :func:`_prepare_walk` made of such a sequence gives the same states,
+    without building its classes again.
 
     Starts of any other shape raise ``ValueError``, and automata of different
     shapes ``SizeMismatchError``.  Symbols and starts are range-checked once
@@ -314,30 +314,33 @@ def run_words(
     their joint chain, an odd last one (or a lone automaton) paired with
     itself, or alone past :data:`JOINT_TABLE_ENTRIES`.  One pass over the
     words gathers each walker's class of every symbol, :data:`GATHER_CHUNK`
-    classes at a time; each symbol position then costs one add and one
-    ``take`` from the step table, for every walker at once, and the final
-    states are decoded once.
+    classes at a time, once per word whatever S; each symbol position then
+    costs one add and one ``take`` from the step table, for every walker and
+    start at once, and the final states are decoded once.
     """
     walk = automata if isinstance(automata, _Walk) else _prepare_walk(
         [automata] if isinstance(automata, Semiautomaton) else list(automata))
     n, size, count, paired, table, classes = walk
     words, starts = np.asarray(words), np.asarray(starts)
-    if starts.shape != words.shape[:1]:
+    if starts.ndim not in (1, 2) or starts.shape[:1] != words.shape[:1]:
         raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
     _check_range(starts, n, f"start state {{}} out of range for {n} states")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
-    width = table.shape[0] // n ** (1 + paired)
-    # a pair starts at joint state (s, s); codes are (B, W), and each step's classes too
-    codes = np.repeat(starts.astype(np.intp)[:, None] * ((n + 1 if paired else 1) * width),
-                      classes.shape[1], axis=1)
-    span = max(1, GATHER_CHUNK // max(1, codes.size))
+    rows, walkers, width = words.shape[0], classes.shape[1], table.shape[0] // n ** (1 + paired)
+    # a pair starts at joint state (s, s); codes are (S, B, W): a step's (B, W) classes add to S blocks
+    sources = (starts.T if starts.ndim == 2 else starts[None]).astype(np.intp)  # (S, B)
+    codes = np.repeat(sources[:, :, None] * ((n + 1 if paired else 1) * width), walkers, axis=2)
+    span = max(1, GATHER_CHUNK // max(1, rows * walkers))
     for low in range(0, words.shape[1], span):
         for step in classes.take(words[:, low : low + span].T, axis=0):
             np.add(codes, step, out=codes)
             codes = table.take(codes)
-    states = (codes // width).T
-    if paired:
-        states = np.stack(np.divmod(states, n), axis=1).reshape(2 * states.shape[0], -1)[:count]
+    states = np.floor_divide(codes, width, out=codes).transpose(2, 1, 0)  # (W, B, S)
+    if paired:  # joint state s_a * n + s_b: walker w holds machines 2w and 2w + 1
+        joint, states = states, np.empty((walkers, 2, *states.shape[1:]), np.intp)
+        np.divmod(joint, n, out=(states[:, 0], states[:, 1]))
+        states = states.reshape(2 * walkers, *joint.shape[1:])[:count]
+    states = states if starts.ndim == 2 else states[..., 0]
     return states[0] if isinstance(automata, Semiautomaton) else states
 
 

@@ -75,7 +75,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "members": (str, "0,1", "pair of member indices, e.g. 0,1"),
         "t": (int, 10, "word length"),
         "method": (tuple(AGREEMENT_METHODS), "spectral", None),
-        "samples": (int, 100_000, "Monte Carlo samples"),
+        "samples": (int, 100_000, "Monte Carlo inputs: ceil(samples/n) words, each read from all n starts"),
         "seed": (int, 0, "Monte Carlo seed"),
     },
     "spectrum": {
@@ -104,7 +104,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "t": (int, 10, "word length"),
         "tau": (float, 0.1, "query tolerance"),
         "seed": (int, 0, "session seed for sampled statistics"),
-        "samples": (int, None, "Monte Carlo samples per query; omit for exact answers"),
+        "samples": (int, None, "Monte Carlo inputs per query (words read from all n starts); omit for exact"),
         "queries": (str, _UNSET, "JSON file: list of {builtin, params}"),
     },
 }

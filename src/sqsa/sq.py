@@ -32,10 +32,10 @@ eliminate anyone.  A survivor's centered ``state-agreement`` statistic
 is its agreement residual with the reference member, ``p_agree - 1/n``.
 A session with ``mc_samples=None`` takes every residual exactly, by the
 Lanczos-Gauss rule at any word length, and its ledger says ``exact``.
-A session with ``mc_samples`` set counts agreements on that many
-stratified samples per query, and its ledger says ``monte-carlo``, with
-``max_stderr`` the largest standard error over the survivors (None when
-the query sampled nothing).
+A session with ``mc_samples`` set counts agreements on that many inputs
+per query, stratified words each read from every start, and its ledger
+says ``monte-carlo``, with ``max_stderr`` the largest standard error over
+the survivors (None when the query sampled nothing).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .automata import Semiautomaton, ShuffleFamily
-from .walk import WordDistribution, _count_agreements, _gauss_residuals, agreement
+from .walk import WordDistribution, _gauss_residuals, _sampled_agreement, agreement
 
 __all__ = [
     "BUILTIN_PARAMS",
@@ -198,8 +198,8 @@ class QueryRecord:
 class OracleSession:
     """Mutable session state: candidate concepts, distribution, tolerance, ledger.
 
-    ``mc_samples=None`` answers every query exactly; a sample count makes
-    each ``state-agreement`` query sample that many inputs.
+    ``mc_samples=None`` answers every query exactly; a sample count makes each
+    ``state-agreement`` query read that many inputs, words from every start.
     """
 
     concepts: tuple[Semiautomaton, ...]
@@ -296,11 +296,12 @@ def oracle_answer(session: OracleSession, query: StatQuery, jobs: int = 1) -> fl
     ``state-agreement`` an exact session (``mc_samples=None``) takes each
     survivor's agreement residual with the reference from one batched
     Lanczos-Gauss run; a sampled session counts agreements on
-    ``mc_samples`` stratified inputs (substream key ``(query_id,)``) on
-    ``jobs`` threads, which change no count, and eliminates conservatively,
-    at ``tolerance + 4 * stderr``.  Ties at the tolerance are kept, never
-    eliminated.  Params that are missing, unknown or of the wrong type
-    raise ``ValueError``.
+    ``mc_samples`` inputs, stratified words each read from every start
+    (substream key ``(query_id,)``), on ``jobs`` threads, which change no
+    count, and eliminates conservatively, at ``tolerance + 4 * stderr``
+    (the per-word standard error of ``walk._sampled_agreement``).  Ties at
+    the tolerance are kept, never eliminated.  Params that are missing,
+    unknown or of the wrong type raise ``ValueError``.
     """
     if query.builtin not in BUILTIN_PARAMS:
         raise ValueError(f"unknown built-in query {query.builtin!r}")
@@ -314,10 +315,9 @@ def oracle_answer(session: OracleSession, query: StatQuery, jobs: int = 1) -> fl
             pairs = [(survivor, reference) for survivor in survivors]
             residuals = _gauss_residuals(pairs, [dist.word_length])[:, 0]
         else:
-            runs = dist.strata(samples, session.seed, (len(session.ledger),))
-            p_agree = _count_agreements(reference, survivors, runs, jobs) / samples
+            key = (len(session.ledger),)
+            p_agree, stderr = _sampled_agreement(reference, survivors, dist, samples, session.seed, key, jobs)
             residuals = p_agree - 1.0 / dist.n_states
-            stderr = np.sqrt(p_agree * (1.0 - p_agree) / samples)
     slack = 0.0 if stderr is None else 4.0 * stderr
     dead = np.abs(residuals) > session.tolerance + slack
     eliminated = tuple(i for i, out in zip(session.survivors, dead) if out)

@@ -19,8 +19,8 @@ report names its route with a label:
 - ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
 - ``brute`` (label ``brute-force``): every (word, start) input, on the
   pair's prefix tree (``automata.agreeing_inputs``), giving an exact rational;
-- ``mc`` (label ``monte-carlo``): the stratified samples of
-  :meth:`WordDistribution.strata`, with a standard error.
+- ``mc`` (label ``monte-carlo``): stratified words, each read from every
+  start (:func:`_sampled_agreement`), with a standard error.
 
 Both input routes count agreements as integers.  Brute force walks the
 pair's states down the prefix tree of every word, depth-first, each machine
@@ -28,13 +28,12 @@ on its own successor table, and expands a chunk of nodes breadth-first once
 the inputs below it number at most :data:`RUN_ELEMENTS`; the last symbol is
 read as one agreement bool per input.  Monte Carlo (and the sampled oracle)
 count over ``run_words`` (:func:`_count_agreements`): a run of consecutive
-strata is one word and one start per row, its words drawn int64,
-:data:`RUN_ELEMENTS` at a time, and stored in the narrowest unsigned dtype,
-at most :data:`RUN_BYTES` of them.  A count prepares the walk of all its
-machines once, on the calling thread, and every machine walks a run in one
-``run_words`` call on it.  Runs are counted on ``jobs`` threads; brute
-force runs on one.  Counts are integers, so neither chunk or run sizes nor
-their order changes a result.
+strata is one word per row, drawn int64, :data:`RUN_ELEMENTS` at a time, and
+stored in the narrowest unsigned dtype.  A count prepares the walk of all its
+machines once, on the calling thread, and every machine walks a run from
+every start in one ``run_words`` call on it.  Runs are counted on ``jobs``
+threads; brute force runs on one.  Counts are integers, so neither chunk or
+run sizes nor their order changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -120,7 +119,7 @@ MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
 BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
 RUN_ELEMENTS = 1 << 16  # per machine, entries of brute force's largest array; words of one strata draw
-RUN_BYTES = 3 << 19  # bytes (1.5 MB) of a strata run's stored words
+RUN_BYTES = 3 << 19  # bytes (1.5 MB) of a strata run's stored words and its walk
 KRYLOV_ELEMENTS = 1 << 20  # first Lanczos basis entries (pairs x min(steps, 16) x n^2) per chunk;
 # past 16 steps the basis doubles over the pairs still running only: running x steps x n^2 at most
 COUNT_ELEMENTS = 1 << 24  # mask bits, over all members, of one block of copies in _pair_counts
@@ -144,8 +143,8 @@ class BruteForceGuardError(ValueError):
         )
 
 
-# () -> (words (B, T), starts (B,)): row i runs from starts[i]
-Run = Callable[[], tuple[np.ndarray, np.ndarray]]
+# () -> words (B, T), each row read from every start
+Run = Callable[[], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -163,48 +162,43 @@ class WordDistribution:
     def n_inputs(self) -> int:
         return self.n_symbols**self.word_length * self.n_states
 
-    def strata(self, samples: int, seed: int, key: tuple[int, ...] = ()) -> list[Run]:
-        """``samples`` inputs over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
+    def strata(self, words: int, seed: int, key: tuple[int, ...] = ()) -> list[Run]:
+        """``words`` words over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
 
-        A run's words take at most :data:`RUN_BYTES` (rows x T, or rows when
-        T = 0, in their dtype); a stratum over that runs alone.  Stratum ``s``
-        draws its words, then its starts, from its own Philox substream, spawn
-        key ``key + (s,)``, so no run depends on which worker makes it.  Words
-        are drawn row-major in numpy's default int64, at most
-        :data:`RUN_ELEMENTS` at a time, and then starts; a run stores both in
-        the narrowest unsigned dtype that holds a value, words ``(B, T)`` and
-        starts ``(B,)`` in stratum order, one array each.  A stream gives the
-        same values in pieces as in one call, so the pieces change no input.
+        A run's words and its walk from every start, ``rows x (T x itemsize + 16 n)``
+        bytes, take at most :data:`RUN_BYTES`; a stratum over that runs alone.
+        Stratum ``s`` draws its words from its own Philox substream, spawn key
+        ``key + (s,)``, so no run depends on which worker makes it.  Words are
+        drawn row-major in numpy's default int64, at most :data:`RUN_ELEMENTS` at
+        a time, and stored ``(B, T)`` in the narrowest unsigned dtype: a stream
+        gives the same values in pieces as in one call, so pieces change no word.
         """
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        base, extra = divmod(samples, SAMPLE_STRATA)
-        # strata past the first ``samples`` would draw nothing
-        counts = [base + (1 if s < extra else 0) for s in range(min(samples, SAMPLE_STRATA))]
+        if words < 1:
+            raise ValueError("need at least one word")
+        base, extra = divmod(words, SAMPLE_STRATA)
+        # strata past the first ``words`` would draw nothing
+        counts = [base + (1 if s < extra else 0) for s in range(min(words, SAMPLE_STRATA))]
         stored = np.min_scalar_type(self.n_symbols - 1)
         piece = max(1, RUN_ELEMENTS // max(1, self.word_length))  # rows of one word draw
 
-        def run(strata: range) -> tuple[np.ndarray, np.ndarray]:
-            rows = sum(counts[stratum] for stratum in strata)
-            words = np.empty((rows, self.word_length), stored)
-            starts = np.empty(rows, np.min_scalar_type(self.n_states - 1))
+        def run(strata: range) -> np.ndarray:
+            out = np.empty((sum(counts[stratum] for stratum in strata), self.word_length), stored)
             high = 0
             for stratum in strata:
                 sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
                 rng = np.random.Generator(np.random.Philox(sequence))
                 low, high = high, high + counts[stratum]
                 for first in range(low, high, piece):
-                    drawn = words[first : min(first + piece, high)]
+                    drawn = out[first : min(first + piece, high)]
                     drawn[...] = rng.integers(0, self.n_symbols, drawn.shape)
-                starts[low:high] = rng.integers(0, self.n_states, high - low)
-            return words, starts
+            return out
 
-        firsts, inputs = [], 0
+        firsts, rows, row_bytes = [], 0, self.word_length * stored.itemsize + 16 * self.n_states
         for stratum, count in enumerate(counts):
-            inputs += count
-            if not firsts or inputs * max(1, self.word_length) * stored.itemsize > RUN_BYTES:
+            rows += count
+            if not firsts or rows * row_bytes > RUN_BYTES:
                 firsts.append(stratum)
-                inputs = count
+                rows = count
         bounds = itertools.pairwise(firsts + [len(counts)])
         return [functools.partial(run, range(low, high)) for low, high in bounds]
 
@@ -520,24 +514,46 @@ def _gauss_chunk(
 def _count_agreements(
     reference: Semiautomaton, others: Sequence[Semiautomaton], runs: Sequence[Run], jobs: int
 ) -> np.ndarray:
-    """Inputs of ``runs`` on which each of ``others`` ends where ``reference`` does.
+    """``(sum c, sum c^2)`` of each of ``others``, ``(2, M)`` int64, over the words of
+    ``runs``: ``c`` counts the starts of a word from which it ends where ``reference`` does.
 
     The walk of ``reference`` and ``others`` together is prepared once, on the
     calling thread (shapes that differ raise ``SizeMismatchError`` here).  Each
     run of :meth:`WordDistribution.strata` is then made and counted on one of
     ``jobs`` threads (a lone run on the calling thread), in one ``run_words``
-    call on that walk.
+    call on that walk from all ``n`` starts.
     """
-    prepared = _prepare_walk([reference, *others])
+    prepared, n = _prepare_walk([reference, *others]), reference.n_states
 
     def count(run: Run) -> np.ndarray:
-        states = run_words(prepared, *run())
-        return np.count_nonzero(states[1:] == states[0], axis=1)
+        words = run()
+        states = run_words(prepared, words, np.broadcast_to(np.arange(n), (words.shape[0], n)))
+        agreed = np.count_nonzero(states[1:] == states[0], axis=2)
+        return np.stack([agreed.sum(axis=1), (agreed * agreed).sum(axis=1)])
 
     if jobs > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return sum(pool.map(count, runs))
     return sum(map(count, runs))
+
+
+def _sampled_agreement(
+    reference: Semiautomaton, others: Sequence[Semiautomaton], dist: WordDistribution,
+    samples: int, seed: int, key: tuple[int, ...], jobs: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``p_agree`` of each of ``others`` with ``reference``, and its standard error, on
+    ``samples`` inputs: ``words = max(2, ceil(samples / n))`` strata words, each read
+    from all ``n`` starts.  A word agreeing on ``c`` starts gives ``c / n``, its
+    chance of agreement (Rao-Blackwellised: Casella & Robert, 1996), so
+    ``p = sum c / (words n)`` and the standard error is ``sqrt(var_w / words)``,
+    ``var_w = (sum c^2 - (sum c)^2 / words) / (words - 1) / n^2``, in exact integers.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    n, words = dist.n_states, max(2, -(-samples // dist.n_states))
+    total, squares = _count_agreements(reference, others, dist.strata(words, seed, key), jobs).tolist()
+    spread = np.array([words * q - c * c for c, q in zip(total, squares)], dtype=float)
+    return np.array(total) / (words * n), np.sqrt(spread / (words * words * (words - 1))) / n
 
 
 def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
@@ -560,27 +576,20 @@ def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) 
 
 
 def agreement_monte_carlo(
-    a: Semiautomaton,
-    b: Semiautomaton,
-    word_length: int,
-    samples: int,
-    seed: int,
-    jobs: int = 1,
+    a: Semiautomaton, b: Semiautomaton, word_length: int, samples: int, seed: int, jobs: int = 1
 ) -> AgreementReport:
-    """Unbiased sampled estimate with stderr ``sqrt(p(1-p)/samples)``.
+    """Unbiased estimate on ``samples`` inputs, sampled words each read from every start,
+    with the standard error of :func:`_sampled_agreement`.
 
-    Samples are split over a fixed number of strata with independent
+    Words are split over a fixed number of strata with independent
     counter-based substreams, so the result depends on ``(seed, samples)``
     but not on ``jobs``.  Shapes that differ raise ``SizeMismatchError``
     before the first run is drawn.
     """
     n = a.n_states
-    runs = WordDistribution(n, a.alphabet_size, word_length).strata(samples, seed)
-    p_agree = int(_count_agreements(a, [b], runs, jobs)[0]) / samples
-    stderr = math.sqrt(p_agree * (1.0 - p_agree) / samples)
-    return AgreementReport(
-        n, word_length, p_agree, p_agree - 1.0 / n, "monte-carlo", stderr=stderr
-    )
+    dist = WordDistribution(n, a.alphabet_size, word_length)
+    p_agree, stderr = (float(x[0]) for x in _sampled_agreement(a, [b], dist, samples, seed, (), jobs))
+    return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "monte-carlo", stderr=stderr)
 
 
 # key -> route, called as (a, b, word_length, samples, seed, jobs); the lambdas

@@ -145,11 +145,13 @@ def test_run_words_range_checked_like_run_word(symbol, start):
 def test_run_words_refuses_starts_not_one_per_word(length):
     automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]
     words = np.zeros((3, length), dtype=np.int64)
-    # (B, B) would broadcast against each symbol column; (B + 1,) would not run at T = 0
-    for starts in (np.zeros((3, 3), dtype=np.int64), np.zeros(4, dtype=np.int64)):
-        with pytest.raises(ValueError, match="shape") as raised:
-            run_words(automaton, words, starts)
-        assert str(starts.shape) in str(raised.value) and str(words.shape) in str(raised.value)
+    # neither (B,) nor (B, S): 3-D, 0-D, or a first axis other than B (which T = 0 would not read)
+    for shape in ((3, 3, 1), (4,), (4, 3), (2, 3), ()):
+        starts = np.zeros(shape, dtype=np.int64)
+        for machines in (automaton, [automaton, automaton]):
+            with pytest.raises(ValueError, match="shape") as raised:
+                run_words(machines, words, starts)
+            assert str(starts.shape) in str(raised.value) and str(words.shape) in str(raised.value)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
@@ -218,6 +220,42 @@ def test_run_words_on_a_sequence_stacks_each_automatons_states(
     assert np.array_equal(run_words(machines[:1], words, starts), alone[None])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    k=st.integers(1, 2),
+    machines=st.integers(1, 3),
+    length=st.integers(0, 6),
+    rows=st.integers(0, 6),
+    starts=st.integers(0, 7),
+    alone=st.booleans(),
+    single=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=1, machines=2, length=3, rows=0, starts=3, alone=False, single=False, seed=0)
+@example(n=3, k=1, machines=3, length=0, rows=0, starts=0, alone=True, single=False, seed=0)
+def test_run_words_from_every_start_equals_run_word(
+    n, k, machines, length, rows, starts, alone, single, seed
+):
+    # (B, S) starts: row i runs from each of starts[i]; B = 0 and S = 0 included
+    family = build_family(FamilyConfig(n, k, machines, 0.5, seed)).members
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, family[0].alphabet_size, size=(rows, length))
+    sources = rng.integers(0, n, size=(rows, starts))
+    walkers = family[0] if single else family
+    with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES):
+        assert automata._walks_pairs(n) is not alone
+        states = run_words(walkers, words, sources)
+        each = [run_words(walkers, words, sources[:, s]) for s in range(starts)]  # (B,) starts
+    expected = np.array(
+        [[[run_word(m, list(w), int(s)) for s in row] for w, row in zip(words, sources)] for m in family]
+    ).reshape(machines, rows, starts)
+    assert states.shape == ((rows, starts) if single else (machines, rows, starts))
+    assert np.array_equal(states, expected[0] if single else expected)
+    for s, column in enumerate(each):
+        assert np.array_equal(column, states[..., s])
+
+
 def test_run_words_refuses_a_sequence_of_mixed_shapes():
     a, b = build_family(FamilyConfig(4, 1, 2, 0.5, 1)).members
     other = build_family(FamilyConfig(3, 2, 1, 0.5, 1)).members[0]  # the same A = 6
@@ -227,7 +265,7 @@ def test_run_words_refuses_a_sequence_of_mixed_shapes():
     assert "(4, 1)" in str(raised.value) and "(3, 2)" in str(raised.value)
     with pytest.raises(ValueError, match="at least one"):
         run_words([], words, starts)
-    for starts in (np.zeros((2, 2), dtype=np.int64), np.zeros(3, dtype=np.int64)):
+    for starts in (np.zeros((2, 2, 1), dtype=np.int64), np.zeros(3, dtype=np.int64)):
         with pytest.raises(ValueError, match="shape"):
             run_words([a, b], words, starts)
 

@@ -570,12 +570,15 @@ def test_jobs_below_one_rejected(family_file, capsys, jobs):
 # SHA-256 of each output, taken before the input runs and the flag table were
 # rewritten.  None of these outputs prints a Lanczos or LAPACK float, so the
 # bytes are the same on every platform; relative paths keep meta.config so too.
+# mc.json and sampled.jsonl were retaken when Monte Carlo began reading every
+# start of ceil(samples / n) words, with the per-word standard error; the
+# other four are unchanged since.
 GOLDEN_SHA256 = {
     "family.sqsa": "60d93bbae4c96254488924eee310b99b6dd58c0fc23ff56c6613fe138f6977ae",
     "brute.json": "f4cb4afb530189e62692d999098dd866af70c63d610681edccc8e916831b84ba",
-    "mc.json": "66e548dade58fdd3f91f7588301ce7ce4d07fd752ae7997d304f5cadac204f86",
+    "mc.json": "5cffd7c3759e5e2edabfe7be9498ccb7e8553048b4b406c829b1996d165ff6d1",
     "exact.jsonl": "869de488f690a869ea506ffb48bfb13aed843ff5b811064de81c6fefb70d43cf",
-    "sampled.jsonl": "52009978d79a757ad53a4ad956a4a1896c7e842f6ae696b91bb87ee2ba0fb9cb",
+    "sampled.jsonl": "ce776c5172db0ea2376dfe294b5e6f0350a044152980f77210f950f16f4744a1",
     "config.json.out": "a2a1f682794471f71811f1b8fef5c816d77aaa50a60c9a783125fa0478a0fc9d",
 }
 
@@ -596,7 +599,7 @@ def test_outputs_of_the_exact_routes_keep_their_bytes(tmp_path, monkeypatch):
     commands = {
         "family.sqsa": ["family", "--n", "4", "--k", "3", "--m", "6", "--seed", "11"],
         "brute.json": ["pagree", *common, "--t", "4", "--method", "brute"],
-        # 20 000 samples at T=6 fill two runs of strata
+        # 20 000 samples at T=6: 5000 words, each read from all 4 starts
         "mc.json": ["pagree", *common, "--t", "6", "--method", "mc", "--samples", "20000"],
         "exact.jsonl": ["oracle", *common, "--t", "5", "--tau", "0.3", "--queries", "queries.json"],
         "sampled.jsonl": [

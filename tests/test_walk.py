@@ -390,70 +390,70 @@ def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
     k=st.integers(1, 2),
     machines=st.integers(1, 5),
     t=st.sampled_from([0, 1, 2, 7]),
-    samples=st.integers(0, 4).flatmap(lambda q: st.integers(64 * q + 1, 64 * q + 63)),
-    run_bytes=st.sampled_from([0, 10, 40, 1 << 21]),
+    words=st.integers(0, 2).flatmap(lambda q: st.integers(64 * q + 1, 64 * q + 63)),
+    run_bytes=st.sampled_from([0, 50, 200, 1 << 21]),
     alone=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_count_equals_run_word_per_input(n, k, machines, t, samples, run_bytes, alone, seed):
-    # every stratum over the budget (0), some over it (10 bytes: two words of T=7 are 14), runs
-    # of a few strata and of all of them; walkers in pairs or alone
+def test_batched_count_equals_run_word_per_input(n, k, machines, t, words, run_bytes, alone, seed):
+    # every stratum over the budget (0), some over it (50 bytes: a word of T=7 at n=3 is 55),
+    # runs of a few strata and of all of them; walkers in pairs or alone.  Each word is read
+    # from every start, and a machine's counts are (sum c, sum c^2) over the words, c its
+    # agreeing starts of a word
     family = build_family(FamilyConfig(n, k, machines, 0.5, seed))
     reference, rest = family.members[0], family.members[1:]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "RUN_BYTES", run_bytes)
         patch.setattr(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES)
         assert automata._walks_pairs(n) is not alone
-        runs = WordDistribution(n, reference.alphabet_size, t).strata(samples, seed)
-        inputs = [(list(w), int(s)) for run in runs for w, s in zip(*run())]
-        assert len(inputs) == samples
-        expected = [sum(run_word(reference, w, s) == run_word(other, w, s) for w, s in inputs)
-                    for other in rest]
+        runs = WordDistribution(n, reference.alphabet_size, t).strata(words, seed)
+        drawn = [list(w) for run in runs for w in run()]
+        assert len(drawn) == words
+        agreed = [[sum(run_word(reference, w, s) == run_word(other, w, s) for s in range(n))
+                   for w in drawn] for other in rest]
+        expected = [[sum(c) for c in agreed], [sum(c * c for c in counts) for counts in agreed]]
         for jobs in (1, 3):
             assert walk._count_agreements(reference, rest, runs, jobs).tolist() == expected
 
 
 def test_strata_runs_keep_stratum_order_within_budgets(monkeypatch):
-    dist = WordDistribution(3, 5, 4)  # words stored a byte a symbol
+    # a row costs its stored word and its walk from every start: T x itemsize + 16 n bytes
+    dist = WordDistribution(3, 5, 4)  # words stored a byte a symbol: 4 + 48 bytes a row
     monkeypatch.setattr(walk, "RUN_BYTES", 0)  # every stratum runs alone
     alone = [run() for run in dist.strata(100, 7)]  # 64 strata of one or two words
     assert len(alone) == 64
-    monkeypatch.setattr(walk, "RUN_BYTES", 20)  # five words of T=4 per run
+    monkeypatch.setattr(walk, "RUN_BYTES", 5 * 52)  # five words of T=4 per run
     runs = [run() for run in dist.strata(100, 7)]
     assert 1 < len(runs) < len(alone)
-    for words, starts in runs:
-        assert words.shape[0] * 4 <= 20 and starts.shape == words.shape[:1]
-    for column in (0, 1):  # words, then starts
-        merged, single = ([run[column] for run in r] for r in (runs, alone))
-        assert np.array_equal(np.concatenate(merged), np.concatenate(single))
+    assert all(words.shape[0] <= 5 for words in runs)
+    assert np.array_equal(np.concatenate(runs), np.concatenate(alone))
     # a stratum over the budget runs alone
-    monkeypatch.setattr(walk, "RUN_BYTES", 4)
-    assert [run()[0].shape[0] for run in dist.strata(100, 7)] == [2] * 36 + [1] * 28
-    # two bytes a symbol past 256 symbols: the same budget holds half the words
-    monkeypatch.setattr(walk, "RUN_BYTES", 40)
-    wide = [run()[0] for run in WordDistribution(3, 300, 4).strata(100, 7)]
+    monkeypatch.setattr(walk, "RUN_BYTES", 52)
+    assert [run().shape[0] for run in dist.strata(100, 7)] == [2] * 36 + [1] * 28
+    # two bytes a symbol past 256 symbols: at T=40 a row takes 128 bytes, not 88
+    monkeypatch.setattr(walk, "RUN_BYTES", 5 * 128)
+    wide = [run() for run in WordDistribution(3, 300, 40).strata(100, 7)]
+    narrow = [run() for run in WordDistribution(3, 5, 40).strata(100, 7)]
     assert {words.dtype for words in wide} == {np.dtype(np.uint16)}
-    assert max(words.shape[0] for words in wide) == 5
-    # T=0: a run's words are its rows
-    monkeypatch.setattr(walk, "RUN_BYTES", 5)
+    assert [max(words.shape[0] for words in r) for r in (wide, narrow)] == [5, 7]
+    # T=0: a run's walk is all it takes, 16 n bytes a row
+    monkeypatch.setattr(walk, "RUN_BYTES", 5 * 48)
     runs = [run() for run in WordDistribution(3, 5, 0).strata(100, 7)]
-    assert all(words.shape == (starts.shape[0], 0) for words, starts in runs)
-    assert max(starts.shape[0] for _, starts in runs) == 5
-    assert sum(starts.shape[0] for _, starts in runs) == 100
+    assert all(words.shape[1] == 0 for words in runs)
+    assert max(words.shape[0] for words in runs) == 5
+    assert sum(words.shape[0] for words in runs) == 100
 
 
-def row_major_strata(n, symbols, length, samples, seed, key):
-    """Every stratum's draw as row-major int64 words, then starts, concatenated in
-    stratum order: the reference that strata runs of any dtype and layout must give."""
-    base, extra = divmod(samples, walk.SAMPLE_STRATA)
-    words, starts = [], []
-    for stratum in range(min(samples, walk.SAMPLE_STRATA)):
-        count = base + (1 if stratum < extra else 0)
+def row_major_strata(symbols, length, count, seed, key):
+    """Every stratum's draw as row-major int64 words, concatenated in stratum order:
+    the reference that strata runs of any dtype and layout must give."""
+    base, extra = divmod(count, walk.SAMPLE_STRATA)
+    words = []
+    for stratum in range(min(count, walk.SAMPLE_STRATA)):
         sequence = np.random.SeedSequence(entropy=seed, spawn_key=key + (stratum,))
         rng = np.random.Generator(np.random.Philox(sequence))
-        words.append(rng.integers(0, symbols, size=(count, length)))
-        starts.append(rng.integers(0, n, size=count))
-    return np.concatenate(words), np.concatenate(starts)
+        words.append(rng.integers(0, symbols, size=(base + (1 if stratum < extra else 0), length)))
+    return np.concatenate(words)
 
 
 @settings(max_examples=60, deadline=None)
@@ -462,34 +462,33 @@ def row_major_strata(n, symbols, length, samples, seed, key):
     symbols=st.one_of(st.integers(1, 5000), st.sampled_from([2**i for i in range(13)]),
                       st.sampled_from([65_535, 65_536, 65_537])),
     length=st.integers(0, 40),
-    samples=st.integers(1, 3000),
+    count=st.integers(1, 3000),
     seed=st.integers(0, 2**64 - 1),
     key=st.lists(st.integers(0, 2**32 - 1), max_size=3).map(tuple),
     piece=st.sampled_from([0, 7, 1 << 16]),
 )
-@example(n=2, symbols=1, length=0, samples=1, seed=0, key=(), piece=0)
-def test_strata_draw_the_row_major_int64_inputs_as_drawn(n, symbols, length, samples, seed, key, piece):
-    words, starts = row_major_strata(n, symbols, length, samples, seed, key)
+@example(n=2, symbols=1, length=0, count=1, seed=0, key=(), piece=0)
+def test_strata_draw_the_row_major_int64_inputs_as_drawn(n, symbols, length, count, seed, key, piece):
+    # the words only: a count reads each from every start, so no start is drawn
+    words = row_major_strata(symbols, length, count, seed, key)
     low = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "RUN_ELEMENTS", piece)  # entries of one word draw: a row at a time at 0
-        runs = WordDistribution(n, symbols, length).strata(samples, seed, key)
+        runs = WordDistribution(n, symbols, length).strata(count, seed, key)
     for run in runs:
-        drawn, drawn_starts = run()
-        high = low + drawn_starts.shape[0]
+        drawn = run()
+        high = low + drawn.shape[0]
         assert drawn.flags.c_contiguous  # row-major, no time-major copy
         # stored narrow: a byte a symbol to 256 symbols, two to 65 536, then four
         assert drawn.dtype == np.min_scalar_type(symbols - 1)
-        assert drawn_starts.dtype == np.uint8
         assert np.array_equal(drawn, words[low:high])
-        assert np.array_equal(drawn_starts, starts[low:high])
         low = high
-    assert low == samples
+    assert low == count
 
 
 def test_merged_draws_change_no_count(monkeypatch):
     a, b = random_pair(4, 2, 5)
-    strata = WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)
+    strata = WordDistribution(4, a.alphabet_size, 6).strata(1000, 9)  # 4000 samples: 1000 words
     assert len(strata) == 1  # 64 small strata, one run
 
     def counts():
@@ -499,7 +498,7 @@ def test_merged_draws_change_no_count(monkeypatch):
     merged = counts()
     monkeypatch.setattr(walk, "RUN_BYTES", 0)  # every stratum runs alone
     monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every tree node runs alone, every word row drawn alone
-    assert len(WordDistribution(4, a.alphabet_size, 6).strata(4000, 9)) == 64
+    assert len(WordDistribution(4, a.alphabet_size, 6).strata(1000, 9)) == 64
     assert counts() == merged
     assert merged[0][0] == merged[0][1]
 
@@ -522,7 +521,8 @@ def test_a_count_stacks_its_tables_once(monkeypatch):
     monkeypatch.setattr(automata, "_symbol_classes", classes)
     monkeypatch.setattr(Semiautomaton, "__hash__", refuse)
     monkeypatch.setattr(Semiautomaton, "__eq__", refuse)
-    monkeypatch.setattr(walk, "RUN_BYTES", 1 << 12)  # 20 000 words of 6 bytes: 32 runs
+    # 20 000 words of 6 bytes, walked from 4 starts (70 bytes a row): 32 runs of two strata
+    monkeypatch.setattr(walk, "RUN_BYTES", 44_000)
     runs = WordDistribution(4, 12, 6).strata(20_000, 1)
     assert len(runs) == 32
     for jobs in (1, 2):
@@ -536,7 +536,7 @@ def test_monte_carlo_peak_memory_at_the_benchmark_shape(monkeypatch):
     # pagree --method mc in the benchmark: n=8 at the paper's copy count (A = 21 896),
     # T = 170, 100 000 samples, one thread.  Stored a stratum's int32 draw to a run, the
     # count peaked at 2 864 059 traced bytes (numpy 2.4.6); runs of several strata,
-    # stored two bytes a symbol, must not need more.
+    # stored two bytes a symbol and each word walked from all 8 starts, must not need more.
     a, b = build_family(FamilyConfig(8, min_alphabet_copies(8), 2, 0.5, 0)).members
     automata._step_codes.cache_clear()  # the count builds its step table
     tracemalloc.start()
@@ -555,10 +555,21 @@ def test_agreement_monte_carlo_identical_pair():
     assert report.stderr == 0.0
 
 
-def test_agreement_monte_carlo_single_sample():
+def test_agreement_monte_carlo_single_sample(monkeypatch):
+    # fewer samples than starts still draws two words, so the standard error is finite
     a, b = random_pair(4, 2, 9)
-    report = agreement_monte_carlo(a, b, 3, samples=1, seed=4)
-    assert report.p_agree in (0.0, 1.0)
+    strata, drawn = WordDistribution.strata, []
+
+    def spy(dist, words, *rest):
+        drawn.append(words)
+        return strata(dist, words, *rest)
+
+    monkeypatch.setattr(WordDistribution, "strata", spy)
+    for samples in (1, 3, 4):
+        report = agreement_monte_carlo(a, b, 3, samples=samples, seed=4)
+        assert report.p_agree * 8 in range(9)  # 2 words x 4 starts
+        assert math.isfinite(report.stderr) and report.stderr >= 0.0
+    assert drawn == [2, 2, 2]
 
 
 def test_agreement_monte_carlo_consistent_with_exact():
@@ -566,9 +577,36 @@ def test_agreement_monte_carlo_consistent_with_exact():
     exact = agreement_exact(a, b, 50)
     sampled = agreement_monte_carlo(a, b, 50, samples=100_000, seed=11)
     assert abs(sampled.p_agree - exact.p_agree) <= 4 * sampled.stderr
-    assert sampled.stderr == pytest.approx(
-        math.sqrt(sampled.p_agree * (1 - sampled.p_agree) / 100_000)
-    )
+    # the standard error of a mean of 20 000 words' agreeing shares c / 5, from the same words
+    agreed = []
+    for run in WordDistribution(5, a.alphabet_size, 50).strata(20_000, 11):
+        words = run()
+        states = automata.run_words([a, b], words, np.tile(np.arange(5), (words.shape[0], 1)))
+        agreed.append(np.count_nonzero(states[0] == states[1], axis=1))
+    agreed = np.concatenate(agreed)
+    assert agreed.size == 20_000 and sampled.p_agree == agreed.sum() / 100_000
+    assert sampled.stderr == pytest.approx(np.std(agreed / 5, ddof=1) / math.sqrt(20_000), rel=1e-9)
+    # a word's share never varies more than one start's outcome does
+    assert sampled.stderr <= math.sqrt(sampled.p_agree * (1 - sampled.p_agree) / 20_000)
+
+
+@pytest.mark.parametrize("n,k,t,samples", [(4, 4, 6, 400), (6, 8, 20, 2000), (8, 782, 170, 4000)])
+def test_monte_carlo_standard_errors_are_calibrated(n, k, t, samples):
+    # z = (MC - exact) / stderr over 300 seeds has mean about 0 and deviation about 1
+    a, b = random_pair(n, k, n)
+    exact = agreement_exact(a, b, t).p_agree
+    reports = [agreement_monte_carlo(a, b, t, samples, seed) for seed in range(300)]
+    z = np.array([(r.p_agree - exact) / r.stderr for r in reports])
+    assert abs(z.mean()) <= 0.2 and 0.85 <= z.std() <= 1.15
+
+
+@pytest.mark.parametrize("n,samples", [(8, 100_000), (12, 20_000)])
+def test_monte_carlo_in_the_papers_regime_lands_near_spectral(n, samples):
+    # the paper's word length ceil(2 n ln n!) at its copy count: T = 170 and T = 480
+    a, b = build_family(FamilyConfig(n, min_alphabet_copies(n), 2, 0.5, 0)).members
+    t = automata.min_word_length(n)
+    sampled = agreement_monte_carlo(a, b, t, samples, seed=1)
+    assert abs(sampled.p_agree - agreement_exact(a, b, t).p_agree) <= 6 * sampled.stderr
 
 
 def test_agreement_monte_carlo_jobs_invariant():
