@@ -16,18 +16,19 @@ plus one chunk, not eight bytes per symbol.
 A symbol acts on a state through one of the moves that every shape-``n``
 machine shares: class 0 is the identity and class ``1 + i`` transposition
 ``i``, so what is particular to a machine is only the class of each of
-its ``A`` symbols.  A batch of words walks
-the machines two at a time on their joint chain where that chain's
+its ``A`` symbols.  A count prepares its walk once (:func:`_prepare_walk`):
+the machines go two at a time on their joint chain where that chain's
 table is small.  For a pair ``(a, b)`` class 0 then moves neither
 machine, and class ``1 + 3i + kind`` applies transposition ``i`` to
 ``a`` only (kind 0), to ``b`` only (kind 1) or to both (kind 2); its
 table holds ``n * n * K`` codes, ``K = 1 + 3 C(n, 2)``, about ``1.5 n**4``.
 Past :data:`JOINT_TABLE_ENTRIES` (from n = 25) machines walk alone, on
-the ``n * (1 + C(n, 2))`` moves.  Either way a batch gathers each walker's
-class of every symbol it reads in one pass, and one step of it is then one
-add and one ``take`` from a table of at most a few MB, for every walker at
-once.  A count of many batches prepares that table and every walker's
-classes once (:func:`_prepare_walk`) and walks each batch on them.
+the ``n * (1 + C(n, 2))`` moves.  The prepared walk holds that table and
+every walker's class of each symbol, and :func:`run_words` walks each
+batch of words on it from every start: a step gathers the walkers' classes
+of one symbol position, then costs one add and one ``take`` from a table
+of at most a few MB, for every walker and start at once.  Nothing of the
+walk outlives the count that prepared it.
 
 Brute force (:func:`agreeing_inputs`) reads no words.  A pair's states walk
 the prefix tree of every word from each start ``(s, s)``, each machine on
@@ -50,7 +51,6 @@ padded with zero bits to whole bytes.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -80,7 +80,6 @@ FAMILY_MAGIC = b"SQSA"
 FAMILY_VERSION = 1
 _HEADER = struct.Struct("<4sHHIIdQ")
 MASK_DRAW_CHUNK = 1 << 20  # uniform doubles drawn at once by build_family (8 MB)
-GATHER_CHUNK = 1 << 14  # symbol classes gathered at once by run_words (128 kB)
 # largest joint table (4 MB, reached at n = 24) that run_words walks pairs on: a joint step
 # beats two steps on the moves up to about n = 28 and loses past it (n = 50: 1.5-1.9x, 70 MB)
 JOINT_TABLE_ENTRIES = 1 << 19
@@ -232,12 +231,11 @@ def _moves(n: int) -> np.ndarray:
 
 
 def _walks_pairs(n: int) -> bool:
-    """Whether :func:`run_words` walks shape-``n`` machines in pairs: their joint
+    """Whether :func:`_prepare_walk` pairs shape-``n`` machines: their joint
     table holds at most :data:`JOINT_TABLE_ENTRIES` codes."""
     return n * n * (1 + 3 * (n * (n - 1) // 2)) <= JOINT_TABLE_ENTRIES
 
 
-@functools.lru_cache(maxsize=1)
 def _step_codes(n: int, paired: bool) -> np.ndarray:
     """The step table of one machine, or with ``paired`` of a pair's joint chain:
     entry ``s * K + c`` holds ``t * K``, ``t`` the state (joint state
@@ -298,50 +296,35 @@ def _prepare_walk(machines: Sequence[Semiautomaton]) -> _Walk:
     return _Walk(n, size, len(machines), paired, _step_codes(n, paired), classes)
 
 
-def run_words(
-    automata: Semiautomaton | Sequence[Semiautomaton] | _Walk, words: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`run_word`: row ``i`` of ``words`` (B, T) runs from
-    ``starts[i]``, starts (B,), or from each of its S starts, (B, S).  One
-    automaton gives (B,) or (B, S) final states, a sequence of ``M`` of one
-    shape (M, B) or (M, B, S), row ``i`` those of ``automata[i]``; a walk that
-    :func:`_prepare_walk` made of such a sequence gives the same states,
-    without building its classes again.
+def run_words(walk: _Walk, words: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`run_word` on a walk that :func:`_prepare_walk` made of ``M``
+    machines: row ``i`` of ``words`` (B, T) runs from every start, and entry
+    ``[m, i, s]`` of the (M, B, n) result is machine ``m``'s final state from ``s``.
 
-    Starts of any other shape raise ``ValueError``, and automata of different
-    shapes ``SizeMismatchError``.  Symbols and starts are range-checked once
-    with :func:`run_word`'s messages.  The automata walk two at a time on
-    their joint chain, an odd last one (or a lone automaton) paired with
-    itself, or alone past :data:`JOINT_TABLE_ENTRIES`.  One pass over the
-    words gathers each walker's class of every symbol, :data:`GATHER_CHUNK`
-    classes at a time, once per word whatever S; each symbol position then
-    costs one add and one ``take`` from the step table, for every walker and
-    start at once, and the final states are decoded once.
+    Words of any other ``ndim`` raise ``ValueError``, and their symbols are
+    range-checked once with :func:`run_word`'s message.  Each symbol position
+    gathers every walker's class of its B symbols, then costs one add and one
+    ``take`` from the step table, for every walker and start at once; the
+    final states are decoded once.
     """
-    walk = automata if isinstance(automata, _Walk) else _prepare_walk(
-        [automata] if isinstance(automata, Semiautomaton) else list(automata))
     n, size, count, paired, table, classes = walk
-    words, starts = np.asarray(words), np.asarray(starts)
-    if starts.ndim not in (1, 2) or starts.shape[:1] != words.shape[:1]:
-        raise ValueError(f"starts of shape {starts.shape} do not match words of shape {words.shape}")
-    _check_range(starts, n, f"start state {{}} out of range for {n} states")
+    words = np.asarray(words)
+    if words.ndim != 2:
+        raise ValueError(f"words must be (B, T), got shape {words.shape}")
     _check_range(words, size, f"symbol {{}} out of range for alphabet {size}")
     rows, walkers, width = words.shape[0], classes.shape[1], table.shape[0] // n ** (1 + paired)
-    # a pair starts at joint state (s, s); codes are (S, B, W): a step's (B, W) classes add to S blocks
-    sources = (starts.T if starts.ndim == 2 else starts[None]).astype(np.intp)  # (S, B)
-    codes = np.repeat(sources[:, :, None] * ((n + 1 if paired else 1) * width), walkers, axis=2)
-    span = max(1, GATHER_CHUNK // max(1, rows * walkers))
-    for low in range(0, words.shape[1], span):
-        for step in classes.take(words[:, low : low + span].T, axis=0):
-            np.add(codes, step, out=codes)
-            codes = table.take(codes)
-    states = np.floor_divide(codes, width, out=codes).transpose(2, 1, 0)  # (W, B, S)
+    # a pair starts at joint state (s, s); codes are (n, B, W): a step's (B, W) classes add to n blocks
+    starts = np.arange(n, dtype=np.intp)[:, None, None] * ((n + 1 if paired else 1) * width)
+    codes = np.broadcast_to(starts, (n, rows, walkers)).copy()
+    for column in words.T:
+        np.add(codes, classes.take(column, axis=0), out=codes)
+        codes = table.take(codes)
+    states = np.floor_divide(codes, width, out=codes).transpose(2, 1, 0)  # (W, B, n)
     if paired:  # joint state s_a * n + s_b: walker w holds machines 2w and 2w + 1
-        joint, states = states, np.empty((walkers, 2, *states.shape[1:]), np.intp)
+        joint, states = states, np.empty((walkers, 2, rows, n), np.intp)
         np.divmod(joint, n, out=(states[:, 0], states[:, 1]))
-        states = states.reshape(2 * walkers, *joint.shape[1:])[:count]
-    states = states if starts.ndim == 2 else states[..., 0]
-    return states[0] if isinstance(automata, Semiautomaton) else states
+        states = states.reshape(2 * walkers, rows, n)[:count]
+    return states
 
 
 def _successors(machine: Semiautomaton, low: int = 0, high: int | None = None) -> np.ndarray:

@@ -30,10 +30,10 @@ read as one agreement bool per input.  Monte Carlo (and the sampled oracle)
 count over ``run_words`` (:func:`_count_agreements`): a run of consecutive
 strata is one word per row, drawn int64, :data:`RUN_ELEMENTS` at a time, and
 stored in the narrowest unsigned dtype.  A count prepares the walk of all its
-machines once, on the calling thread, and every machine walks a run from
-every start in one ``run_words`` call on it.  Runs are counted on ``jobs``
-threads; brute force runs on one.  Counts are integers, so neither chunk or
-run sizes nor their order changes a result.
+machines once, on the calling thread, and ``run_words`` walks each run on it
+from every start.  Runs are counted on ``jobs`` threads; brute force runs on
+one.  Counts are integers, so neither chunk or run sizes nor their order
+changes a result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -523,11 +523,10 @@ def _count_agreements(
     ``jobs`` threads (a lone run on the calling thread), in one ``run_words``
     call on that walk from all ``n`` starts.
     """
-    prepared, n = _prepare_walk([reference, *others]), reference.n_states
+    prepared = _prepare_walk([reference, *others])
 
     def count(run: Run) -> np.ndarray:
-        words = run()
-        states = run_words(prepared, words, np.broadcast_to(np.arange(n), (words.shape[0], n)))
+        states = run_words(prepared, run())
         agreed = np.count_nonzero(states[1:] == states[0], axis=2)
         return np.stack([agreed.sum(axis=1), (agreed * agreed).sum(axis=1)])
 

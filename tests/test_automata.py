@@ -107,90 +107,63 @@ def test_run_word_matches_permutation_composition_exhaustive():
                 assert run_word(automaton, word, start) == product(start)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 6),
-    st.integers(1, 3),
-    st.integers(0, 6),
-    st.integers(0, 12),
-    st.integers(0, 2**32 - 1),
-)
-@example(n=3, k=2, length=4, rows=0, seed=0)
-def test_run_words_matches_run_word(n, k, length, rows, seed):
-    rng = np.random.default_rng(seed)
-    automaton = Semiautomaton(n, k, rng.random(k * n * (n - 1) // 2) < 0.5)
-    words = rng.integers(0, automaton.alphabet_size, size=(rows, length))
-    starts = rng.integers(0, n, size=rows)
-    states = run_words(automaton, words, starts)
-    assert states.shape == (rows,)
-    for row in range(rows):
-        assert states[row] == run_word(automaton, list(words[row]), int(starts[row]))
-
-
-@pytest.mark.parametrize(
-    "symbol, start",
-    [(-1, 0), (12, 0), (0, -1), (0, 4)],
-    ids=["symbol-minus-1", "symbol-A", "start-minus-1", "start-n"],
-)
-def test_run_words_range_checked_like_run_word(symbol, start):
+@pytest.mark.parametrize("symbol", [-1, 12], ids=["symbol-minus-1", "symbol-A"])
+def test_run_words_range_checked_like_run_word(symbol):
     automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]  # A = 12
     with pytest.raises(ValueError) as expected:
-        run_word(automaton, [1, symbol], start)
+        run_word(automaton, [1, symbol], 0)
     with pytest.raises(ValueError) as raised:
-        run_words(automaton, np.array([[0, 1], [1, symbol], [2, 3]]), np.array([0, start, 1]))
+        run_words(automata._prepare_walk([automaton]), np.array([[0, 1], [1, symbol], [2, 3]]))
     assert str(raised.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("length", [0, 3])
-def test_run_words_refuses_starts_not_one_per_word(length):
-    automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]
-    words = np.zeros((3, length), dtype=np.int64)
-    # neither (B,) nor (B, S): 3-D, 0-D, or a first axis other than B (which T = 0 would not read)
-    for shape in ((3, 3, 1), (4,), (4, 3), (2, 3), ()):
-        starts = np.zeros(shape, dtype=np.int64)
-        for machines in (automaton, [automaton, automaton]):
-            with pytest.raises(ValueError, match="shape") as raised:
-                run_words(machines, words, starts)
-            assert str(starts.shape) in str(raised.value) and str(words.shape) in str(raised.value)
+def test_run_words_refuses_words_that_are_not_one_row_a_word():
+    # 1-D, 3-D and 0-D words would otherwise walk without a word per row
+    prepared = automata._prepare_walk(build_family(FamilyConfig(4, 2, 2, 0.5, 5)).members)
+    for shape in ((3,), (0,), (3, 2, 1), (0, 2, 1), ()):
+        with pytest.raises(ValueError, match="shape") as raised:
+            run_words(prepared, np.zeros(shape, dtype=np.int64))
+        assert str(shape) in str(raised.value)
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
-@pytest.mark.parametrize("where", ["symbol", "start"])
-def test_run_words_range_checks_narrow_integers_with_run_words_messages(dtype, where):
+def test_run_words_range_checks_narrow_integers_with_run_words_messages(dtype):
     automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]  # A = 12
     info = np.iinfo(dtype)
-    for value in (info.min, -1, 4 if where == "start" else 12, info.max):
-        symbol, start = (value, 0) if where == "symbol" else (0, value)
+    for symbol in (info.min, -1, 12, info.max):
         with pytest.raises(ValueError) as expected:
-            run_word(automaton, [1, symbol], start)
+            run_word(automaton, [1, symbol], 0)
         words = np.array([[0, 1], [1, symbol], [2, 3]], dtype=dtype)
-        for machines in (automaton, [automaton, automaton]):
+        for machines in ([automaton], [automaton, automaton]):
             with pytest.raises(ValueError) as raised:
-                run_words(machines, words, np.array([0, start, 1], dtype=dtype))
+                run_words(automata._prepare_walk(machines), words)
             assert str(raised.value) == str(expected.value)
     with pytest.raises(TypeError, match="integers"):  # no float read as its bits
-        run_words(automaton, np.zeros((3, 2), dtype=dtype), np.array([0.0, 1.0, 2.0]))
+        run_words(automata._prepare_walk([automaton]), np.zeros((3, 2), dtype=np.float32))
 
 
 
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.integers(2, 6),
-    st.integers(1, 3),
-    st.lists(st.sampled_from(["random", "ones", "zeros", "repeat", "same"]), min_size=1, max_size=5),
-    st.integers(0, 6),
-    st.integers(0, 12),
-    st.booleans(),
-    st.booleans(),
-    st.sampled_from([np.int32, np.int64]),
-    st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    k=st.integers(1, 3),
+    fills=st.lists(st.sampled_from(["random", "ones", "zeros", "repeat", "same"]), min_size=1, max_size=5),
+    length=st.integers(0, 6),
+    rows=st.integers(0, 8),
+    time_major=st.booleans(),
+    alone=st.booleans(),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int32, np.int64]),
+    seed=st.integers(0, 2**32 - 1),
 )
 @example(n=3, k=1, fills=["ones", "zeros", "same"], length=4, rows=3, time_major=False,
          alone=False, dtype=np.int64, seed=0)
-def test_run_words_on_a_sequence_stacks_each_automatons_states(
+@example(n=3, k=1, fills=["random"] * 3, length=0, rows=0, time_major=False,
+         alone=True, dtype=np.uint8, seed=0)
+def test_run_words_from_every_start_equals_run_word(
     n, k, fills, length, rows, time_major, alone, dtype, seed
 ):
+    # M = 1-5 machines of one shape, odd M included, walked in pairs or alone; entry
+    # [m, i, s] is machine m after row i from start s, B = 0 and T = 0 included
     rng = np.random.default_rng(seed)
     size, machines = k * n * (n - 1) // 2, []
     for fill in fills:  # "repeat" copies the last mask into a new object, "same" repeats the
@@ -202,89 +175,47 @@ def test_run_words_on_a_sequence_stacks_each_automatons_states(
         else:
             mask = {"ones": np.ones(size), "zeros": np.zeros(size)}.get(fill, rng.random(size) < 0.5)
         machines.append(Semiautomaton(n, k, mask.astype(bool)))
-    # drawn int32 inputs, and int64 ones (past 2**31 symbols or states), run to the same states
-    words = rng.integers(0, machines[0].alphabet_size, size=(rows, length), dtype=dtype)
+    # words stored narrow, as strata store them, or drawn int32 or int64, in either layout
+    words = rng.integers(0, size, size=(rows, length)).astype(dtype)
     if time_major:
         words = np.ascontiguousarray(words.T).T
-    starts = rng.integers(0, n, size=rows, dtype=dtype)
     # alone: no joint table fits, so every machine walks on the moves by itself
-    budget = 0 if alone else automata.JOINT_TABLE_ENTRIES
-    with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", budget):
-        assert automata._walks_pairs(n) is not alone
-        states = run_words(machines, words, starts)
-    assert states.shape == (len(machines), rows)
-    assert np.array_equal(states, np.stack([run_words(m, words, starts) for m in machines]))
-    expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
-    assert np.array_equal(states, np.array(expected, dtype=np.int64).reshape(len(machines), rows))
-    alone = run_words(machines[0], words, starts)
-    assert np.array_equal(run_words(machines[:1], words, starts), alone[None])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(2, 6),
-    k=st.integers(1, 2),
-    machines=st.integers(1, 3),
-    length=st.integers(0, 6),
-    rows=st.integers(0, 6),
-    starts=st.integers(0, 7),
-    alone=st.booleans(),
-    single=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=3, k=1, machines=2, length=3, rows=0, starts=3, alone=False, single=False, seed=0)
-@example(n=3, k=1, machines=3, length=0, rows=0, starts=0, alone=True, single=False, seed=0)
-def test_run_words_from_every_start_equals_run_word(
-    n, k, machines, length, rows, starts, alone, single, seed
-):
-    # (B, S) starts: row i runs from each of starts[i]; B = 0 and S = 0 included
-    family = build_family(FamilyConfig(n, k, machines, 0.5, seed)).members
-    rng = np.random.default_rng(seed)
-    words = rng.integers(0, family[0].alphabet_size, size=(rows, length))
-    sources = rng.integers(0, n, size=(rows, starts))
-    walkers = family[0] if single else family
     with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES):
-        assert automata._walks_pairs(n) is not alone
-        states = run_words(walkers, words, sources)
-        each = [run_words(walkers, words, sources[:, s]) for s in range(starts)]  # (B,) starts
-    expected = np.array(
-        [[[run_word(m, list(w), int(s)) for s in row] for w, row in zip(words, sources)] for m in family]
-    ).reshape(machines, rows, starts)
-    assert states.shape == ((rows, starts) if single else (machines, rows, starts))
-    assert np.array_equal(states, expected[0] if single else expected)
-    for s, column in enumerate(each):
-        assert np.array_equal(column, states[..., s])
+        prepared = automata._prepare_walk(machines)
+    assert prepared.paired is not alone
+    states = run_words(prepared, words)
+    expected = [[[run_word(m, list(w), s) for s in range(n)] for w in words] for m in machines]
+    assert states.shape == (len(machines), rows, n)
+    assert np.array_equal(states, np.array(expected, dtype=np.intp).reshape(states.shape))
 
 
 def test_run_words_refuses_a_sequence_of_mixed_shapes():
+    # refused when its walk is prepared, before any word is read
     a, b = build_family(FamilyConfig(4, 1, 2, 0.5, 1)).members
     other = build_family(FamilyConfig(3, 2, 1, 0.5, 1)).members[0]  # the same A = 6
-    words, starts = np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64)
     with pytest.raises(SizeMismatchError) as raised:
-        run_words([a, b, other], words, starts)
+        automata._prepare_walk([a, b, other])
     assert "(4, 1)" in str(raised.value) and "(3, 2)" in str(raised.value)
     with pytest.raises(ValueError, match="at least one"):
-        run_words([], words, starts)
-    for starts in (np.zeros((2, 2, 1), dtype=np.int64), np.zeros(3, dtype=np.int64)):
-        with pytest.raises(ValueError, match="shape"):
-            run_words([a, b], words, starts)
+        automata._prepare_walk([])
 
 
 @pytest.mark.parametrize("alone", [False, True], ids=["paired", "alone"])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_a_prepared_walk_runs_like_its_machines(count, alone):
     machines = build_family(FamilyConfig(5, 2, count, 0.5, 9)).members  # A = 20
-    rng = np.random.default_rng(count)
-    words, starts = rng.integers(0, 20, size=(50, 9)), rng.integers(0, 5, 50)
+    words = np.random.default_rng(count).integers(0, 20, size=(50, 9))
     with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES):
         prepared = automata._prepare_walk(machines)
-        assert prepared.paired is not alone and not prepared.classes.flags.writeable
-        states = run_words(prepared, words, starts)
-        assert np.array_equal(states, run_words(machines, words, starts))
-    assert states.shape == (count, 50)  # one row a machine, an odd last one paired with itself
+    assert prepared.paired is not alone
+    assert not prepared.classes.flags.writeable and not prepared.table.flags.writeable
+    states = run_words(prepared, words)
+    assert states.shape == (count, 50, 5)  # one row a machine, an odd last one paired with itself
+    for machine, rows in zip(machines, states):  # each on a walk of its own, paired with itself
+        assert np.array_equal(rows, run_words(automata._prepare_walk([machine]), words)[0])
     words[3, 4] = 20
     with pytest.raises(ValueError, match="symbol 20 out of range"):  # every run is range-checked
-        run_words(prepared, words, starts)
+        run_words(prepared, words)
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,7 +273,6 @@ def test_tables_are_c_ordered_and_built_in_one_table_sized_array():
     seen, _ = brute_tables(a, b, 1)
     assert all(t.flags.c_contiguous and t.dtype == np.uint16 for after in seen for t in after)
     # the joint step table at n = 24 (3.6 MB): one table-sized array, no reshaped copy
-    automata._step_codes.cache_clear()
     tracemalloc.start()
     try:
         table = automata._step_codes(24, True)
@@ -368,8 +298,7 @@ def test_one_symbol_brute_count_reads_its_symbols_in_budget_sized_slices():
     assert peak < 8 * walk.RUN_ELEMENTS
     seen, _ = brute_tables(a, b, 1)
     assert max(t.size for after in seen for t in after) <= walk.RUN_ELEMENTS
-    words, starts = np.tile(np.arange(size), n)[:, None], np.repeat(np.arange(n), size)
-    states = run_words([a, b], words, starts)
+    states = run_words(automata._prepare_walk([a, b]), np.arange(size)[:, None])
     assert agreed == np.count_nonzero(states[0] == states[1])
 
 
@@ -378,15 +307,15 @@ def test_past_the_joint_table_budget_machines_walk_alone_in_little_memory():
     assert automata._walks_pairs(24) and not automata._walks_pairs(25)
     machines = build_family(FamilyConfig(50, 1, 3, 0.5, 8)).members
     rng = np.random.default_rng(8)
-    words, starts = rng.integers(0, 1225, size=(40, 30)), rng.integers(0, 50, 40)
+    words = rng.integers(0, 1225, size=(40, 30))
     tracemalloc.start()
     try:
-        states = run_words(machines, words, starts)
+        states = run_words(automata._prepare_walk(machines), words)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    expected = [[run_word(m, list(w), int(s)) for w, s in zip(words, starts)] for m in machines]
+    expected = [[[run_word(m, list(w), s) for s in range(50)] for w in words] for m in machines]
     assert np.array_equal(states, expected)
 
 
@@ -537,9 +466,8 @@ def test_deserialized_member_reproduces_runs():
     restored = deserialize_family(serialize_family(family))
     rng = np.random.default_rng(0)
     words = rng.integers(0, family.config.alphabet_size, size=(100, 7))
-    starts = rng.integers(0, 5, size=100)
-    for original, copy in zip(family.members, restored.members):
-        assert np.array_equal(run_words(original, words, starts), run_words(copy, words, starts))
+    states = run_words(automata._prepare_walk(family.members), words)
+    assert np.array_equal(states, run_words(automata._prepare_walk(restored.members), words))
 
 
 def test_truncated_payload_rejected():

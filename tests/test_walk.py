@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import time
@@ -509,16 +510,22 @@ def test_a_count_stacks_its_tables_once(monkeypatch):
     family = build_family(FamilyConfig(4, 2, 5, 0.5, 3))
     reference, others = family.members[0], family.members[1:]
     position = {id(member): i for i, member in enumerate(family.members)}
-    original, built, joint = automata._symbol_classes, [], automata._step_codes(4, True)
+    original, built = automata._symbol_classes, []
+    step_codes, tables = automata._step_codes, []
 
     def classes(*machines):
         built.append(tuple(position[id(machine)] for machine in machines))
         return original(*machines)
 
+    def codes(*shape):
+        tables.append(shape)
+        return step_codes(*shape)
+
     def refuse(self, *args):
         raise AssertionError("a mask was hashed or compared")
 
     monkeypatch.setattr(automata, "_symbol_classes", classes)
+    monkeypatch.setattr(automata, "_step_codes", codes)
     monkeypatch.setattr(Semiautomaton, "__hash__", refuse)
     monkeypatch.setattr(Semiautomaton, "__eq__", refuse)
     # 20 000 words of 6 bytes, walked from 4 starts (70 bytes a row): 32 runs of two strata
@@ -527,9 +534,30 @@ def test_a_count_stacks_its_tables_once(monkeypatch):
     assert len(runs) == 32
     for jobs in (1, 2):
         built.clear()
+        tables.clear()
         walk._count_agreements(reference, others, runs, jobs=jobs)
         assert built == [(0, 1), (2, 3), (4, 4)]  # the walk's pairs, an odd last one with itself
-    assert automata._step_codes(4, True) is joint  # one joint table per n
+        assert tables == [(4, True)]  # one joint table per count
+
+
+@pytest.mark.parametrize("n", [24, 30], ids=["paired", "alone"])
+def test_a_count_keeps_nothing_alive(n):
+    # at n = 24 the joint step table holds 3.82 MB; past it (n = 30) machines walk alone.
+    # Once a count returns, neither its step table nor its walkers' classes stay behind
+    a, b = build_family(FamilyConfig(n, 1, 2, 0.5, n)).members
+    assert automata._walks_pairs(n) is (n == 24)
+    # numpy's one-time state, made on another shape so that the traced count builds its own tables
+    agreement_monte_carlo(*random_pair(4, 1, 0), 5, 100, 0, jobs=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        agreement_monte_carlo(a, b, 30, 2000, 0, jobs=1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2**19  # 0.5 MB
 
 
 def test_monte_carlo_peak_memory_at_the_benchmark_shape(monkeypatch):
@@ -538,7 +566,6 @@ def test_monte_carlo_peak_memory_at_the_benchmark_shape(monkeypatch):
     # count peaked at 2 864 059 traced bytes (numpy 2.4.6); runs of several strata,
     # stored two bytes a symbol and each word walked from all 8 starts, must not need more.
     a, b = build_family(FamilyConfig(8, min_alphabet_copies(8), 2, 0.5, 0)).members
-    automata._step_codes.cache_clear()  # the count builds its step table
     tracemalloc.start()
     try:
         agreement_monte_carlo(a, b, 170, 100_000, 0, jobs=1)
@@ -580,8 +607,7 @@ def test_agreement_monte_carlo_consistent_with_exact():
     # the standard error of a mean of 20 000 words' agreeing shares c / 5, from the same words
     agreed = []
     for run in WordDistribution(5, a.alphabet_size, 50).strata(20_000, 11):
-        words = run()
-        states = automata.run_words([a, b], words, np.tile(np.arange(5), (words.shape[0], 1)))
+        states = automata.run_words(automata._prepare_walk([a, b]), run())
         agreed.append(np.count_nonzero(states[0] == states[1], axis=1))
     agreed = np.concatenate(agreed)
     assert agreed.size == 20_000 and sampled.p_agree == agreed.sum() / 100_000
