@@ -36,6 +36,26 @@ def all_zeros(n, k=1):
     return Semiautomaton(n, k, np.zeros(size, dtype=bool))
 
 
+def machines_of_fills(rng, n, k, fills):
+    size, machines = k * n * (n - 1) // 2, []
+    for fill in fills:  # "repeat" copies the last mask into a new object, "same" repeats the
+        if fill == "same" and machines:  # object itself; first, either is random
+            machines.append(machines[-1])
+            continue
+        if fill == "repeat" and machines:
+            mask = machines[-1].mask.copy()
+        else:
+            mask = {"ones": np.ones(size), "zeros": np.zeros(size)}.get(fill, rng.random(size) < 0.5)
+        machines.append(Semiautomaton(n, k, mask.astype(bool)))
+    return machines
+
+
+def words_stored_as(rng, alphabet_size, rows, length, dtype, time_major):
+    # words stored narrow, as strata store them, or drawn int32 or int64, in either layout
+    words = rng.integers(0, alphabet_size, size=(rows, length)).astype(dtype)
+    return np.ascontiguousarray(words.T).T if time_major else words
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FamilyConfig(1, 1, 1)
@@ -107,6 +127,26 @@ def test_run_word_matches_permutation_composition_exhaustive():
                 assert run_word(automaton, word, start) == product(start)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.integers(0, 6),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=2, length=4, rows=0, seed=0)
+def test_run_words_matches_run_word(n, k, length, rows, seed):
+    rng = np.random.default_rng(seed)
+    automaton = Semiautomaton(n, k, rng.random(k * n * (n - 1) // 2) < 0.5)
+    words = rng.integers(0, automaton.alphabet_size, size=(rows, length))
+    states = run_words(automata._prepare_walk([automaton]), words)
+    assert states.shape == (1, rows, n)
+    for row in range(rows):
+        for start in range(n):
+            assert states[0, row, start] == run_word(automaton, list(words[row]), start)
+
+
 @pytest.mark.parametrize("symbol", [-1, 12], ids=["symbol-minus-1", "symbol-A"])
 def test_run_words_range_checked_like_run_word(symbol):
     automaton = build_family(FamilyConfig(4, 2, 1, 0.5, 5)).members[0]  # A = 12
@@ -165,20 +205,8 @@ def test_run_words_from_every_start_equals_run_word(
     # M = 1-5 machines of one shape, odd M included, walked in pairs or alone; entry
     # [m, i, s] is machine m after row i from start s, B = 0 and T = 0 included
     rng = np.random.default_rng(seed)
-    size, machines = k * n * (n - 1) // 2, []
-    for fill in fills:  # "repeat" copies the last mask into a new object, "same" repeats the
-        if fill == "same" and machines:  # object itself; first, either is random
-            machines.append(machines[-1])
-            continue
-        if fill == "repeat" and machines:
-            mask = machines[-1].mask.copy()
-        else:
-            mask = {"ones": np.ones(size), "zeros": np.zeros(size)}.get(fill, rng.random(size) < 0.5)
-        machines.append(Semiautomaton(n, k, mask.astype(bool)))
-    # words stored narrow, as strata store them, or drawn int32 or int64, in either layout
-    words = rng.integers(0, size, size=(rows, length)).astype(dtype)
-    if time_major:
-        words = np.ascontiguousarray(words.T).T
+    machines = machines_of_fills(rng, n, k, fills)
+    words = words_stored_as(rng, machines[0].alphabet_size, rows, length, dtype, time_major)
     # alone: no joint table fits, so every machine walks on the moves by itself
     with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES):
         prepared = automata._prepare_walk(machines)
@@ -187,6 +215,37 @@ def test_run_words_from_every_start_equals_run_word(
     expected = [[[run_word(m, list(w), s) for s in range(n)] for w in words] for m in machines]
     assert states.shape == (len(machines), rows, n)
     assert np.array_equal(states, np.array(expected, dtype=np.intp).reshape(states.shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(["random", "ones", "zeros", "repeat", "same"]), min_size=1, max_size=5),
+    st.integers(0, 6),
+    st.integers(0, 12),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([np.uint8, np.uint16, np.int32, np.int64]),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=3, k=1, fills=["ones", "zeros", "same"], length=4, rows=3, time_major=False,
+         alone=False, dtype=np.int64, seed=0)
+def test_run_words_on_a_sequence_stacks_each_automatons_states(
+    n, k, fills, length, rows, time_major, alone, dtype, seed
+):
+    # a walk of M machines gives what M walks of one machine each give, stacked
+    rng = np.random.default_rng(seed)
+    machines = machines_of_fills(rng, n, k, fills)
+    words = words_stored_as(rng, machines[0].alphabet_size, rows, length, dtype, time_major)
+    # alone: no joint table fits, so every machine walks on the moves by itself
+    with mock.patch.object(automata, "JOINT_TABLE_ENTRIES", 0 if alone else automata.JOINT_TABLE_ENTRIES):
+        prepared = automata._prepare_walk(machines)
+        each = [automata._prepare_walk([m]) for m in machines]
+    assert prepared.paired is not alone
+    states = run_words(prepared, words)
+    assert states.shape == (len(machines), rows, n)
+    assert np.array_equal(states, np.concatenate([run_words(one, words) for one in each]))
 
 
 def test_run_words_refuses_a_sequence_of_mixed_shapes():
