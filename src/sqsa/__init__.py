@@ -19,7 +19,6 @@ from .sq import (
     certify_sq_dimension,
     make_session,
     oracle_answer,
-    pairwise_correlation,
     query_lower_bound,
 )
 from .symrep import Partition, char_ratio, irrep_dim, perm_matrix, std_matrix

@@ -74,7 +74,7 @@ _FLAGS: dict[str, dict[str, tuple]] = {
         "family": (str, _UNSET, "family file"),
         "members": (str, "0,1", "pair of member indices, e.g. 0,1"),
         "t": (int, 10, "word length"),
-        "method": (tuple(AGREEMENT_METHODS), "spectral", None),
+        "method": (AGREEMENT_METHODS, "spectral", None),
         "samples": (int, 100_000, "Monte Carlo inputs: ceil(samples/n) words, each read from all n starts"),
         "seed": (int, 0, "Monte Carlo seed"),
     },
@@ -387,6 +387,8 @@ def _cmd_oracle(config: dict, jobs: int) -> bytes:
     for index, entry in enumerate(scripted):
         if not isinstance(entry, dict) or not isinstance(entry.get("builtin"), str):
             raise ValueError(f"query {index} must be an object with a 'builtin' key, got {entry!r}")
+        if unknown := sorted(entry.keys() - {"builtin", "params"}):
+            raise ValueError(f"query {index} has unknown keys {unknown}; an entry holds 'builtin' and 'params'")
         oracle_answer(session, StatQuery(entry["builtin"], entry.get("params", {})), jobs)
     lines = [_json_text(item) for item in (_meta("oracle", config, sha1), *session.ledger)]
     return ("\n".join(lines) + "\n").encode()

@@ -12,9 +12,9 @@ square of the standard representation and ``v`` is the vectorized
 identity (the diagonal direction).  The step law is kept in integer
 symbol counts over the alphabet size.  This module evaluates the
 agreement probability three ways.
-:data:`AGREEMENT_METHODS` lists them under the keys that the CLI's
-``pagree --method`` and :func:`sqsa.sq.pairwise_correlation` accept; each
-report names its route with a label:
+:data:`AGREEMENT_METHODS` lists them under the keys that :func:`agreement`
+and the CLI's ``pagree --method`` accept; each route returns an
+:class:`AgreementReport` that names it with a label:
 
 - ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
 - ``brute`` (label ``brute-force``): every (word, start) input, on the
@@ -166,7 +166,10 @@ class WordDistribution:
         """``words`` words over :data:`SAMPLE_STRATA` strata, in runs of consecutive strata.
 
         A run's words and its walk from every start, ``rows x (T x itemsize + 16 n)``
-        bytes, take at most :data:`RUN_BYTES`; a stratum over that runs alone.
+        bytes, take at most :data:`RUN_BYTES`; a stratum over that runs alone.  The
+        ``16 n`` is one walker's intp codes and the array each step's ``take`` makes:
+        ``run_words`` walks ``W`` walkers, ``ceil(M/2)`` pairs of ``M`` machines to
+        n = 24 and ``M`` past it, so a run holds about ``W`` times the walk named here.
         Stratum ``s`` draws its words from its own Philox substream, spawn key
         ``key + (s,)``, so no run depends on which worker makes it.  Words are
         drawn row-major in numpy's default int64, at most :data:`RUN_ELEMENTS` at
@@ -591,13 +594,7 @@ def agreement_monte_carlo(
     return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "monte-carlo", stderr=stderr)
 
 
-# key -> route, called as (a, b, word_length, samples, seed, jobs); the lambdas
-# look each function up at call time, so a wrapped module attribute is seen.
-AGREEMENT_METHODS: dict[str, Callable[..., AgreementReport]] = {
-    "spectral": lambda a, b, t, samples, seed, jobs: agreement_exact(a, b, t),
-    "brute": lambda a, b, t, samples, seed, jobs: agreement_brute_force(a, b, t),
-    "mc": lambda a, b, t, samples, seed, jobs: agreement_monte_carlo(a, b, t, samples, seed, jobs),
-}
+AGREEMENT_METHODS = ("spectral", "brute", "mc")
 
 
 def agreement(
@@ -609,15 +606,16 @@ def agreement(
     seed: int = 0,
     jobs: int = 1,
 ) -> AgreementReport:
-    """Agreement by the route that :data:`AGREEMENT_METHODS` lists under ``method``.
-
-    ``samples``, ``seed`` and ``jobs`` are read by ``mc`` only.
-    """
-    if method not in AGREEMENT_METHODS:
-        raise ValueError(
-            f"unknown agreement method {method!r}; choose from {', '.join(AGREEMENT_METHODS)}"
-        )
-    return AGREEMENT_METHODS[method](a, b, word_length, samples, seed, jobs)
+    """The report of :func:`agreement_exact` (``spectral``), :func:`agreement_brute_force`
+    (``brute``) or :func:`agreement_monte_carlo` (``mc``, the one that reads ``samples``,
+    ``seed`` and ``jobs``), by the key of :data:`AGREEMENT_METHODS` that ``method`` names."""
+    if method == "spectral":
+        return agreement_exact(a, b, word_length)
+    if method == "brute":
+        return agreement_brute_force(a, b, word_length)
+    if method == "mc":
+        return agreement_monte_carlo(a, b, word_length, samples, seed, jobs)
+    raise ValueError(f"unknown agreement method {method!r}; choose from {', '.join(AGREEMENT_METHODS)}")
 
 
 def _checked_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -649,6 +647,7 @@ def _checked_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
+# perfbench wraps spectral_norm by name (walk.spectral_norm_s), so the name stays
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix, inertia-bracketed within 1e-8."""
     return float(np.max(np.abs(_checked_eigenvalues(matrix))))

@@ -512,6 +512,23 @@ def test_oracle_rejects_query_entries_without_builtin(tmp_path, family_file, cap
     assert error["message"].startswith(f"query {index} must be an object with a 'builtin' key")
 
 
+@pytest.mark.parametrize(
+    "entry, unknown",
+    [
+        ({"builtin": "final-state-parity", "parms": {"x": 1}}, ["parms"]),
+        ({"builtin": "state-agreement", "params": {"member": 0}, "tau": 0.9}, ["tau"]),
+    ],
+)
+def test_oracle_rejects_query_entries_with_unknown_keys(tmp_path, family_file, capsys, entry, unknown):
+    # a misspelled or misplaced key would otherwise be read as absent
+    queries = tmp_path / "q.json"
+    queries.write_text(json.dumps([{"builtin": "constant", "params": {"value": 0}}, entry]))
+    assert run_cli(["oracle", "--family", family_file, "--t", 2, "--queries", queries]) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[0])["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"query 1 has unknown keys {unknown}")
+
+
 def test_oracle_negative_word_length_fails_as_json(tmp_path, family_file, capsys):
     queries = tmp_path / "q.json"
     queries.write_text(json.dumps([{"builtin": "final-state-parity"}]))

@@ -13,7 +13,6 @@ from sqsa import automata, walk
 from sqsa.automata import FamilyConfig, Semiautomaton, build_family, min_alphabet_copies, run_word
 from sqsa.perm import SizeMismatchError
 from sqsa.sq import (
-    CorrelationEstimate,
     OracleSession,
     StatQuery,
     certify_sq_dimension,
@@ -50,13 +49,13 @@ def centered_label_vectors(automaton, word_length):
 def test_self_correlation():
     family = family_pair(5, 2, 1)
     estimate = pairwise_correlation(family.members[0], family.members[0], 6)
-    assert estimate.value == pytest.approx(1 - 1 / 5, abs=1e-10)
+    assert estimate.residual == pytest.approx(1 - 1 / 5, abs=1e-10)
 
 
 def test_zero_length_correlation_is_maximal():
     family = family_pair(4, 2, 2)
     estimate = pairwise_correlation(family.members[0], family.members[1], 0)
-    assert estimate.value == pytest.approx(1 - 1 / 4, abs=1e-12)
+    assert estimate.residual == pytest.approx(1 - 1 / 4, abs=1e-12)
 
 
 def test_spectral_matches_enumeration():
@@ -65,7 +64,7 @@ def test_spectral_matches_enumeration():
     for t in range(4):
         spectral = pairwise_correlation(a, b, t, "spectral")
         exact = pairwise_correlation(a, b, t, "brute")
-        assert spectral.value == pytest.approx(exact.value, abs=1e-12)
+        assert spectral.residual == pytest.approx(exact.residual, abs=1e-12)
 
 
 def test_monte_carlo_correlation_has_stderr():
@@ -81,11 +80,26 @@ def test_unknown_method_rejected():
         pairwise_correlation(family.members[0], family.members[1], 1, "psychic")
 
 
-def test_correlation_estimate_range_enforced():
-    with pytest.raises(ValueError):
-        CorrelationEstimate(0.9, "spectral", 3)
-    with pytest.raises(ValueError):
-        CorrelationEstimate(-0.5, "spectral", 3)
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.integers(1, 3),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.integers(0, 3),
+    st.integers(1, 50),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_every_route_keeps_the_correlation_in_range(n, k, p, t, samples, seed, same):
+    # a correlation lies in [-1/n, 1 - 1/n]: the spectral residual within rounding, the
+    # brute-force one (a rounded exact rational) and the sampled one (sum c / (words n)) exactly
+    a, b = build_family(FamilyConfig(n, k, 2, p, seed)).members
+    b = a if same else b
+    for method in walk.AGREEMENT_METHODS:
+        report = walk.agreement(method, a, b, t, samples, seed)
+        slack = 1e-9 if method == "spectral" else 0.0
+        assert -1 / n - slack <= report.residual <= 1 - 1 / n + slack
+        assert pairwise_correlation(a, b, t, method, samples, seed) == report
 
 
 @pytest.mark.parametrize("t", range(4))
