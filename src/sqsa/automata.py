@@ -30,10 +30,9 @@ of one symbol position, then costs one add and one ``take`` from a table
 of at most a few MB, for every walker and start at once.  Nothing of the
 walk outlives the count that prepared it.
 
-Brute force (:func:`agreeing_inputs`) reads no words.  A pair's states walk
-the prefix tree of every word from each start ``(s, s)``, each machine on
-its own C-ordered ``(n, A)`` successor table, and each input's last symbol
-is read as one agreement bool.
+Brute force (:func:`agreeing_inputs`) reads no words.  It counts every input
+by the pair's joint state, one symbol position at a time: an ``(n, n)``
+count of Python ints, whose step weighs each joint class by its symbol count.
 
 Family file format (little-endian), version 1:
 
@@ -327,67 +326,33 @@ def run_words(walk: _Walk, words: np.ndarray) -> np.ndarray:
     return states
 
 
-def _successors(machine: Semiautomaton, low: int = 0, high: int | None = None) -> np.ndarray:
-    """The machine's C-ordered ``(n, S)`` successor table of symbols ``low`` to ``high``
-    (all by default): entry ``[s, j]`` is the state that symbol ``low + j`` takes
-    ``s`` to, in the smallest unsigned dtype that holds a state (a byte to n = 256)."""
-    n, mask = machine.n_states, machine.mask[low:high]
-    table = np.repeat(np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None], mask.size, axis=1)
-    swaps = np.flatnonzero(mask)
-    pairs = (low + swaps) % machine.n_transpositions
-    first, second = (ends[pairs] for ends in np.triu_indices(n, 1))  # all_transpositions order
-    table[first, swaps], table[second, swaps] = second, first
-    return table
-
-
-def _count_leaves(tables: tuple, states_a: np.ndarray, states_b: np.ndarray, depth: int) -> int:
-    """Inputs below the nodes ``(states_a[i], states_b[i])``, the two machines'
-    states with ``depth`` symbols left, on which they end on one state: every
-    word of ``depth`` symbols breadth-first on each machine's ``(n, S)``
-    successor table, then one agreement bool per input."""
-    table_a, table_b = tables
-    for _ in range(depth):
-        states_a = table_a.take(states_a, axis=0).reshape(-1)
-        states_b = table_b.take(states_b, axis=0).reshape(-1)
-    return np.count_nonzero(states_a == states_b)
-
-
-def agreeing_inputs(a: Semiautomaton, b: Semiautomaton, word_length: int, budget: int) -> int:
+def agreeing_inputs(a: Semiautomaton, b: Semiautomaton, word_length: int) -> int:
     """How many of the ``A**T * n`` (word, start) inputs of ``T = word_length``
-    symbols leave ``a`` and ``b`` on one state: the literal enumeration of
-    every input.
+    symbols leave ``a`` and ``b`` on one state, counted by joint state.
 
-    The pair's states walk the prefix tree of every word depth-first from
-    each start ``(s, s)``, each machine on its ``(n, A)`` successor table
-    (:func:`_successors`).  A chunk of nodes is expanded breadth-first
-    (:func:`_count_leaves`) once its leaves, the inputs below it, number at
-    most ``budget``, and a single node over the budget is expanded one
-    level.  At ``T = 1`` the tables would hold every input, so the tree is
-    walked for ``budget // n`` first symbols (at least one) at a time, on
-    tables of those symbols only.  Shapes that differ raise
-    ``SizeMismatchError``.
+    Entry ``[s, u]`` of the ``(n, n)`` count ``N`` holds the inputs of the
+    symbols read so far that leave ``a`` in ``s`` and ``b`` in ``u``, from
+    ``N = I`` (one input per start ``(s, s)``).  A symbol of joint class 0
+    (:func:`_symbol_classes`) moves neither machine, and one of class
+    ``1 + 3i + kind`` swaps the rows, the columns or both of ``N`` by
+    transposition ``i``, so a step is ``w_0 N + sum_i (a_i N[p_i] + b_i N[:, p_i]
+    + both_i N[p_i][:, p_i])`` with each class's symbol count as its weight.
+    The counts are Python ints, so no count overflows; the result is
+    ``trace(N)``.  Shapes that differ raise ``SizeMismatchError``.
     """
     _check_compatible(a, b)
-    n, size = a.n_states, a.alphabet_size
-    if not word_length:
-        return n  # the empty word leaves each machine where it starts
-    width = size if word_length > 1 else max(1, budget // n)
-
-    def count(states_a: np.ndarray, states_b: np.ndarray, depth: int) -> int:
-        nodes, leaves = states_a.size, tables[0].shape[1] ** depth  # leaves below each node
-        if nodes * leaves <= max(budget, 1):  # one input is read whatever the budget
-            return _count_leaves(tables, states_a, states_b, depth)
-        if nodes == 1:
-            return count(tables[0][states_a[0]], tables[1][states_b[0]], depth - 1)
-        chunk = max(1, budget // leaves)
-        return sum(count(states_a[low : low + chunk], states_b[low : low + chunk], depth)
-                   for low in range(0, nodes, chunk))
-
-    agreed, starts = 0, np.arange(n)
-    for low in range(0, size, width):  # the first symbols, all of them from T = 2
-        tables = _successors(a, low, low + width), _successors(b, low, low + width)
-        agreed += count(starts, starts, word_length)
-    return int(agreed)
+    n = a.n_states
+    weights = np.bincount(_symbol_classes(a, b), minlength=1 + 3 * a.n_transpositions).tolist()
+    # p_i (a row of the moves) and its kinds' weights a_i, b_i, both_i
+    swaps = list(zip(_moves(n)[:, 1:].T, weights[1::3], weights[2::3], weights[3::3]))
+    counts = np.identity(n, dtype=int).astype(object)
+    for _ in range(word_length):
+        after = weights[0] * counts
+        for swap, only_a, only_b, both in swaps:
+            rows = counts[swap]
+            after += only_a * rows + only_b * counts[:, swap] + both * rows[:, swap]
+        counts = after
+    return int(counts.trace())
 
 
 def mask_stream(seed: int, member_index: int) -> np.random.Generator:

@@ -28,6 +28,7 @@ import operator
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,7 +122,8 @@ def _float17(value: float) -> str:
 
 
 def _fraction_text(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    # through Decimal: str(int) refuses past 4300 digits, and a long brute-force count has more
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def _git_blob_sha1(data: bytes) -> str:

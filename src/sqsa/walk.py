@@ -17,23 +17,23 @@ and the CLI's ``pagree --method`` accept; each route returns an
 :class:`AgreementReport` that names it with a label:
 
 - ``spectral`` (label ``spectral``): the residual ``v' M^T v``;
-- ``brute`` (label ``brute-force``): every (word, start) input, on the
-  pair's prefix tree (``automata.agreeing_inputs``), giving an exact rational;
+- ``brute`` (label ``brute-force``): every (word, start) input, counted by
+  the pair's joint state (``automata.agreeing_inputs``), giving an exact rational;
 - ``mc`` (label ``monte-carlo``): stratified words, each read from every
   start (:func:`_sampled_agreement`), with a standard error.
 
-Both input routes count agreements as integers.  Brute force walks the
-pair's states down the prefix tree of every word, depth-first, each machine
-on its own successor table, and expands a chunk of nodes breadth-first once
-the inputs below it number at most :data:`RUN_ELEMENTS`; the last symbol is
-read as one agreement bool per input.  Monte Carlo (and the sampled oracle)
-count over ``run_words`` (:func:`_count_agreements`): a run of consecutive
-strata is one word per row, drawn int64, :data:`RUN_ELEMENTS` at a time, and
-stored in the narrowest unsigned dtype.  A count prepares the walk of all its
-machines once, on the calling thread, and ``run_words`` walks each run on it
-from every start.  Runs are counted on ``jobs`` threads; brute force runs on
-one.  Counts are integers, so neither chunk or run sizes nor their order
-changes a result.
+Both input routes count agreements as integers.  Brute force enumerates no
+input: an ``(n, n)`` count of the inputs that reach each joint state takes
+one step per symbol position, in Python ints, and its trace counts the
+inputs that agree; it shares no code with the spectral route's counts or
+step.  Monte Carlo (and the sampled oracle) count over ``run_words``
+(:func:`_count_agreements`): a run of consecutive strata is one word per
+row, drawn int64, :data:`RUN_ELEMENTS` at a time, and stored in the
+narrowest unsigned dtype.  A count prepares the walk of all its machines
+once, on the calling thread, and ``run_words`` walks each run on it from
+every start.  Runs are counted on ``jobs`` threads; brute force runs on
+one.  Counts are integers, so neither run sizes nor their order changes a
+result.
 
 It also provides the expected-operator spectrum, a direct-summation check
 of the fixed-point Fourier identity behind the formula, and per-length
@@ -116,9 +116,9 @@ __all__ = [
 ]
 
 MAX_FIX_CHECK_STATES = 5  # the direct check sums over (n!)^2 permutation pairs
-BRUTE_FORCE_LIMIT = 10**8  # word/start combinations that enumeration may touch
+BRUTE_FORCE_LIMIT = 2 * 10**9  # limb multiply-adds of brute force's count (agreement_brute_force)
 SAMPLE_STRATA = 64  # fixed stratification => results independent of worker count
-RUN_ELEMENTS = 1 << 16  # per machine, entries of brute force's largest array; words of one strata draw
+RUN_ELEMENTS = 1 << 16  # words of one strata draw
 RUN_BYTES = 3 << 19  # bytes (1.5 MB) of a strata run's stored words and its walk
 KRYLOV_ELEMENTS = 1 << 20  # first Lanczos basis entries (pairs x min(steps, 16) x n^2) per chunk;
 # past 16 steps the basis doubles over the pairs still running only: running x steps x n^2 at most
@@ -138,8 +138,7 @@ class BruteForceGuardError(ValueError):
         self.estimated_cost = estimated_cost
         self.limit = limit
         super().__init__(
-            f"brute force would touch ~{estimated_cost:.3g} word/state combinations "
-            f"(limit {limit:.3g})"
+            f"brute force would take ~{estimated_cost:.3g} limb multiply-adds (limit {limit:.3g})"
         )
 
 
@@ -338,7 +337,7 @@ class AgreementReport:
     ``v' M^T v / n``) and ``p_agree = 1/n + residual``, so the residual
     stays accurate even once it drops below the rounding of ``p_agree``.
     ``stderr`` is set by Monte Carlo only, and ``exact`` carries the
-    rational probability that brute-force enumeration produces.
+    rational probability that the brute-force count produces.
     """
 
     n_states: int
@@ -559,22 +558,23 @@ def _sampled_agreement(
 
 
 def agreement_brute_force(a: Semiautomaton, b: Semiautomaton, word_length: int) -> AgreementReport:
-    """Literal enumeration of every word and start; the independent oracle.
+    """Every word and start, counted by joint state; the independent oracle.
 
-    The pair's states walk the prefix tree of every word from every start
-    (``automata.agreeing_inputs``), in chunks of at most
-    :data:`RUN_ELEMENTS` inputs, and read each input's last symbol as
-    agreement.  Exact by construction: agreement is counted as an integer
-    and the probability is a rational number.  Refuses when
-    ``alphabet**word_length * n`` exceeds :data:`BRUTE_FORCE_LIMIT`.
+    ``automata.agreeing_inputs`` counts the agreeing inputs exactly, so the
+    probability is a rational number and the residual is rounded once.  Its
+    ``T`` steps each take ``1 + 3 C(n, 2)`` weighted ``n x n`` terms of counts
+    up to ``A**T``, so it refuses when ``T (1 + 3 C(n, 2)) n**2 ceil(T
+    bits(A) / 64)`` limb multiply-adds exceed :data:`BRUTE_FORCE_LIMIT`.
     """
-    n = a.n_states
-    cost = WordDistribution(n, a.alphabet_size, word_length).n_inputs()
+    n, size = a.n_states, a.alphabet_size
+    limbs = max(1, -(-word_length * size.bit_length() // 64))
+    cost = word_length * (1 + 3 * (n * (n - 1) // 2)) * n * n * limbs
     if cost > BRUTE_FORCE_LIMIT:
         raise BruteForceGuardError(cost, BRUTE_FORCE_LIMIT)
-    exact = Fraction(agreeing_inputs(a, b, word_length, RUN_ELEMENTS), cost)
-    p_agree = float(exact)
-    return AgreementReport(n, word_length, p_agree, p_agree - 1.0 / n, "brute-force", exact=exact)
+    inputs = WordDistribution(n, size, word_length).n_inputs()  # a negative T raises here
+    exact = Fraction(agreeing_inputs(a, b, word_length), inputs)
+    residual = float(exact - Fraction(1, n))  # rounded once: in floats, 1/n would cancel its digits
+    return AgreementReport(n, word_length, float(exact), residual, "brute-force", exact=exact)
 
 
 def agreement_monte_carlo(

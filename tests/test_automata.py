@@ -306,31 +306,7 @@ def test_step_tables_move_machines_by_each_symbols_class(n, k, fill, seed):
             assert after == expected * width
 
 
-def brute_tables(a, b, word_length, budget=1 << 16):
-    """The successor tables that each _count_leaves call of a brute count reads, and the count."""
-    seen, count = [], automata._count_leaves
-
-    def spy(tables, states_a, states_b, depth):
-        seen.append(tables)
-        return count(tables, states_a, states_b, depth)
-
-    with mock.patch.object(automata, "_count_leaves", spy):
-        return seen, automata.agreeing_inputs(a, b, word_length, budget)
-
-
 def test_tables_are_c_ordered_and_built_in_one_table_sized_array():
-    # each machine's successor row is one contiguous run of A states, so a row gather copies whole rows
-    a, b = build_family(FamilyConfig(6, 2, 2, 0.5, 11)).members
-    seen, _ = brute_tables(a, b, 2)
-    for after in seen:
-        assert len(after) == 2 and after[0].shape == after[1].shape == (6, 30)
-        for machine, table in zip((a, b), after):
-            assert table.flags.c_contiguous and table.dtype == np.uint8
-            for state, symbol in itertools.product(range(6), range(30)):
-                assert table[state, symbol] == run_word(machine, [symbol], state)
-    a, b = build_family(FamilyConfig(300, 1, 2, 0.5, 11)).members  # A = 44850: a state is two bytes
-    seen, _ = brute_tables(a, b, 1)
-    assert all(t.flags.c_contiguous and t.dtype == np.uint16 for after in seen for t in after)
     # the joint step table at n = 24 (3.6 MB): one table-sized array, no reshaped copy
     tracemalloc.start()
     try:
@@ -339,26 +315,6 @@ def test_tables_are_c_ordered_and_built_in_one_table_sized_array():
     finally:
         tracemalloc.stop()
     assert table.flags.c_contiguous and peak < 1.25 * table.nbytes
-
-
-def test_one_symbol_brute_count_reads_its_symbols_in_budget_sized_slices():
-    # n = 12 at the paper's copy count: A = 87516, so a table row per state would hold n * A
-    n = 12
-    a, b = build_family(FamilyConfig(n, min_alphabet_copies(n), 2, 0.5, 3)).members
-    size = a.alphabet_size
-    tracemalloc.start()
-    try:
-        agreed = automata.agreeing_inputs(a, b, 1, walk.RUN_ELEMENTS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a slice's two tables and two gathered ends, a byte a state, and its bools: about 5 budgets
-    # whatever A; one (n, A) table would hold n * A = 1.05M bytes, 16 budgets
-    assert peak < 8 * walk.RUN_ELEMENTS
-    seen, _ = brute_tables(a, b, 1)
-    assert max(t.size for after in seen for t in after) <= walk.RUN_ELEMENTS
-    states = run_words(automata._prepare_walk([a, b]), np.arange(size)[:, None])
-    assert agreed == np.count_nonzero(states[0] == states[1])
 
 
 def test_past_the_joint_table_budget_machines_walk_alone_in_little_memory():

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -338,11 +340,26 @@ def test_missing_family_is_machine_readable(capsys):
 
 
 def test_brute_guard_error_via_cli(tmp_path, family_file, capsys):
-    # 18 symbols: 18**7 * 4 ~ 2.4e9 inputs at T=7 is over the guard, 18**3 * 4 is not
-    assert run_cli(["pagree", "--family", family_file, "--t", 7, "--method", "brute"]) == 1
+    # 18 symbols of 5 bits: at T=10 000, T steps of 1 + 3 C(4, 2) terms on 4 x 4 counts of
+    # ceil(T * 5 / 64) limbs are over the guard; T=3 is not
+    started = time.perf_counter()
+    assert run_cli(["pagree", "--family", family_file, "--t", 10_000, "--method", "brute"]) == 1
+    assert time.perf_counter() - started < 1.0
     error = json.loads(capsys.readouterr().err.splitlines()[0])
     assert error["error"]["type"] == "BruteForceGuardError"
+    assert f"~{10_000 * 19 * 16 * 782:.3g} limb multiply-adds" in error["error"]["message"]
     assert run_cli(["pagree", "--family", family_file, "--t", 3, "--method", "brute"]) == 0
+
+
+def test_brute_force_writes_an_exact_rational_past_the_int_digit_limit(family_file, capsys):
+    # 4 * 18**3500 has 4395 digits, past the 4300 that str(int) writes by default
+    assert run_cli(["pagree", "--family", family_file, "--t", 3500, "--method", "brute"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    parts = result["exact"].split("/")
+    assert max(len(part) for part in parts) > 4300
+    numerator, denominator = (int(Decimal(part)) for part in parts)
+    assert (4 * 18**3500) % denominator == 0
+    assert result["p_agree"] == float(Fraction(numerator, denominator))
 
 
 def test_certify_rejects_negative_word_length_without_pairs(family_file, capsys):
@@ -588,15 +605,17 @@ def test_jobs_below_one_rejected(family_file, capsys, jobs):
 # rewritten.  None of these outputs prints a Lanczos or LAPACK float, so the
 # bytes are the same on every platform; relative paths keep meta.config so too.
 # mc.json and sampled.jsonl were retaken when Monte Carlo began reading every
-# start of ceil(samples / n) words, with the per-word standard error; the
-# other four are unchanged since.
+# start of ceil(samples / n) words, with the per-word standard error.
+# config.json.out was retaken when brute force began rounding its residual
+# once, from the exact rational: it moved by one ulp, from 0.31327160493827155
+# to 0.3132716049382716.  The other three are unchanged since.
 GOLDEN_SHA256 = {
     "family.sqsa": "60d93bbae4c96254488924eee310b99b6dd58c0fc23ff56c6613fe138f6977ae",
     "brute.json": "f4cb4afb530189e62692d999098dd866af70c63d610681edccc8e916831b84ba",
     "mc.json": "5cffd7c3759e5e2edabfe7be9498ccb7e8553048b4b406c829b1996d165ff6d1",
     "exact.jsonl": "869de488f690a869ea506ffb48bfb13aed843ff5b811064de81c6fefb70d43cf",
     "sampled.jsonl": "ce776c5172db0ea2376dfe294b5e6f0350a044152980f77210f950f16f4744a1",
-    "config.json.out": "a2a1f682794471f71811f1b8fef5c816d77aaa50a60c9a783125fa0478a0fc9d",
+    "config.json.out": "3cf4dd5c387d93067c1a07458e52609f4d4dfa16ab42fcf1ef02e49b8a2766d5",
 }
 
 

@@ -350,39 +350,50 @@ def test_gauss_residual_fails_loudly_without_convergence(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 4),
-    st.integers(1, 2),
-    st.integers(0, 4),
-    st.sampled_from([4, 7, 40, 200]),
-    st.integers(0, 2**32 - 1),
-)
-@example(n=3, k=1, t=0, budget=40, seed=0)  # the empty word: no tree to walk
-@example(n=3, k=1, t=1, budget=40, seed=0)  # the starts' rows of every symbol, one chunk
-@example(n=4, k=2, t=1, budget=7, seed=0)  # the starts read 7 // 4 = 1 symbol at a time
-@example(n=3, k=1, t=2, budget=40, seed=0)  # one chunk over both levels
-@example(n=2, k=1, t=4, budget=4, seed=0)  # one symbol: a chain, not a tree
-@example(n=3, k=1, t=4, budget=7, seed=0)  # a node of 81 leaves, expanded level by level
-@example(n=4, k=2, t=2, budget=4, seed=0)  # a node's 12 leaves over the budget, read 4 at a time
-def test_brute_force_counts_every_word_from_every_start(n, k, t, budget, seed):
+@given(st.integers(2, 4), st.integers(1, 2), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@example(n=3, k=1, t=0, seed=0)  # the empty word: every start agrees
+@example(n=2, k=1, t=4, seed=0)  # one symbol: one word
+def test_brute_force_counts_every_word_from_every_start(n, k, t, seed):
     assume(k == 1 or t <= 3)  # at most 6912 inputs to run one by one
     a, b = random_pair(n, k, seed)
     words = list(itertools.product(range(a.alphabet_size), repeat=t))
     expected = sum(run_word(a, w, s) == run_word(b, w, s) for w in words for s in range(n))
-    sizes = []
-    count = automata._count_leaves
+    assert automata.agreeing_inputs(a, b, t) == expected
+    assert agreement_brute_force(a, b, t).exact == Fraction(expected, len(words) * n)
 
-    def sized(tables, states_a, states_b, depth):
-        sizes.append(states_a.size * tables[0].shape[1] ** depth)
-        return count(tables, states_a, states_b, depth)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk, "RUN_ELEMENTS", budget)  # leaves of a breadth-first chunk
-        patch.setattr(automata, "_count_leaves", sized)
-        report = agreement_brute_force(a, b, t)
-    assert report.exact == Fraction(expected, len(words) * n)
-    assert sum(sizes) == (len(words) * n if t else 0)  # each input read once
-    assert max(sizes, default=0) <= budget
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(3, 6),
+    st.integers(1, 4),
+    st.floats(0.2, 0.8),
+    st.floats(0.2, 0.8),
+    st.integers(0, 2000),
+    st.integers(0, 2**32 - 1),
+)
+@example(n=6, k=4, p_a=0.3, p_b=0.7, t=2000, seed=0)
+@example(n=5, k=2, p_a=0.25, p_b=0.6, t=1999, seed=1)
+def test_spectral_residual_meets_the_exact_count(n, k, p_a, p_b, t, seed):
+    # at even T the residual sum_i w_i mu_i^T has no sign cancellation, so the Gauss rule keeps
+    # its relative accuracy; at odd T it is held to the scale |r(T)| <= r(T - 1) (M symmetric)
+    a = build_family(FamilyConfig(n, k, 1, p_a, seed)).members[0]
+    b = build_family(FamilyConfig(n, k, 1, p_b, seed + 1)).members[0]
+    exact = agreement_brute_force(a, b, t).exact - Fraction(1, n)
+    scale = exact if t % 2 == 0 else agreement_brute_force(a, b, t - 1).exact - Fraction(1, n)
+    assume(scale >= np.finfo(float).tiny)  # the residual is a normal double
+    assert abs(exact) <= scale
+    assert abs(agreement_exact(a, b, t).residual - float(exact)) <= 1e-12 * float(scale)
+
+
+def test_brute_force_in_the_papers_regime_meets_spectral():
+    # n=8 at the paper's copy count (A = 21 896) and word length ceil(2 n ln n!) = 170:
+    # 8 * 21896**170 inputs, counted exactly
+    n = 8
+    a, b = build_family(FamilyConfig(n, min_alphabet_copies(n), 2, 0.5, 0)).members
+    t = automata.min_word_length(n)
+    brute = agreement_brute_force(a, b, t)
+    assert brute.residual == float(brute.exact - Fraction(1, n)) > 0
+    assert brute.residual == pytest.approx(agreement_exact(a, b, t).residual, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -498,7 +509,7 @@ def test_merged_draws_change_no_count(monkeypatch):
 
     merged = counts()
     monkeypatch.setattr(walk, "RUN_BYTES", 0)  # every stratum runs alone
-    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every tree node runs alone, every word row drawn alone
+    monkeypatch.setattr(walk, "RUN_ELEMENTS", 0)  # every word row drawn alone
     assert len(WordDistribution(4, a.alphabet_size, 6).strata(1000, 9)) == 64
     assert counts() == merged
     assert merged[0][0] == merged[0][1]
@@ -643,10 +654,13 @@ def test_agreement_monte_carlo_jobs_invariant():
 
 
 def test_brute_force_guard_refuses_with_estimate():
-    a, b = random_pair(5, 50, 13)  # 500 symbols
+    a, b = random_pair(5, 50, 13)  # 500 symbols, 9 bits each
+    started = time.perf_counter()
     with pytest.raises(BruteForceGuardError) as info:
-        agreement_brute_force(a, b, 5)
-    assert info.value.estimated_cost == 500**5 * 5
+        agreement_brute_force(a, b, 5000)
+    assert time.perf_counter() - started < 1.0  # refused before any count
+    # T steps of 1 + 3 C(5, 2) terms on 5 x 5 counts of ceil(5000 * 9 / 64) limbs
+    assert info.value.estimated_cost == 5000 * 31 * 25 * 704 > walk.BRUTE_FORCE_LIMIT
 
 
 def test_spectral_norm_identity():
